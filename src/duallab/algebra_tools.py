@@ -425,7 +425,7 @@ def fixed_point_basis(p: int, N: int, side: str = "left") -> AlgebraBasis:
 
     elements = []
     for word in _orbit_words(p, N):
-        acc = StructuredOperator.zero(space)
+        terms = []
         seen = set()
         for perm in permutations(range(p)):
             arranged = tuple(word[perm[k]] for k in range(p))
@@ -435,8 +435,8 @@ def fixed_point_basis(p: int, N: int, side: str = "left") -> AlgebraBasis:
             term = StructuredOperator.identity(space)
             for k, (i, j) in enumerate(arranged):
                 term = term.compose(mult(space, unit(i, j), k))
-            acc = acc + term
-        mat = acc.to_dense().matrix
+            terms.append(term)
+        mat = StructuredOperator.sum(terms).to_dense().matrix
         nrm = math.sqrt(abs(hs_inner(mat, mat)))
         elements.append(mat / nrm)
     assert len(elements) == dim

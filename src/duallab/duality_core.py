@@ -63,18 +63,14 @@ def t_plus(space: ModelSpace, a: np.ndarray) -> StructuredOperator:
 
     An empty left side yields the zero operator.
     """
-    out = StructuredOperator.zero(space)
-    for k in range(space.p):
-        out = out + left_mult(space, a, k)
-    return out
+    return StructuredOperator.sum((left_mult(space, a, k) for k in range(space.p)), space)
 
 
 def t_minus(space: ModelSpace, a: np.ndarray) -> StructuredOperator:
     """Sum of right multiplications by ``a`` over the right legs."""
-    out = StructuredOperator.zero(space)
-    for k in range(space.p, space.m):
-        out = out + right_mult(space, a, k)
-    return out
+    return StructuredOperator.sum(
+        (right_mult(space, a, k) for k in range(space.p, space.m)), space
+    )
 
 
 def t_mixed(space: ModelSpace, a: np.ndarray) -> StructuredOperator:
@@ -310,20 +306,19 @@ def conditional_expectation(
     a = np.asarray(a, dtype=np.complex128)
     if a.shape != (N, N):
         raise ValueError(f"expected {N}x{N}, got {a.shape}")
-    D = 2**level
+    return _block_expectation(a, 2**level)
+
+
+def _block_expectation(a: np.ndarray, D: int) -> np.ndarray:
+    """Average of u a u* over the unitaries of the leading D x D tensor
+    factor of M_N: the normalized partial trace over that factor,
+    re-tensored with its identity.  D = N gives tr(a)/N times I."""
+    N = a.shape[0]
+    if N % D:
+        raise ValueError(f"block dimension {D} does not divide N={N}")
     K = N // D
     partial = np.einsum("ijil->jl", a.reshape(D, K, D, K)) / D
     return np.kron(np.eye(D), partial)
-
-
-def _haar_expectation(
-    a: np.ndarray, N: int, block_dim: int | None
-) -> np.ndarray:
-    if block_dim is None or block_dim == N:
-        return (np.trace(a) / N) * np.eye(N)
-    K = N // block_dim
-    partial = np.einsum("ijil->jl", a.reshape(block_dim, K, block_dim, K))
-    return np.kron(np.eye(block_dim), partial / block_dim)
 
 
 # -- the residual of the product identity ---------------------------------
@@ -351,22 +346,22 @@ def sigma_residual(
     u = _check_unitary(u, space.N)
     a = np.asarray(a, dtype=np.complex128)
     au = a @ u.conj().T
-    out = StructuredOperator.zero(space)
+    parts = []
     left = range(space.p)
     right = range(space.p, space.m)
     for k in left:
         for j in left:
             if k != j:
-                out = out + left_mult(space, au, k).compose(left_mult(space, u, j))
+                parts.append(left_mult(space, au, k).compose(left_mult(space, u, j)))
     for k in right:
         for j in right:
             if k != j:
-                out = out + right_mult(space, au, k).compose(right_mult(space, u, j))
+                parts.append(right_mult(space, au, k).compose(right_mult(space, u, j)))
     for k in left:
         for j in right:
-            out = out - left_mult(space, au, k).compose(right_mult(space, u, j))
-            out = out - right_mult(space, au, j).compose(left_mult(space, u, k))
-    return out
+            parts.append(-left_mult(space, au, k).compose(right_mult(space, u, j)))
+            parts.append(-right_mult(space, au, j).compose(left_mult(space, u, k)))
+    return StructuredOperator.sum(parts, space)
 
 
 def sigma_average_exact(
@@ -384,25 +379,25 @@ def sigma_average_exact(
     using that Haar measure is invariant under u -> u*.
     """
     a = np.asarray(a, dtype=np.complex128)
-    out = StructuredOperator.zero(space)
+    parts = []
     left = range(space.p)
     right = range(space.p, space.m)
     for k in left:
         for j in left:
             if k != j:
                 pair = haar_pair_average_exact(space, k, j, "ll", block_dim)
-                out = out + left_mult(space, a, k).compose(pair)
+                parts.append(left_mult(space, a, k).compose(pair))
     for k in right:
         for j in right:
             if k != j:
                 pair = haar_pair_average_exact(space, k, j, "rr", block_dim)
-                out = out + pair.compose(right_mult(space, a, k))
+                parts.append(pair.compose(right_mult(space, a, k)))
     for k in left:
         for j in right:
             pair = haar_pair_average_exact(space, k, j, "lr", block_dim)
-            out = out - left_mult(space, a, k).compose(pair)
-            out = out - pair.compose(right_mult(space, a, j))
-    return out
+            parts.append(-left_mult(space, a, k).compose(pair))
+            parts.append(-pair.compose(right_mult(space, a, j)))
+    return StructuredOperator.sum(parts, space)
 
 
 def product_average_exact(
@@ -415,12 +410,12 @@ def product_average_exact(
     expectation of a, and the cross terms to the averaged remainder.
     """
     a = np.asarray(a, dtype=np.complex128)
-    expected = _haar_expectation(a, space.N, block_dim)
-    return (
-        t_plus(space, a)
-        + t_minus(space, expected)
-        + sigma_average_exact(space, a, block_dim)
-    )
+    expected = _block_expectation(a, space.N if block_dim is None else block_dim)
+    return StructuredOperator.sum([
+        t_plus(space, a),
+        t_minus(space, expected),
+        sigma_average_exact(space, a, block_dim),
+    ])
 
 
 @dataclass(frozen=True)
@@ -471,7 +466,7 @@ def limit_formula_check(
         expected = conditional_expectation(tower, level, a)
     else:
         block_dim = None
-        expected = _haar_expectation(a, space.N, None)
+        expected = _block_expectation(a, space.N)
     averaged = product_average_exact(space, a, block_dim)
     stated = t_plus(space, a) - t_minus(space, expected)
     residual = averaged - stated

@@ -109,9 +109,7 @@ def _young_check(cfg, rng, out_dir) -> list[CheckResult]:
     for i, P in enumerate(projs):
         for Q in projs[i + 1 :]:
             ortho = max(ortho, (P @ Q).hs_norm())
-    total = projs[0]
-    for P in projs[1:]:
-        total = total + P
+    total = StructuredOperator.sum(projs)
     a = _random_hermitian(rng, cfg.N)
     T = t_plus(space, a)
     comm = max((P @ T - T @ P).hs_norm() for P in projs)

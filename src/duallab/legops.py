@@ -12,6 +12,34 @@ operators, leg permutations, Young projections, Haar pair averages and
 all their products, while never materializing an N^(2m) x N^(2m) matrix
 unless explicitly asked to.
 
+Storage.  A :class:`StructuredOperator` keeps its terms grouped by
+permutation, in canonical order.  A group holds its T coefficients as a
+(T,) array and, for the L legs on which some term is not the identity,
+the sandwich factors as (T, L, N, N) arrays A and B.  A leg on which
+every term of the group is the identity appears in no array: its
+absence is the identity flag, so a pure leg permutation costs one
+coefficient.  :class:`OperatorTerm` and :class:`LegFactor` are the
+input format and the read-only view ``StructuredOperator.terms``; the
+algebra itself runs on the arrays.
+
+Cost model, for groups of T terms with L carried legs:
+
+- merging sorts each group once by its factor bytes, O(T log T), and
+  compares factors entrywise only for terms whose fixed 1-D projections
+  lie within the merge tolerance of each other;
+- compose is one batched matmul per pair of groups and carried leg,
+  O(T_x T_y L N^3); products of pure permutations are index arithmetic
+  over all pairs at once;
+- normalized_trace multiplies factors along the cycles of each group's
+  permutation, O(T L N^3);
+- hs_norm is c^H G c for the Gram matrix G of the terms, which factors
+  over the cycles of sigma_g^-1 sigma_h for each pair of groups; a leg
+  fixed by that permutation costs one (T_g x N^2)(N^2 x T_h) product,
+  and X* X is never formed;
+- apply costs two batched matmuls per carried leg, O(T L N^(2m+1)), and
+  to_dense one GEMM over the terms, O(T N^(4m)); each then permutes the
+  axes of its group's result once.
+
 Traces are evaluated exactly through the cycle factorization of the
 permutation part, norms by power iteration on the matrix-free apply.
 Dense materialization is capped; the cap guards the commutant solvers
@@ -20,15 +48,32 @@ downstream.
 
 from __future__ import annotations
 
+import bisect
 import json
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
+# Smallest coefficient magnitude a canonical term keeps.  A sum that
+# cancels exactly leaves a remainder of a few ulps of its O(1) inputs,
+# about 1e-16; the coefficients the package builds are rational in 1/N
+# (pair weights 1/D, Young weights dim/b!), many orders above 1e-14.
 MERGE_TOL = 1e-14
+# Two terms of one permutation merge when, on every leg, their A and B
+# factors agree entrywise within FACTOR_MERGE_TOL * (1 + max |entry|)
+# of the later term's factor.  Products such as (a u*) u come back to a
+# only up to the rounding of the matmuls, about N * 1e-16 relative;
+# 1e-12 absorbs that with a wide margin, while factors that differ by
+# 1e-6 stay apart.
 FACTOR_MERGE_TOL = 1e-12
+# Largest model dimension N^(2m) that to_dense and the dense solvers in
+# algebra_tools and crossed materialize: one 4096 x 4096 complex matrix
+# takes 256 MiB, so the few such matrices a solver holds at once still
+# fit in the memory of a laptop-class machine.
 DENSE_CAP = 4096
 
 __all__ = [
@@ -146,22 +191,10 @@ class LegFactor:
             return self
         return LegFactor(self.B.conj().T, self.A.conj().T)
 
-    def is_zero(self) -> bool:
-        return not (np.any(self.A) and np.any(self.B))
-
     def signature(self) -> bytes:
         if self.is_identity:
             return b"I"
         return self.A.tobytes() + self.B.tobytes()
-
-
-def _compose_factors(outer: LegFactor, inner: LegFactor) -> LegFactor:
-    # outer is applied after inner: x -> A_out (A_in x B_in) B_out
-    if outer.is_identity:
-        return inner
-    if inner.is_identity:
-        return outer
-    return LegFactor(outer.A @ inner.A, inner.B @ outer.B)
 
 
 def _invert(sigma: tuple[int, ...]) -> tuple[int, ...]:
@@ -171,16 +204,21 @@ def _invert(sigma: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(inv)
 
 
-def _factors_close(
-    fs: tuple[LegFactor, ...], gs: tuple[LegFactor, ...]
-) -> bool:
-    for f, g in zip(fs, gs):
-        if f is g:
-            continue
-        tol = FACTOR_MERGE_TOL * (1.0 + max(np.abs(f.A).max(), np.abs(f.B).max()))
-        if np.abs(f.A - g.A).max() > tol or np.abs(f.B - g.B).max() > tol:
-            return False
-    return True
+@lru_cache(maxsize=1024)
+def _cycles(sigma: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Cycles of sigma, each from its smallest leg: (k, sigma(k), ...)."""
+    seen = [False] * len(sigma)
+    out = []
+    for start in range(len(sigma)):
+        cycle = []
+        k = start
+        while not seen[k]:
+            seen[k] = True
+            cycle.append(k)
+            k = sigma[k]
+        if cycle:
+            out.append(tuple(cycle))
+    return tuple(out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,8 +242,339 @@ class OperatorTerm:
     def signature(self) -> tuple:
         return (self.sigma, tuple(f.signature() for f in self.factors))
 
-    def is_zero_term(self) -> bool:
-        return any(f.is_zero() for f in self.factors)
+
+# -- grouped term storage ------------------------------------------------
+
+
+class _Group(NamedTuple):
+    """Terms sharing one permutation; legs absent from ``legs`` are the
+    identity in every term.  Merging a canonical group again changes
+    nothing, so a ``merged`` group that is alone with its permutation in
+    a sum passes through."""
+
+    sigma: tuple[int, ...]
+    coeffs: np.ndarray  # (T,) complex
+    legs: tuple[int, ...]  # carried legs, ascending
+    A: np.ndarray  # (T, len(legs), N, N)
+    B: np.ndarray  # (T, len(legs), N, N)
+    merged: bool = False
+
+
+def _pure(sigma: tuple[int, ...], coeffs: np.ndarray, N: int) -> _Group:
+    empty = np.empty((len(coeffs), 0, N, N), dtype=np.complex128)
+    return _Group(sigma, coeffs, (), empty, empty)
+
+
+def _groups_from_terms(space: ModelSpace, terms) -> list[_Group]:
+    N, m = space.N, space.m
+    by_sigma: dict[tuple, list[OperatorTerm]] = {}
+    for t in terms:
+        if len(t.factors) != m:
+            raise SpaceMismatchError(f"term has {len(t.factors)} legs, space has {m}")
+        if any(f.A.shape[0] != N for f in t.factors):
+            raise SpaceMismatchError("leg size mismatch")
+        by_sigma.setdefault(tuple(int(s) for s in t.sigma), []).append(t)
+    raw = []
+    for sigma, ts in by_sigma.items():
+        legs = tuple(k for k in range(m) if not all(t.factors[k].is_identity for t in ts))
+        shape = (len(ts), len(legs), N, N)
+        A = np.array([[t.factors[k].A for k in legs] for t in ts], np.complex128).reshape(shape)
+        B = np.array([[t.factors[k].B for k in legs] for t in ts], np.complex128).reshape(shape)
+        coeffs = np.array([t.coefficient for t in ts], dtype=np.complex128)
+        raw.append(_Group(sigma, coeffs, legs, A, B))
+    return raw
+
+
+def _concat(parts: list[_Group], N: int) -> _Group:
+    """One group from raw groups of one permutation, in the given order."""
+    if len(parts) == 1:
+        return parts[0]
+    legs = tuple(sorted(set().union(*(p.legs for p in parts))))
+    T = sum(len(p.coeffs) for p in parts)
+    A = np.empty((T, len(legs), N, N), dtype=np.complex128)
+    B = np.empty_like(A)
+    A[...] = B[...] = np.eye(N)
+    off = 0
+    for p in parts:
+        cols = [legs.index(k) for k in p.legs]
+        A[off:off + len(p.coeffs), cols] = p.A
+        B[off:off + len(p.coeffs), cols] = p.B
+        off += len(p.coeffs)
+    return _Group(parts[0].sigma, np.concatenate([p.coeffs for p in parts]), legs, A, B)
+
+
+def _signature_sort(A: np.ndarray, B: np.ndarray, ident: np.ndarray):
+    """Exact merge keys: (index of the first term of each distinct
+    signature, in sorted-signature order; class of every term).
+
+    The signature of a leg is b"I" for an identity factor and the bytes
+    of A then B otherwise, compared as Python compares bytes.  Each leg
+    is encoded at one fixed length so that memcmp order on the encoding
+    is that order: byte 0 of the factor bytes, then 1 (0 for identity,
+    whose byte 0 is "I"), then the remaining bytes (zeros for identity).
+    """
+    T, L = A.shape[:2]
+    raw = np.concatenate((A.reshape(T, L, -1), B.reshape(T, L, -1)), axis=2).view(np.uint8)
+    key = np.empty((T, L, raw.shape[2] + 1), dtype=np.uint8)
+    key[:, :, 0] = raw[:, :, 0]
+    key[:, :, 1] = 1
+    key[:, :, 2:] = raw[:, :, 1:]
+    key[ident] = 0
+    key[ident, 0] = ord("I")
+    keys = key.reshape(T, -1).view(np.dtype((np.void, key[0].size)))[:, 0]
+    order = np.argsort(keys, kind="stable")
+    ranked = keys[order]
+    starts = np.ones(T, dtype=bool)
+    starts[1:] = ranked[1:] != ranked[:-1]
+    inverse = np.empty(T, dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    return order[starts], inverse
+
+
+@lru_cache(maxsize=64)
+def _projection_weights(n: int) -> np.ndarray:
+    # fixed, pairwise distinct weights in [1, 2): matrix units project apart
+    return 1.0 + (np.arange(n) * 0.6180339887498949) % 1.0
+
+
+def _fuzzy_merge(c: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Fold float twins onto the first close term before them, in place.
+
+    The terms are in sorted-signature order.  Each term t merges into
+    the first earlier surviving term r whose factors are all within
+    FACTOR_MERGE_TOL * (1 + max |entry of t's factor|) of t's, leg by
+    leg; ``c[r]`` absorbs ``c[t]``.  Candidates come from a fixed 1-D
+    projection p of the factor entries: a close r has |p_t - p_r| below
+    t's window, so only terms with a neighbour inside the widest window
+    are visited, and each visits only the survivors inside its own.
+    Returns the mask of surviving terms.
+    """
+    T, L = A.shape[:2]
+    alive = np.ones(T, dtype=bool)
+    scale = np.maximum(np.abs(A).max(axis=(2, 3)), np.abs(B).max(axis=(2, 3)))
+    tol = FACTOR_MERGE_TOL * (1.0 + scale)  # (T, L)
+    x = np.concatenate((A.reshape(T, L, -1), B.reshape(T, L, -1)), axis=2).view(np.float64)
+    w = _projection_weights(x.shape[2])
+    proj = (x @ w).sum(axis=1)
+    mag = (np.abs(x) @ w).sum(axis=1)
+    # |p_t - p_r| <= sum over legs of tol * sum(w), plus the rounding of both sums
+    slack = 2.0 * L * x.shape[2] * np.finfo(float).eps * (mag + mag.max())
+    win = tol.sum(axis=1) * w.sum() + slack
+    ps = np.sort(proj)
+    reach = win.max()
+    crowded = np.searchsorted(ps, proj + reach, "right") - np.searchsorted(ps, proj - reach, "left") > 1
+    if not crowded.any():
+        return alive
+    rep_p: list[float] = []
+    rep_i: list[int] = []
+    plist, wlist = proj.tolist(), win.tolist()
+    for t in np.flatnonzero(crowded).tolist():
+        lo = bisect.bisect_left(rep_p, plist[t] - wlist[t])
+        hi = bisect.bisect_right(rep_p, plist[t] + wlist[t])
+        if lo < hi:
+            cand = np.sort(rep_i[lo:hi])
+            close = (
+                (np.abs(A[cand] - A[t]).max(axis=(2, 3)) <= tol[t])
+                & (np.abs(B[cand] - B[t]).max(axis=(2, 3)) <= tol[t])
+            ).all(axis=1)
+            if close.any():
+                c[cand[close.argmax()]] += c[t]
+                alive[t] = False
+                continue
+        at = bisect.bisect_left(rep_p, plist[t])
+        rep_p.insert(at, plist[t])
+        rep_i.insert(at, t)
+    return alive
+
+
+def _merge(g: _Group, N: int) -> _Group | None:
+    """Canonical form of one permutation's raw terms, or None if empty.
+
+    Drops terms with an exactly zero factor, merges equal signatures
+    (summing in term order), sorts by signature, folds float twins,
+    drops coefficients below MERGE_TOL and flags the legs that are the
+    identity in every remaining term.
+    """
+    c, A, B = g.coeffs, g.A, g.B
+    if not g.legs:
+        total = np.add.accumulate(c)[-1:]
+        if abs(total[0]) < MERGE_TOL:
+            return None
+        return _pure(g.sigma, total, N)._replace(merged=True)
+    # + 0j turns -0.0 into 0.0, as LegFactor does, so equal factors have equal bytes
+    A, B = A + 0j, B + 0j
+    live = (A.any(axis=(2, 3)) & B.any(axis=(2, 3))).all(axis=1)
+    if not live.all():
+        c, A, B = c[live], A[live], B[live]
+    if not len(c):
+        return None
+    eye = np.eye(N)
+    ident = (A == eye).all(axis=(2, 3)) & (B == eye).all(axis=(2, 3))
+    if len(c) > 1:
+        first, inverse = _signature_sort(A, B, ident)
+        merged = np.zeros(len(first), dtype=np.complex128)
+        np.add.at(merged, inverse, c)
+        c, A, B, ident = merged, A[first], B[first], ident[first]
+        keep = _fuzzy_merge(c, A, B) & (np.abs(c) >= MERGE_TOL)
+    else:
+        keep = np.abs(c) >= MERGE_TOL
+    if not keep.all():
+        if not keep.any():
+            return None
+        c, A, B, ident = c[keep], A[keep], B[keep], ident[keep]
+    carried = ~ident.all(axis=0)
+    if not carried.all():
+        A, B = A[:, carried], B[:, carried]
+    legs = tuple(k for k, flag in zip(g.legs, carried) if flag)
+    return _Group(g.sigma, c, legs, A, B, merged=True)
+
+
+def _canonical(space: ModelSpace, raw: Iterable[_Group]) -> tuple[_Group, ...]:
+    by_sigma: dict[tuple, list[_Group]] = {}
+    for g in raw:
+        if len(g.coeffs):
+            by_sigma.setdefault(g.sigma, []).append(g)
+    out = []
+    for sigma in sorted(by_sigma):
+        parts = by_sigma[sigma]
+        if len(parts) == 1 and parts[0].merged:
+            out.append(parts[0])
+            continue
+        g = _merge(_concat(parts, space.N), space.N)
+        if g is not None:
+            out.append(g)
+    return tuple(out)
+
+
+# -- traces --------------------------------------------------------------
+
+
+def _cycle_trace(factors, N: int):
+    """tr(A factors multiplied along a cycle) * tr(B factors against it).
+
+    ``factors`` lists one (A, B) pair of batched arrays per leg of the
+    cycle, in cycle order, or None for an identity leg.
+    """
+    a = b = None
+    for f in factors:
+        if f is None:
+            continue
+        fa, fb = f
+        a = fa if a is None else fa @ a
+        b = fb if b is None else b @ fb
+    if a is None:
+        return N * N
+    return np.trace(a, axis1=-2, axis2=-1) * np.trace(b, axis1=-2, axis2=-1)
+
+
+def _gram(g: _Group, h: _Group, N: int) -> np.ndarray:
+    """Unnormalized traces Tr(T_i* T_j), i in g, j in h.
+
+    T_i* T_j has permutation rho = sigma_g^-1 sigma_h and, at leg k, the
+    sandwich (A_i[rho k]* A_j[k], B_j[k] B_i[rho k]*); its trace factors
+    over the cycles of rho.
+    """
+    inv = _invert(g.sigma)
+    rho = tuple(inv[s] for s in h.sigma)
+    gp = {k: i for i, k in enumerate(g.legs)}
+    hp = {k: i for i, k in enumerate(h.legs)}
+    Tg, Th = len(g.coeffs), len(h.coeffs)
+    G = np.ones((Tg, Th), dtype=np.complex128)
+    for cycle in _cycles(rho):
+        if len(cycle) == 1:
+            i, j = gp.get(cycle[0]), hp.get(cycle[0])
+            if i is not None and j is not None:
+                # tr(A_i* A_j) tr(B_j B_i*) = <A_i, A_j> <B_i, B_j> entrywise.
+                # einsum makes these small products without BLAS: on a
+                # 2-CPU machine OpenBLAS's threaded zgemm took 15-20 ms per
+                # call at T = 64, N = 8, and einsum under 1 ms.
+                G *= np.einsum("iab,jab->ij", g.A[:, i].conj(), h.A[:, j])
+                G *= np.einsum("iab,jab->ij", g.B[:, i].conj(), h.B[:, j])
+            elif i is not None:
+                G *= np.conj(np.trace(g.A[:, i], axis1=1, axis2=2)
+                             * np.trace(g.B[:, i], axis1=1, axis2=2))[:, None]
+            elif j is not None:
+                G *= (np.trace(h.A[:, j], axis1=1, axis2=2)
+                      * np.trace(h.B[:, j], axis1=1, axis2=2))[None, :]
+            else:
+                G *= N * N
+            continue
+        factors = []
+        for k in cycle:
+            i, j = gp.get(rho[k]), hp.get(k)
+            if i is None and j is None:
+                factors.append(None)
+                continue
+            ga = gb = ha = hb = None
+            if i is not None:
+                ga = g.A[:, i].conj().swapaxes(1, 2)[:, None]
+                gb = g.B[:, i].conj().swapaxes(1, 2)[:, None]
+            if j is not None:
+                ha, hb = h.A[:, j][None], h.B[:, j][None]
+            fa = ha if ga is None else ga if ha is None else ga @ ha
+            fb = hb if gb is None else gb if hb is None else hb @ gb
+            factors.append((fa, fb))
+        G = G * _cycle_trace(factors, N)
+    return G
+
+
+# -- dense and matrix-free action ------------------------------------------
+
+
+def _sandwiched(x: np.ndarray, g: _Group, N: int, m: int):
+    """sum_t c_t (leg sandwiches of term t) applied to x, before the
+    permutation, as a tensor with 2m axes of size N; returns it with the
+    list giving the original axis (2k row, 2k+1 column of leg k) held at
+    each position."""
+    if not g.legs:
+        return g.coeffs[0] * x.reshape((N,) * (2 * m)), list(range(2 * m))
+    w = x.reshape((1,) + (N,) * (2 * m))
+    axes = list(range(2 * m))
+    for li, k in enumerate(g.legs):
+        # row axis: a <- sum_b A[a, b] x[b]; column axis: d <- sum_c x[c] B[c, d];
+        # the coefficients ride on the first matrix, so one sum over the
+        # term axis finishes the group
+        row = g.A[:, li].swapaxes(1, 2)
+        if li == 0:
+            row = row * g.coeffs[:, None, None]
+        for ax, mat in ((2 * k, row), (2 * k + 1, g.B[:, li])):
+            pos = axes.index(ax)
+            w = np.moveaxis(w, 1 + pos, -1)
+            axes.append(axes.pop(pos))
+            shape = (len(mat),) + w.shape[1:]
+            w = np.matmul(w.reshape(w.shape[0], -1, N), mat).reshape(shape)
+    return w.sum(axis=0), axes
+
+
+@lru_cache(maxsize=256)
+def _row_gather(inv: tuple[int, ...], N: int) -> np.ndarray:
+    """Row index of P(sigma): output leg k reads input leg inv[k]."""
+    m = len(inv)
+    axes = [a for k in range(m) for a in (2 * inv[k], 2 * inv[k] + 1)]
+    idx = np.arange(N ** (2 * m)).reshape((N,) * (2 * m)).transpose(axes).reshape(-1)
+    idx.setflags(write=False)
+    return idx
+
+
+def _dense_group(g: _Group, N: int, m: int) -> np.ndarray:
+    """sum_t c_t (x) over legs of kron(A_tk, B_tk^T), as a tensor with
+    axes (row of leg k, column of leg k) for k in the order returned."""
+    n2 = N * N
+    T, L = g.A.shape[:2]
+    # kron(A, B^T)[(a, c), (b, d)] = A[a, b] B[d, c], flattened row-major
+    F = np.einsum("tlab,tldc->tlacbd", g.A, g.B).reshape(T, L, n2 * n2)
+    half = (L + 1) // 2
+    left = g.coeffs[:, None]
+    for li in range(half):
+        left = (left[:, :, None] * F[:, li, None, :]).reshape(T, -1)
+    right = np.ones((T, 1), dtype=np.complex128)
+    for li in range(half, L):
+        right = (right[:, :, None] * F[:, li, None, :]).reshape(T, -1)
+    S = (left.T @ right).reshape((n2,) * (2 * L))
+    eye = np.eye(n2)
+    for _ in range(m - L):
+        S = np.multiply.outer(S, eye)
+    return S, list(g.legs) + [k for k in range(m) if k not in g.legs]
 
 
 class StructuredOperator:
@@ -217,70 +586,67 @@ class StructuredOperator:
     entrywise within ``FACTOR_MERGE_TOL`` also merge, so products like
     (a u*) u collapse back onto a instead of surviving as float twins.
     Terms with coefficient magnitude below ``MERGE_TOL`` or with an
-    exactly zero factor are dropped.
+    exactly zero factor are dropped.  The terms live in per-permutation
+    arrays (see the module docstring); ``terms`` builds the
+    :class:`OperatorTerm` view on first use.
     """
 
-    __slots__ = ("space", "terms")
+    __slots__ = ("space", "_groups", "_terms")
 
     def __init__(self, space: ModelSpace, terms: list[OperatorTerm] | tuple = ()):
         self.space = space
-        self.terms: tuple[OperatorTerm, ...] = self._canonicalize(space, terms)
+        self._groups = _canonical(space, _groups_from_terms(space, terms))
+        self._terms = None
 
-    @staticmethod
-    def _canonicalize(space, terms) -> tuple[OperatorTerm, ...]:
-        merged: dict[tuple, OperatorTerm] = {}
-        for t in terms:
-            if len(t.factors) != space.m:
-                raise SpaceMismatchError(
-                    f"term has {len(t.factors)} legs, space has {space.m}"
-                )
-            if any(f.A.shape[0] != space.N for f in t.factors):
-                raise SpaceMismatchError("leg size mismatch")
-            if t.is_zero_term():
-                continue
-            key = t.signature()
-            if key in merged:
-                prev = merged[key]
-                merged[key] = OperatorTerm(
-                    prev.coefficient + t.coefficient, prev.factors, prev.sigma
-                )
-            else:
-                merged[key] = t
-        exact = sorted(merged.values(), key=lambda t: t.signature())
-        # Second pass: within each permutation class, fold terms whose
-        # factors are float-level duplicates of an earlier representative.
-        # Sorting first keeps the chosen representatives deterministic.
-        by_sigma: dict[tuple, list[OperatorTerm]] = {}
-        for t in exact:
-            by_sigma.setdefault(t.sigma, []).append(t)
-        kept: list[OperatorTerm] = []
-        for group in by_sigma.values():
-            reps: list[OperatorTerm] = []
-            for t in group:
-                for i, r in enumerate(reps):
-                    if _factors_close(t.factors, r.factors):
-                        reps[i] = OperatorTerm(
-                            r.coefficient + t.coefficient, r.factors, r.sigma
-                        )
-                        break
-                else:
-                    reps.append(t)
-            kept.extend(reps)
-        kept = [t for t in kept if abs(t.coefficient) >= MERGE_TOL]
-        kept.sort(key=lambda t: t.signature())
-        return tuple(kept)
+    @classmethod
+    def _from_raw(cls, space: ModelSpace, raw: Iterable[_Group]) -> "StructuredOperator":
+        op = cls.__new__(cls)
+        op.space = space
+        op._groups = _canonical(space, raw)
+        op._terms = None
+        return op
+
+    @property
+    def terms(self) -> tuple[OperatorTerm, ...]:
+        """The canonical terms: by permutation, then by factor signature."""
+        if self._terms is None:
+            ident = identity_factor(self.space.N)
+            out = []
+            for g in self._groups:
+                for t in range(len(g.coeffs)):
+                    factors = [ident] * self.space.m
+                    for li, k in enumerate(g.legs):
+                        f = LegFactor(g.A[t, li], g.B[t, li])
+                        factors[k] = ident if f.is_identity else f
+                    out.append(OperatorTerm(complex(g.coeffs[t]), tuple(factors), g.sigma))
+            self._terms = tuple(out)
+        return self._terms
 
     # -- construction -------------------------------------------------
 
     @classmethod
     def zero(cls, space: ModelSpace) -> "StructuredOperator":
-        return cls(space, [])
+        return cls._from_raw(space, ())
 
     @classmethod
     def identity(cls, space: ModelSpace) -> "StructuredOperator":
-        ident = identity_factor(space.N)
-        term = OperatorTerm(1.0, (ident,) * space.m, tuple(range(space.m)))
-        return cls(space, [term])
+        return permutation_op(space, tuple(range(space.m)))
+
+    @classmethod
+    def sum(
+        cls, ops: Iterable["StructuredOperator"], space: ModelSpace | None = None
+    ) -> "StructuredOperator":
+        """Sum of operators, canonicalized once; ``space`` is needed only
+        when ``ops`` may be empty."""
+        ops = list(ops)
+        if space is None:
+            if not ops:
+                raise ValueError("the sum of no operators needs a space")
+            space = ops[0].space
+        for op in ops:
+            if op.space != space:
+                raise SpaceMismatchError(f"{space} vs {op.space}")
+        return cls._from_raw(space, [g for op in ops for g in op._groups])
 
     # -- linear structure ---------------------------------------------
 
@@ -290,7 +656,7 @@ class StructuredOperator:
 
     def __add__(self, other: "StructuredOperator") -> "StructuredOperator":
         self._check_space(other)
-        return StructuredOperator(self.space, list(self.terms) + list(other.terms))
+        return StructuredOperator._from_raw(self.space, self._groups + other._groups)
 
     def __sub__(self, other: "StructuredOperator") -> "StructuredOperator":
         return self + (-other)
@@ -299,10 +665,12 @@ class StructuredOperator:
         return self.scale(-1.0)
 
     def scale(self, c: complex) -> "StructuredOperator":
-        return StructuredOperator(
-            self.space,
-            [OperatorTerm(c * t.coefficient, t.factors, t.sigma) for t in self.terms],
-        )
+        raw = []
+        for g in self._groups:
+            coeffs = c * g.coeffs
+            # a group stays canonical unless a coefficient falls below MERGE_TOL
+            raw.append(g._replace(coeffs=coeffs, merged=bool(np.all(np.abs(coeffs) >= MERGE_TOL))))
+        return StructuredOperator._from_raw(self.space, raw)
 
     def __mul__(self, c: complex) -> "StructuredOperator":
         return self.scale(c)
@@ -312,33 +680,83 @@ class StructuredOperator:
     # -- algebra -------------------------------------------------------
 
     def compose(self, other: "StructuredOperator") -> "StructuredOperator":
-        """Operator product self o other (other acts first)."""
+        """Operator product self o other (other acts first).
+
+        Term x after term y has permutation sigma_x o sigma_y and, at
+        leg k, the sandwich of y at k followed by that of x at
+        sigma_y(k).
+        """
         self._check_space(other)
-        m = self.space.m
-        out = []
-        for tx in self.terms:
-            for ty in other.terms:
-                sigma = tuple(tx.sigma[ty.sigma[k]] for k in range(m))
-                factors = tuple(
-                    _compose_factors(tx.factors[ty.sigma[k]], ty.factors[k])
-                    for k in range(m)
-                )
-                out.append(
-                    OperatorTerm(tx.coefficient * ty.coefficient, factors, sigma)
-                )
-        return StructuredOperator(self.space, out)
+        N, m = self.space.N, self.space.m
+        X, Y = self._groups, other._groups
+        raw = []
+        # pure permutations compose as index arrays, all pairs at once
+        px = [i for i, g in enumerate(X) if not g.legs]
+        py = [j for j, g in enumerate(Y) if not g.legs]
+        if px and py:
+            sx = np.array([X[i].sigma for i in px])
+            sy = np.array([Y[j].sigma for j in py])
+            sigmas = sx[:, sy].reshape(-1, m)  # sigma_x[sigma_y[k]]
+            coeffs = np.multiply.outer(
+                np.array([X[i].coeffs[0] for i in px]), np.array([Y[j].coeffs[0] for j in py])
+            ).reshape(-1)
+            uniq, inverse = np.unique(sigmas, axis=0, return_inverse=True)
+            inverse = inverse.reshape(-1)
+            for u, sigma in enumerate(map(tuple, uniq.tolist())):
+                raw.append(_pure(sigma, coeffs[inverse == u], N))
+        for gx in X:
+            xpos = {k: i for i, k in enumerate(gx.legs)}
+            for gy in Y:
+                if not gx.legs and not gy.legs:
+                    continue
+                ypos = {k: i for i, k in enumerate(gy.legs)}
+                Tx, Ty = len(gx.coeffs), len(gy.coeffs)
+                legs = tuple(k for k in range(m) if k in ypos or gy.sigma[k] in xpos)
+                A = np.empty((Tx, Ty, len(legs), N, N), dtype=np.complex128)
+                B = np.empty_like(A)
+                for li, k in enumerate(legs):
+                    i, j = xpos.get(gy.sigma[k]), ypos.get(k)
+                    if j is None:
+                        A[:, :, li] = gx.A[:, i, None]
+                        B[:, :, li] = gx.B[:, i, None]
+                    elif i is None:
+                        A[:, :, li] = gy.A[None, :, j]
+                        B[:, :, li] = gy.B[None, :, j]
+                    else:
+                        A[:, :, li] = gx.A[:, i, None] @ gy.A[None, :, j]
+                        B[:, :, li] = gy.B[None, :, j] @ gx.B[:, i, None]
+                shape = (Tx * Ty, len(legs), N, N)
+                raw.append(_Group(
+                    tuple(gx.sigma[s] for s in gy.sigma),
+                    np.multiply.outer(gx.coeffs, gy.coeffs).reshape(-1),
+                    legs,
+                    A.reshape(shape),
+                    B.reshape(shape),
+                ))
+        return StructuredOperator._from_raw(self.space, raw)
 
     def __matmul__(self, other: "StructuredOperator") -> "StructuredOperator":
         return self.compose(other)
 
     def adjoint(self) -> "StructuredOperator":
-        """Adjoint in the trace inner product."""
-        out = []
-        for t in self.terms:
-            inv = _invert(t.sigma)
-            factors = tuple(t.factors[inv[j]].star() for j in range(len(inv)))
-            out.append(OperatorTerm(np.conj(t.coefficient), factors, inv))
-        return StructuredOperator(self.space, out)
+        """Adjoint in the trace inner product.
+
+        A term's adjoint has permutation sigma^-1 and, at leg sigma(k),
+        the adjoint sandwich (A*, B*) of leg k.
+        """
+        raw = []
+        for g in self._groups:
+            legs = tuple(sorted(g.sigma[k] for k in g.legs))
+            inv = _invert(g.sigma)
+            cols = [g.legs.index(inv[j]) for j in legs]
+            raw.append(_Group(
+                inv,
+                g.coeffs.conj(),
+                legs,
+                g.A[:, cols].conj().swapaxes(2, 3),
+                g.B[:, cols].conj().swapaxes(2, 3),
+            ))
+        return StructuredOperator._from_raw(self.space, raw)
 
     def j_conjugate(self) -> "StructuredOperator":
         """Conjugation by the leg-wise antiunitary eta -> eta*.
@@ -346,11 +764,16 @@ class StructuredOperator:
         Swaps every sandwich (A, B) to (B*, A*) and conjugates the
         coefficient; the permutation part is unchanged.
         """
-        out = []
-        for t in self.terms:
-            factors = tuple(f.flip() for f in t.factors)
-            out.append(OperatorTerm(np.conj(t.coefficient), factors, t.sigma))
-        return StructuredOperator(self.space, out)
+        raw = [
+            g._replace(
+                coeffs=g.coeffs.conj(),
+                A=g.B.conj().swapaxes(2, 3),
+                B=g.A.conj().swapaxes(2, 3),
+                merged=False,
+            )
+            for g in self._groups
+        ]
+        return StructuredOperator._from_raw(self.space, raw)
 
     # -- analysis ------------------------------------------------------
 
@@ -362,19 +785,36 @@ class StructuredOperator:
         B-factors multiplied against it; the product over cycles is
         divided by N^(2m).
         """
-        space = self.space
+        N = self.space.N
         total = 0.0 + 0.0j
-        for t in self.terms:
-            total += t.coefficient * _term_trace(t, space.N)
-        return complex(total / space.dim)
+        for g in self._groups:
+            pos = {k: i for i, k in enumerate(g.legs)}
+            vals = np.ones(len(g.coeffs), dtype=np.complex128)
+            for cycle in _cycles(g.sigma):
+                factors = [
+                    (g.A[:, pos[k]], g.B[:, pos[k]]) if k in pos else None for k in cycle
+                ]
+                vals = vals * _cycle_trace(factors, N)
+            total += g.coeffs @ vals
+        return complex(total / self.space.dim)
 
     def hs_norm(self) -> float:
-        """Normalized Hilbert-Schmidt norm sqrt(trace(X* X))."""
-        val = self.adjoint().compose(self).normalized_trace().real
+        """Normalized Hilbert-Schmidt norm sqrt(trace(X* X)).
+
+        Computed as c^H G c / N^(2m) with G the Gram matrix of the terms
+        under the unnormalized trace, block by block over pairs of
+        permutation groups.
+        """
+        N = self.space.N
+        total = 0.0 + 0.0j
+        for g in self._groups:
+            for h in self._groups:
+                total += g.coeffs.conj() @ _gram(g, h, N) @ h.coeffs
+        val = total.real / self.space.dim
         return float(np.sqrt(max(val, 0.0)))
 
     def is_zero(self, tol: float = 1e-10) -> bool:
-        if not self.terms:
+        if not self._groups:
             return True
         return self.hs_norm() <= tol
 
@@ -383,23 +823,14 @@ class StructuredOperator:
         space = self.space
         if v.shape != (space.dim,):
             raise ValueError(f"expected vector of length {space.dim}")
-        shape = [space.N] * (2 * space.m)
-        w_in = np.asarray(v, dtype=np.complex128).reshape(shape)
-        out = np.zeros(shape, dtype=np.complex128)
-        for t in self.terms:
-            w = w_in
-            for k, f in enumerate(t.factors):
-                if f.is_identity:
-                    continue
-                w = np.moveaxis(np.tensordot(f.A, w, axes=([1], [2 * k])), 0, 2 * k)
-                w = np.moveaxis(
-                    np.tensordot(w, f.B, axes=([2 * k + 1], [0])), -1, 2 * k + 1
-                )
-            inv = _invert(t.sigma)
-            axes = []
-            for k in range(space.m):
-                axes.extend((2 * inv[k], 2 * inv[k] + 1))
-            out += t.coefficient * w.transpose(axes)
+        N, m = space.N, space.m
+        x = np.asarray(v, dtype=np.complex128)
+        out = np.zeros((N,) * (2 * m), dtype=np.complex128)
+        for g in self._groups:
+            w, axes = _sandwiched(x, g, N, m)
+            inv = _invert(g.sigma)
+            # output leg k carries input leg sigma^-1(k)
+            out += w.transpose([axes.index(2 * inv[k] + e) for k in range(m) for e in (0, 1)])
         return out.reshape(space.dim)
 
     def to_dense(self, cap: int = DENSE_CAP) -> "DenseOperator":
@@ -409,18 +840,20 @@ class StructuredOperator:
             raise CapExceededError(
                 f"dense dimension {space.dim} exceeds cap {cap}"
             )
-        mat = np.zeros((space.dim, space.dim), dtype=np.complex128)
-        shape = [space.N] * (2 * space.m)
-        for t in self.terms:
-            sandwich = np.ones((1, 1), dtype=np.complex128)
-            for f in t.factors:
-                sandwich = np.kron(sandwich, np.kron(f.A, f.B.T))
-            inv = _invert(t.sigma)
-            axes = []
-            for k in range(space.m):
-                axes.extend((2 * inv[k], 2 * inv[k] + 1))
-            idx = np.arange(space.dim).reshape(shape).transpose(axes).reshape(-1)
-            mat += t.coefficient * sandwich[idx, :]
+        N, m, d = space.N, space.m, space.dim
+        mat = np.zeros((d, d), dtype=np.complex128)
+        view = mat.reshape((N * N,) * (2 * m))
+        for g in self._groups:
+            inv = _invert(g.sigma)
+            if not g.legs:
+                mat[np.arange(d), _row_gather(inv, N)] += g.coeffs[0]
+                continue
+            S, order = _dense_group(g, N, m)
+            pos = {k: i for i, k in enumerate(order)}
+            # row of output leg k is the row of input leg sigma^-1(k)
+            view += S.transpose(
+                [2 * pos[inv[k]] for k in range(m)] + [2 * pos[k] + 1 for k in range(m)]
+            )
         return DenseOperator(space, mat)
 
     def operator_norm(
@@ -432,7 +865,7 @@ class StructuredOperator:
         start vectors; raises :class:`PowerIterationError` if no restart
         converges to relative accuracy ``tol``.
         """
-        if not self.terms:
+        if not self._groups:
             return 0.0
         adj = self.adjoint()
         dim = self.space.dim
@@ -468,33 +901,13 @@ class StructuredOperator:
 
     @property
     def n_terms(self) -> int:
-        return len(self.terms)
+        return sum(len(g.coeffs) for g in self._groups)
 
     def __repr__(self) -> str:
         return (
             f"StructuredOperator(N={self.space.N}, p={self.space.p}, "
-            f"q={self.space.q}, terms={len(self.terms)})"
+            f"q={self.space.q}, terms={self.n_terms})"
         )
-
-
-def _term_trace(t: OperatorTerm, N: int) -> complex:
-    total = 1.0 + 0.0j
-    seen = [False] * len(t.sigma)
-    for start in range(len(t.sigma)):
-        if seen[start]:
-            continue
-        a_prod = np.eye(N, dtype=np.complex128)
-        b_prod = np.eye(N, dtype=np.complex128)
-        k = start
-        while not seen[k]:
-            seen[k] = True
-            f = t.factors[k]
-            if not f.is_identity:
-                a_prod = f.A @ a_prod
-                b_prod = b_prod @ f.B
-            k = t.sigma[k]
-        total *= np.trace(a_prod) * np.trace(b_prod)
-    return total
 
 
 def permuted_product_trace(
@@ -510,17 +923,11 @@ def permuted_product_trace(
     if sorted(sigma) != list(range(len(matrices))):
         raise ValueError("sigma is not a permutation of the matrix list")
     total = 1.0 + 0.0j
-    seen = [False] * len(sigma)
     n = matrices[0].shape[0]
-    for start in range(len(sigma)):
-        if seen[start]:
-            continue
+    for cycle in _cycles(tuple(sigma)):
         prod = np.eye(n, dtype=np.complex128)
-        k = start
-        while not seen[k]:
-            seen[k] = True
+        for k in cycle:
             prod = matrices[k] @ prod
-            k = sigma[k]
         total *= np.trace(prod)
     return complex(total)
 
@@ -558,26 +965,24 @@ class DenseOperator:
 # -- builders ----------------------------------------------------------
 
 
+def _one_leg(space: ModelSpace, k: int, A: np.ndarray, B: np.ndarray) -> StructuredOperator:
+    space.check_leg(k)
+    N = space.N
+    A, B = _sanitize(A, N), _sanitize(B, N)
+    return StructuredOperator._from_raw(space, [_Group(
+        tuple(range(space.m)), np.ones(1, dtype=np.complex128), (k,),
+        A.reshape(1, 1, N, N), B.reshape(1, 1, N, N),
+    )])
+
+
 def left_mult(space: ModelSpace, a: np.ndarray, k: int) -> StructuredOperator:
     """Left multiplication by ``a`` on leg ``k``: eta_k -> a eta_k."""
-    space.check_leg(k)
-    ident = identity_factor(space.N)
-    factors = [ident] * space.m
-    factors[k] = LegFactor(a, np.eye(space.N))
-    return StructuredOperator(
-        space, [OperatorTerm(1.0, tuple(factors), tuple(range(space.m)))]
-    )
+    return _one_leg(space, k, a, np.eye(space.N))
 
 
 def right_mult(space: ModelSpace, a: np.ndarray, k: int) -> StructuredOperator:
     """Right multiplication by ``a`` on leg ``k``: eta_k -> eta_k a."""
-    space.check_leg(k)
-    ident = identity_factor(space.N)
-    factors = [ident] * space.m
-    factors[k] = LegFactor(np.eye(space.N), a)
-    return StructuredOperator(
-        space, [OperatorTerm(1.0, tuple(factors), tuple(range(space.m)))]
-    )
+    return _one_leg(space, k, np.eye(space.N), a)
 
 
 def permutation_op(space: ModelSpace, sigma: tuple[int, ...]) -> StructuredOperator:
@@ -588,9 +993,9 @@ def permutation_op(space: ModelSpace, sigma: tuple[int, ...]) -> StructuredOpera
     """
     if sorted(sigma) != list(range(space.m)):
         raise ValueError(f"sigma {sigma} is not a permutation of 0..{space.m - 1}")
-    ident = identity_factor(space.N)
-    return StructuredOperator(
-        space, [OperatorTerm(1.0, (ident,) * space.m, tuple(sigma))]
+    sigma = tuple(int(s) for s in sigma)
+    return StructuredOperator._from_raw(
+        space, [_pure(sigma, np.ones(1, dtype=np.complex128), space.N)]
     )
 
 
@@ -629,14 +1034,41 @@ def save_dense(
 
 
 def load_dense(path: str | Path) -> tuple[np.ndarray, ModelSpace, str]:
-    """Read an array written by :func:`save_dense`."""
+    """Read an array written by :func:`save_dense`.
+
+    Raises ValueError, naming the file and the fault, for a bad magic, a
+    truncated or malformed header, a payload whose length does not match
+    the header's shape, and an ``operator`` whose shape is not
+    (dim, dim) for the header's model space.
+    """
     with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != _MAGIC:
-            raise ValueError(f"bad magic {magic!r} in {path}")
-        (hlen,) = np.frombuffer(fh.read(8), dtype="<u8")
-        header = json.loads(fh.read(int(hlen)).decode("utf-8"))
-        payload = fh.read()
-    arr = np.frombuffer(payload, dtype="<c16").reshape(header["shape"]).copy()
-    space = ModelSpace(header["N"], header["p"], header["q"])
-    return arr, space, header["kind"]
+        data = fh.read()
+    if data[:8] != _MAGIC:
+        raise ValueError(f"bad magic {data[:8]!r} in {path}")
+    if len(data) < 16:
+        raise ValueError(f"{path}: truncated header: no header length")
+    hlen = int.from_bytes(data[8:16], "little")
+    if len(data) < 16 + hlen:
+        raise ValueError(f"{path}: truncated header: {len(data) - 16} of {hlen} bytes")
+    try:
+        header = json.loads(data[16:16 + hlen].decode("utf-8"))
+        space = ModelSpace(header["N"], header["p"], header["q"])
+        kind = header["kind"]
+        shape = tuple(header["shape"])
+        if not all(isinstance(n, int) and n >= 0 for n in shape):
+            raise ValueError(f"shape {list(shape)} is not a list of sizes")
+    except (UnicodeDecodeError, KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: malformed header: {exc}") from exc
+    payload = data[16 + hlen:]
+    expected = 16 * math.prod(shape)
+    if len(payload) != expected:
+        raise ValueError(
+            f"{path}: payload has {len(payload)} bytes, shape {list(shape)} needs {expected}"
+        )
+    if kind == "operator" and shape != (space.dim, space.dim):
+        raise ValueError(
+            f"{path}: operator shape {list(shape)} is not ({space.dim}, {space.dim}) "
+            f"for N={space.N}, p={space.p}, q={space.q}"
+        )
+    arr = np.frombuffer(payload, dtype="<c16").reshape(shape).astype(np.complex128)
+    return arr, space, kind

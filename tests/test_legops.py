@@ -2,15 +2,22 @@
 
 The oracle materializes a term by acting on every standard basis
 vector with plain reshape-and-matmul steps, so it shares neither the
-kron assembly of ``to_dense`` nor the tensordot chain of ``apply``.
+grouped GEMM of ``to_dense`` nor the batched matmuls of ``apply``.
+The canonical form is checked against ``greedy_merge``, the pairwise
+merge the grouped engine replaced.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from duallab.legops import (
     CapExceededError,
     DenseOperator,
+    FACTOR_MERGE_TOL,
     LegFactor,
     MERGE_TOL,
     ModelSpace,
@@ -431,3 +438,281 @@ class TestDenseOperator:
         assert np.allclose(x.compose(y).matrix, a @ b)
         assert np.allclose(x.adjoint().matrix, a.conj().T)
         assert abs(x.normalized_trace() - np.trace(a) / sp.dim) < 1e-12
+
+
+class TestLoadDenseFaults:
+    """Malformed files raise ValueError naming the file and the fault."""
+
+    @staticmethod
+    def saved(tmp_path, array=None, kind="operator"):
+        sp = ModelSpace(2, 1, 0)
+        path = tmp_path / "op.bin"
+        save_dense(path, np.eye(sp.dim) if array is None else array, sp, kind=kind)
+        return path, path.read_bytes()
+
+    @pytest.mark.parametrize("cut", [12, 20])
+    def test_truncated_header(self, tmp_path, cut):
+        path, raw = self.saved(tmp_path)
+        path.write_bytes(raw[:cut])
+        with pytest.raises(ValueError, match=r"op\.bin: truncated header"):
+            load_dense(path)
+
+    def test_truncated_payload(self, tmp_path):
+        path, raw = self.saved(tmp_path)
+        path.write_bytes(raw[:-8])
+        with pytest.raises(ValueError, match=r"op\.bin: payload has 248 bytes"):
+            load_dense(path)
+
+    def test_payload_length_does_not_match_shape(self, tmp_path):
+        path, raw = self.saved(tmp_path, np.zeros((2, 3)), kind="probe")
+        path.write_bytes(raw.replace(b'"shape": [2, 3]', b'"shape": [3, 3]'))
+        with pytest.raises(ValueError, match=r"op\.bin: payload has 96 bytes, shape \[3, 3\]"):
+            load_dense(path)
+
+    def test_operator_shape_must_match_space(self, tmp_path):
+        path, _ = self.saved(tmp_path, np.eye(3))
+        with pytest.raises(ValueError, match=r"op\.bin: operator shape \[3, 3\] is not \(4, 4\)"):
+            load_dense(path)
+
+    def test_malformed_header(self, tmp_path):
+        path, raw = self.saved(tmp_path)
+        path.write_bytes(raw.replace(b'"kind"', b'"kinx"'))
+        with pytest.raises(ValueError, match=r"op\.bin: malformed header"):
+            load_dense(path)
+
+
+# -- grouped engine against the longhand oracles ------------------------------------
+
+
+def greedy_merge(space, terms):
+    """The pairwise merge the canonical form must reproduce term for term.
+
+    Exact merge by signature, summing in input order; sort by signature;
+    within each permutation, fold every term onto the first earlier
+    representative whose factors are entrywise within
+    FACTOR_MERGE_TOL * (1 + max |entry|) of its own; drop coefficients
+    below MERGE_TOL; sort again.
+    """
+
+    def close(fs, gs):
+        for f, g in zip(fs, gs):
+            tol = FACTOR_MERGE_TOL * (1.0 + max(np.abs(f.A).max(), np.abs(f.B).max()))
+            if np.abs(f.A - g.A).max() > tol or np.abs(f.B - g.B).max() > tol:
+                return False
+        return True
+
+    merged = {}
+    for t in terms:
+        if any(not (np.any(f.A) and np.any(f.B)) for f in t.factors):
+            continue
+        key = t.signature()
+        if key in merged:
+            prev = merged[key]
+            merged[key] = OperatorTerm(prev.coefficient + t.coefficient, prev.factors, prev.sigma)
+        else:
+            merged[key] = t
+    by_sigma = {}
+    for t in sorted(merged.values(), key=lambda t: t.signature()):
+        by_sigma.setdefault(t.sigma, []).append(t)
+    kept = []
+    for group in by_sigma.values():
+        reps = []
+        for t in group:
+            for i, r in enumerate(reps):
+                if close(t.factors, r.factors):
+                    reps[i] = OperatorTerm(r.coefficient + t.coefficient, r.factors, r.sigma)
+                    break
+            else:
+                reps.append(t)
+        kept.extend(reps)
+    kept = [t for t in kept if abs(t.coefficient) >= MERGE_TOL]
+    return sorted(kept, key=lambda t: t.signature())
+
+
+def longhand_product_terms(x, y):
+    """Term-by-term product of two operators, one 2-D matmul per leg."""
+    out = []
+    for tx in x.terms:
+        for ty in y.terms:
+            factors = []
+            for k in range(x.space.m):
+                f, g = tx.factors[ty.sigma[k]], ty.factors[k]
+                factors.append(LegFactor(f.A @ g.A, g.B @ f.B))
+            sigma = tuple(tx.sigma[ty.sigma[k]] for k in range(x.space.m))
+            out.append(OperatorTerm(tx.coefficient * ty.coefficient, tuple(factors), sigma))
+    return out
+
+
+def leg_transpose_index(space):
+    """Index map of eta -> eta^T on every leg; J v = conj(v[index])."""
+    N, m = space.N, space.m
+    axes = [a for k in range(m) for a in (2 * k + 1, 2 * k)]
+    return np.arange(space.dim).reshape((N,) * (2 * m)).transpose(axes).reshape(-1)
+
+
+# dense oracles stay cheap: dim <= 81
+ORACLE_SPACES = [
+    ModelSpace(2, 1, 0), ModelSpace(2, 1, 1), ModelSpace(2, 2, 0),
+    ModelSpace(2, 2, 1), ModelSpace(3, 1, 1), ModelSpace(3, 0, 2),
+]
+
+
+def leg_factor(N, kind, rng):
+    if kind == "identity":
+        return identity_factor(N)
+    a = rand_mat(N, rng) if kind in ("left", "both") else np.eye(N)
+    b = rand_mat(N, rng) if kind in ("right", "both") else np.eye(N)
+    return LegFactor(a, b)
+
+
+def float_twin(term, rng, coefficient):
+    """The term with every non-identity factor moved by a few ulps."""
+    factors = tuple(
+        f if f.is_identity else LegFactor(f.A * (1 + 4e-16 * rng.standard_normal(f.A.shape)), f.B)
+        for f in term.factors
+    )
+    return OperatorTerm(coefficient, factors, term.sigma)
+
+
+def ladder(term, rng):
+    """Two terms whose first carried factor sits 1.5 and 0.75 merge
+    tolerances from the term's: each is close to the term or to the
+    other one but not both, so which terms merge depends on the order."""
+    k = next((k for k, f in enumerate(term.factors) if not f.is_identity), None)
+    if k is None:
+        return []
+    f = term.factors[k]
+    tol = FACTOR_MERGE_TOL * (1.0 + max(np.abs(f.A).max(), np.abs(f.B).max()))
+    out = []
+    for step in (1.5, 0.75):
+        shifted = f.A.copy()
+        shifted[0, 0] += step * tol
+        factors = term.factors[:k] + (LegFactor(shifted, f.B),) + term.factors[k + 1:]
+        out.append(OperatorTerm(complex(rng.standard_normal()), factors, term.sigma))
+    return out
+
+
+@st.composite
+def term_lists(draw, space):
+    """Up to five random terms with mixed permutations and identity legs,
+    each possibly followed by a float twin, a cancelling twin, a copy or
+    a ladder of near-tolerance neighbours."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = st.sampled_from(("identity", "left", "right", "both"))
+    terms = []
+    for _ in range(draw(st.integers(0, 5))):
+        factors = tuple(leg_factor(space.N, draw(kinds), rng) for _ in range(space.m))
+        sigma = tuple(draw(st.permutations(range(space.m))))
+        coeff = complex(rng.standard_normal(), rng.standard_normal())
+        t = OperatorTerm(coeff, factors, sigma)
+        terms.append(t)
+        extra = draw(st.sampled_from(("none", "twin", "cancel", "copy", "ladder")))
+        if extra == "ladder":
+            terms.extend(ladder(t, rng))
+        elif extra == "twin":
+            terms.append(float_twin(t, rng, complex(rng.standard_normal())))
+        elif extra == "cancel":
+            terms.append(float_twin(t, rng, -coeff))
+        elif extra == "copy":
+            terms.append(t)
+    return terms
+
+
+def assert_dense_close(got, want):
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-10 * max(1.0, np.abs(want).max()))
+
+
+def assert_terms_match(got, want, exact):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.sigma == b.sigma
+        if exact:
+            assert a.signature() == b.signature()
+            assert a.coefficient == complex(b.coefficient)
+        else:
+            for f, g in zip(a.factors, b.factors):
+                assert np.allclose(f.A, g.A, rtol=1e-13, atol=1e-13)
+                assert np.allclose(f.B, g.B, rtol=1e-13, atol=1e-13)
+            assert abs(a.coefficient - b.coefficient) <= 1e-13 * max(1.0, abs(b.coefficient))
+
+
+DIFF_SETTINGS = settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+class TestGroupedEngine:
+    @DIFF_SETTINGS
+    @given(st.data())
+    def test_merge_matches_greedy_oracle(self, data):
+        space = data.draw(st.sampled_from(ORACLE_SPACES))
+        terms = data.draw(term_lists(space))
+        assert_terms_match(StructuredOperator(space, terms).terms, greedy_merge(space, terms), exact=True)
+
+    @DIFF_SETTINGS
+    @given(st.data())
+    def test_compose_merge_matches_greedy_oracle(self, data):
+        space = data.draw(st.sampled_from(ORACLE_SPACES))
+        x = StructuredOperator(space, data.draw(term_lists(space)))
+        y = StructuredOperator(space, data.draw(term_lists(space)))
+        want = greedy_merge(space, longhand_product_terms(x, y))
+        assert_terms_match((x @ y).terms, want, exact=False)
+
+    @DIFF_SETTINGS
+    @given(st.data())
+    def test_unary_operations_against_dense_oracle(self, data):
+        space = data.draw(st.sampled_from(ORACLE_SPACES))
+        terms = data.draw(term_lists(space))
+        x = StructuredOperator(space, terms)
+        X = oracle_dense(x)
+        # merging changes the operator by float-twin rounding at most
+        assert_dense_close(X, oracle_dense(SimpleNamespace(space=space, terms=terms)))
+        assert_dense_close(x.to_dense().matrix, X)
+        assert_dense_close(oracle_dense(x.adjoint()), X.conj().T)
+        idx = leg_transpose_index(space)
+        assert_dense_close(oracle_dense(x.j_conjugate()), X.conj()[np.ix_(idx, idx)])
+        scale = max(1.0, np.abs(X).max())
+        assert abs(x.normalized_trace() - np.trace(X) / space.dim) <= 1e-12 * scale
+        assert abs(x.hs_norm() - np.linalg.norm(X) / np.sqrt(space.dim)) <= 1e-10 * scale
+        v = RNG.standard_normal(space.dim) + 1j * RNG.standard_normal(space.dim)
+        np.testing.assert_allclose(x.apply(v), X @ v, rtol=0, atol=1e-10 * scale * space.dim)
+
+    @DIFF_SETTINGS
+    @given(st.data())
+    def test_products_and_laws(self, data):
+        space = data.draw(st.sampled_from(ORACLE_SPACES))
+        x, y, z = (StructuredOperator(space, data.draw(term_lists(space))) for _ in range(3))
+        X, Y = oracle_dense(x), oracle_dense(y)
+        assert_dense_close((x @ y).to_dense().matrix, X @ Y)
+        assert_dense_close(StructuredOperator.sum([x, y, z]).to_dense().matrix, (x + y + z).to_dense().matrix)
+        # the laws hold up to merge rounding; compared densely, because the
+        # 2-norm of a difference that does not cancel term by term is only
+        # accurate to sqrt(eps) of the operands' norms
+        dense = lambda op: op.to_dense().matrix  # noqa: E731
+        assert_dense_close(dense((x @ y) @ z), dense(x @ (y @ z)))
+        assert_dense_close(dense((x @ y).adjoint()), dense(y.adjoint() @ x.adjoint()))
+        assert_dense_close(dense(x.j_conjugate().j_conjugate()), X)
+        scale = max(1.0, np.abs(X).max()) * max(1.0, np.abs(Y).max())
+        assert abs((x @ y).normalized_trace() - (y @ x).normalized_trace()) <= 1e-10 * scale
+
+    def test_identity_orders_as_the_bytes_prefix_I(self):
+        # a leg's signature is b"I" for the identity, else its factor
+        # bytes: b"I" sorts before bytes starting with "I" or above and
+        # after bytes starting below "I"
+        sp = ModelSpace(2, 2, 0)
+        terms = []
+        for lead in (0x48, 0x49, 0x4A):
+            a = rand_mat(2)
+            raw = bytearray(a.tobytes())
+            raw[0] = lead
+            a = np.frombuffer(bytes(raw), dtype=np.complex128).reshape(2, 2)
+            terms.append(OperatorTerm(1.0, (LegFactor(a, np.eye(2)), identity_factor(2)), (0, 1)))
+            terms.append(OperatorTerm(1.0, (identity_factor(2), LegFactor(a, np.eye(2))), (0, 1)))
+        got = StructuredOperator(sp, terms).terms
+        assert [t.signature() for t in got] == [t.signature() for t in greedy_merge(sp, terms)]
+
+    def test_sum_of_nothing_needs_a_space(self):
+        sp = ModelSpace(2, 1, 1)
+        assert StructuredOperator.sum([], sp).n_terms == 0
+        with pytest.raises(ValueError):
+            StructuredOperator.sum([])
+        with pytest.raises(SpaceMismatchError):
+            StructuredOperator.sum([rand_op(sp)], ModelSpace(2, 2, 0))
