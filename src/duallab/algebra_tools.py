@@ -33,6 +33,12 @@ from .legops import (
 )
 
 RANK_TOL = 1e-8
+# Admission cut on Gram eigenvalues.  An eigenvalue of S S^H is a squared
+# singular value of S, so 1e-10 * lambda_max is the sigma cut
+# 1e-5 * sigma_max.  The eigh noise floor sits near lambda_max * n * eps
+# (about 1e-12 * lambda_max for n in the thousands), two decades below;
+# a sigma cut at RANK_TOL would square to 1e-16, inside that floor.
+GRAM_EIG_TOL = 1e-10
 COMMUTANT_DIM_CAP = 64
 
 __all__ = [
@@ -56,8 +62,7 @@ __all__ = [
 
 def hs_inner(x: np.ndarray, y: np.ndarray) -> complex:
     """Normalized trace inner product <x, y> = Tr(y* x) / d."""
-    d = x.shape[0]
-    return complex(np.trace(y.conj().T @ x) / d)
+    return complex(np.vdot(y, x) / x.shape[0])
 
 
 def _as_matrix(op) -> np.ndarray:
@@ -131,18 +136,17 @@ class AlgebraBasis:
         n = len(self.elements)
         if n == 0:
             return 0.0
-        g = np.array(
-            [[hs_inner(x, y) for y in self.elements] for x in self.elements]
-        )
+        flat = np.array(self.elements).reshape(n, -1)
+        g = flat @ flat.conj().T / self.elements[0].shape[0]
         return float(np.abs(g - np.eye(n)).max())
 
     def contains(self, x: np.ndarray, tol: float = 1e-8) -> bool:
         """True when x lies in the span of the basis elements."""
         if not self.elements:
             return False
-        resid = np.asarray(x, dtype=np.complex128)
-        for b in self.elements:
-            resid = resid - hs_inner(resid, b) * b
+        flat = np.array(self.elements).reshape(len(self.elements), -1)
+        xf = np.asarray(x, dtype=np.complex128).reshape(-1)
+        resid = xf - (flat.conj() @ xf / self.elements[0].shape[0]) @ flat
         scale = max(1.0, float(np.abs(x).max()))
         return bool(np.abs(resid).max() <= tol * scale)
 
@@ -275,6 +279,65 @@ def block_structure(
     raise NumericError("block structure inconsistent after retries")
 
 
+def _orthonormal_rows(block: np.ndarray) -> np.ndarray:
+    """Orthonormal rows spanning the rows of ``block`` (n x D).
+
+    Rank-revealing through the smaller Gram matrix: ``eigh`` of S S^H
+    (n x n) when n <= D, else of S^H S (D x D), keeping eigenvalues
+    above ``GRAM_EIG_TOL`` times the largest.
+    """
+    n, width = block.shape
+    gram = block @ block.conj().T if n <= width else block.conj().T @ block
+    vals, vecs = np.linalg.eigh(gram)
+    keep = vals > GRAM_EIG_TOL * max(float(vals[-1]), 0.0)
+    if n > width:
+        return vecs[:, keep].conj().T
+    return (vecs[:, keep].conj().T / np.sqrt(vals[keep])[:, None]) @ block
+
+
+def _closure(
+    start: np.ndarray, mults: Sequence[np.ndarray], max_rounds: int, rel_tol: float
+) -> tuple[np.ndarray, int]:
+    """Breadth-first closure of span{start} (r x d) under right products.
+
+    Returns (basis, rounds): Frobenius-orthonormal rows spanning the
+    flattened r x d elements, and the rounds run, the last of which
+    admits nothing.  A multiplier equal to the identity or to an earlier
+    one adds nothing to the span and is skipped.
+    """
+    r, d = start.shape
+    distinct: list[np.ndarray] = []
+    for g in mults:
+        if not np.array_equal(g, np.eye(d)) and not any(np.array_equal(g, h) for h in distinct):
+            distinct.append(g)
+    basis = start.reshape(1, -1) / np.linalg.norm(start)
+    frontier = basis
+    for rounds in range(1, max_rounds + 1):
+        f = frontier.shape[0]
+        cand = np.empty((len(distinct) * f, r * d), dtype=np.complex128)
+        for gi, g in enumerate(distinct):
+            np.matmul(frontier.reshape(f, r, d), g, out=cand[gi * f:(gi + 1) * f].reshape(f, r, d))
+        scale = float(np.linalg.norm(cand, axis=1).max(initial=0.0)) or 1.0
+        # one projection sorts the candidates: a residual above
+        # rel_tol * scale carries a new direction, the rest is residue
+        bh = basis.conj().T
+        cand -= (cand @ bh) @ basis
+        live = np.linalg.norm(cand, axis=1) > rel_tol * scale
+        if not live.any():
+            return basis, rounds
+        # polish only the admitted rows: re-project twice, drop those
+        # that fall to the residue level, re-orthonormalize the rest
+        frontier = _orthonormal_rows(cand[live])
+        for _ in range(2):
+            frontier -= (frontier @ bh) @ basis
+        frontier = frontier[np.linalg.norm(frontier, axis=1) > rel_tol * scale]
+        if not len(frontier):
+            return basis, rounds
+        frontier = _orthonormal_rows(frontier)
+        basis = np.vstack([basis, frontier])
+    raise NumericError(f"span closure open after {max_rounds} rounds")
+
+
 def span_closure(
     generators: Sequence,
     max_rounds: int = 24,
@@ -283,60 +346,19 @@ def span_closure(
     """Basis of the unital algebra spanned by words in the generators.
 
     Breadth-first closure: start from the identity, right-multiply the
-    frontier by every generator and adjoint, admit directions whose
-    residual after projection on the current basis exceeds ``rel_tol``
-    times the candidate scale.  Returns (basis, rounds); basis elements
-    are orthonormal under :func:`hs_inner`.
+    frontier by every distinct generator and adjoint, and admit the
+    directions whose residual after projection on the current basis
+    exceeds ``rel_tol`` times the candidate scale.  Admission goes
+    through the smaller Gram matrix of the surviving candidates, so its
+    cost follows the algebra's dimension, not the candidate count.
+    Returns (basis, rounds); basis elements are orthonormal under
+    :func:`hs_inner`.
     """
     mats, d = _gather(generators)
-    mults = mats + [g.conj().T for g in mats]
-    basis = np.eye(d, dtype=np.complex128).reshape(1, -1) / math.sqrt(d)
-    frontier = basis.copy()
-    rounds = 0
-    for _ in range(max_rounds):
-        f = frontier.shape[0]
-        cand = np.empty((f * len(mults), d * d), dtype=np.complex128)
-        cube = frontier.reshape(f, d, d)
-        for gi, g in enumerate(mults):
-            cand[gi * f:(gi + 1) * f] = (cube @ g).reshape(f, -1)
-        scale = float(np.linalg.norm(cand, axis=1).max()) or 1.0
-        # batched two-pass projection against the accumulated basis;
-        # rows whose residual norm clears the rank threshold carry
-        # genuinely new directions, the rest are float residue
-        for _ in range(2):
-            cand -= (cand @ basis.conj().T) @ basis
-        live = np.linalg.norm(cand, axis=1) > rel_tol * scale
-        rounds += 1
-        if not live.any():
-            break
-        surv = cand[live]
-        # rank-revealing admission through the survivor Gram matrix;
-        # the eigenvalue cut sits well above the eigh noise floor
-        # (~ lam_max * count * eps) and well below genuine directions
-        gram = surv @ surv.conj().T
-        vals, vecs = np.linalg.eigh(gram)
-        keep = vals > 1e-10 * max(float(vals[-1]), 0.0)
-        combo = vecs[:, keep].conj().T / np.sqrt(vals[keep])[:, None]
-        new_rows = combo @ surv
-        # polish: small-count modified Gram-Schmidt for orthonormality
-        # near the admission threshold
-        polished = []
-        for c in new_rows:
-            c = c - basis.T @ (basis.conj() @ c)
-            for prow in polished:
-                c = c - prow * (prow.conj() @ c)
-            nrm = np.linalg.norm(c)
-            if nrm <= rel_tol * scale:
-                continue
-            polished.append(c / nrm)
-        if not polished:
-            break
-        frontier = np.array(polished)
-        basis = np.vstack([basis, frontier])
-    else:
-        raise NumericError(f"span closure open after {max_rounds} rounds")
-    out = [basis[i].reshape(d, d) * math.sqrt(d) for i in range(basis.shape[0])]
-    return out, rounds
+    basis, rounds = _closure(
+        np.eye(d, dtype=np.complex128), mats + [g.conj().T for g in mats], max_rounds, rel_tol
+    )
+    return [row.reshape(d, d) * math.sqrt(d) for row in basis], rounds
 
 
 def generated_algebra_dim(
@@ -453,7 +475,6 @@ class GapReport:
     generated_dim: int
     fixed_dim: int
     relative_gap: float
-    budget_used: int
 
 
 def relative_gap(
@@ -487,7 +508,6 @@ def relative_gap(
             op = op.compose(right_mult(space, u.conj().T, j))
         return op.to_dense().matrix
 
-    used = budget
     g, _ = generated_algebra_dim(sampler, budget=budget, rng=rng)
     f = fixed_point_dimension(p, N) * fixed_point_dimension(q, N)
     return GapReport(
@@ -497,7 +517,6 @@ def relative_gap(
         generated_dim=g,
         fixed_dim=f,
         relative_gap=(f - g) / f,
-        budget_used=used,
     )
 
 
@@ -527,45 +546,24 @@ def span_growth_check(p: int, N: int) -> SpanGrowthReport:
     space = ModelSpace(N, p, 0)
     if space.dim > DENSE_CAP:
         raise CapExceededError(f"model dimension {space.dim} exceeds cap {DENSE_CAP}")
-    ops = []
+    mats = []
     for i in range(N):
         for j in range(N):
             e = np.zeros((N, N))
             e[i, j] = 1.0
-            ops.append(t_plus(space, e))
-    ident = np.eye(N, dtype=np.complex128).reshape(-1) / math.sqrt(N)
+            mats.append(t_plus(space, e).to_dense().matrix)
+    ident = np.eye(N, dtype=np.complex128).reshape(-1)
     vec = ident
     for _ in range(p - 1):
         vec = np.outer(vec, ident).reshape(-1)
-    basis = vec[None, :] / np.linalg.norm(vec)
-    frontier = basis.copy()
-    rounds = 0
-    while True:
-        cands = []
-        for row in frontier:
-            for op in ops:
-                cands.append(op.apply(row))
-        new_rows = []
-        scale = max(float(np.abs(np.array(cands)).max()), 1.0)
-        for c in cands:
-            c = c - basis.T @ (basis.conj() @ c)
-            if np.linalg.norm(c) <= RANK_TOL * scale:
-                continue
-            c = c - basis.T @ (basis.conj() @ c)
-            nrm = np.linalg.norm(c)
-            if nrm <= RANK_TOL * scale:
-                continue
-            basis = np.vstack([basis, c / nrm])
-            new_rows.append(c / nrm)
-        if not new_rows:
-            break
-        frontier = np.array(new_rows)
-        rounds += 1
-        if rounds > 4 * p + 8:
-            raise NumericError("cyclic span still growing, aborting")
+    # a row vector v times m.T is the row of m v: the cyclic subspace is
+    # the closure of span{v} under right multiplication by the transposes
+    basis, rounds = _closure(vec[None, :], [m.T for m in mats], 4 * p + 9, RANK_TOL)
+    # the closing round admits nothing; the others are growth rounds
+    rounds -= 1
     cyclic_dim = basis.shape[0]
     expected = fixed_point_dimension(p, N)
-    gen_dim, _ = generated_algebra_dim([op.to_dense().matrix for op in ops])
+    gen_dim, _ = generated_algebra_dim(mats)
     return SpanGrowthReport(
         p=p,
         N=N,

@@ -1,12 +1,22 @@
-"""Linear-algebra engines checked on cases with known closed forms."""
+"""Linear-algebra engines checked on cases with known closed forms.
 
+The span-closure kernel is also checked against
+``reference_span_closure`` and ``reference_cyclic_growth``, the
+survivor-Gram plus modified Gram-Schmidt closure and the per-candidate
+cyclic loop it replaced.
+"""
+
+import math
 from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from duallab.algebra_tools import (
     COMMUTANT_DIM_CAP,
+    RANK_TOL,
     AlgebraBasis,
     block_structure,
     commutant_basis,
@@ -19,8 +29,8 @@ from duallab.algebra_tools import (
     span_closure,
     span_growth_check,
 )
-from duallab.duality_core import haar_unitary
-from duallab.legops import CapExceededError, ModelSpace
+from duallab.duality_core import haar_unitary, t_plus
+from duallab.legops import CapExceededError, ModelSpace, NumericError
 
 RNG = np.random.default_rng(0xA16)
 
@@ -82,6 +92,23 @@ class TestAlgebraBasis:
     def test_dimension_defaults_to_count(self):
         basis = AlgebraBasis(None, (np.eye(2),), True)
         assert basis.dim == 1
+
+    def test_matches_elementwise_loops(self):
+        # a basis that is not orthonormal: gram_defect and contains must
+        # agree with the per-pair and per-element hs_inner loops
+        elems = tuple(rand_mat(3) for _ in range(3))
+        basis = AlgebraBasis(None, elems, True)
+        g = np.array([[hs_inner(x, y) for y in elems] for x in elems])
+        assert basis.gram_defect() == pytest.approx(np.abs(g - np.eye(3)).max(), rel=1e-12)
+        ortho = AlgebraBasis(None, tuple(orthonormalize(elems)), True)
+        inside = 2.0 * elems[0] - 1j * elems[2]
+        outside = inside + 1e-6 * rand_mat(3)
+        for x, want in ((inside, True), (outside, False)):
+            resid = x.astype(np.complex128)
+            for b in ortho.elements:
+                resid = resid - hs_inner(resid, b) * b
+            assert (np.abs(resid).max() <= 1e-8 * max(1.0, np.abs(x).max())) == want
+            assert ortho.contains(x) == want
 
     def test_dimension_override(self):
         basis = AlgebraBasis(None, (), True, dimension=17)
@@ -279,3 +306,169 @@ class TestSpanGrowth:
         assert rep.cyclic_dim == rep.expected_dim == 10
         assert rep.rounds == 2
         assert rep.agree
+
+
+# -- closure kernel against the paths it replaced --------------------------------
+
+
+def reference_span_closure(generators, max_rounds=24, rel_tol=RANK_TOL):
+    """The closure the kernel replaced: every generator and adjoint as a
+    multiplier, a two-pass projection of the candidate block, admission
+    through the eigh of the survivor Gram matrix (n x n, whatever n),
+    and a row-by-row modified Gram-Schmidt polish."""
+    mats = [np.asarray(g, dtype=np.complex128) for g in generators]
+    d = mats[0].shape[0]
+    mults = mats + [g.conj().T for g in mats]
+    basis = np.eye(d, dtype=np.complex128).reshape(1, -1) / math.sqrt(d)
+    frontier = basis.copy()
+    rounds = 0
+    for _ in range(max_rounds):
+        f = frontier.shape[0]
+        cand = np.empty((f * len(mults), d * d), dtype=np.complex128)
+        cube = frontier.reshape(f, d, d)
+        for gi, g in enumerate(mults):
+            cand[gi * f:(gi + 1) * f] = (cube @ g).reshape(f, -1)
+        scale = float(np.linalg.norm(cand, axis=1).max()) or 1.0
+        for _ in range(2):
+            cand -= (cand @ basis.conj().T) @ basis
+        live = np.linalg.norm(cand, axis=1) > rel_tol * scale
+        rounds += 1
+        if not live.any():
+            break
+        surv = cand[live]
+        vals, vecs = np.linalg.eigh(surv @ surv.conj().T)
+        keep = vals > 1e-10 * max(float(vals[-1]), 0.0)
+        new_rows = (vecs[:, keep].conj().T / np.sqrt(vals[keep])[:, None]) @ surv
+        polished = []
+        for c in new_rows:
+            c = c - basis.T @ (basis.conj() @ c)
+            for prow in polished:
+                c = c - prow * (prow.conj() @ c)
+            nrm = np.linalg.norm(c)
+            if nrm <= rel_tol * scale:
+                continue
+            polished.append(c / nrm)
+        if not polished:
+            break
+        frontier = np.array(polished)
+        basis = np.vstack([basis, frontier])
+    else:
+        raise NumericError(f"span closure open after {max_rounds} rounds")
+    return [basis[i].reshape(d, d) * math.sqrt(d) for i in range(basis.shape[0])], rounds
+
+
+def reference_cyclic_growth(p, N):
+    """The cyclic loop span_growth_check ran before the shared kernel:
+    apply every t_plus(e_ij) to every frontier vector and admit the
+    images one by one.  Returns (cyclic_dim, growth rounds)."""
+    space = ModelSpace(N, p, 0)
+    ops = [t_plus(space, unit(N, i, j)) for i in range(N) for j in range(N)]
+    ident = np.eye(N, dtype=np.complex128).reshape(-1) / math.sqrt(N)
+    vec = ident
+    for _ in range(p - 1):
+        vec = np.outer(vec, ident).reshape(-1)
+    basis = vec[None, :] / np.linalg.norm(vec)
+    frontier = basis.copy()
+    rounds = 0
+    while True:
+        cands = [op.apply(row) for row in frontier for op in ops]
+        new_rows = []
+        scale = max(float(np.abs(np.array(cands)).max()), 1.0)
+        for c in cands:
+            c = c - basis.T @ (basis.conj() @ c)
+            if np.linalg.norm(c) <= RANK_TOL * scale:
+                continue
+            c = c - basis.T @ (basis.conj() @ c)
+            nrm = np.linalg.norm(c)
+            if nrm <= RANK_TOL * scale:
+                continue
+            basis = np.vstack([basis, c / nrm])
+            new_rows.append(c / nrm)
+        if not new_rows:
+            break
+        frontier = np.array(new_rows)
+        rounds += 1
+    return basis.shape[0], rounds
+
+
+def flat_rows(basis):
+    """Frobenius-orthonormal rows of a span_closure basis."""
+    d = basis[0].shape[0]
+    return np.array(basis).reshape(len(basis), -1) / math.sqrt(d)
+
+
+@st.composite
+def generator_sets(draw):
+    """Generator sets on both sides of the kernel's n <= d^2 choice:
+    many small generators (first-round candidates outnumber d^2) and a
+    few large ones (candidates stay below d^2), plus Hermitian-closed
+    sets, sets holding the identity, nilpotent matrix units and
+    commuting, rank-deficient diagonals.  Random generators get scales
+    spread over four decades.
+
+    Two kinds sit near the cuts.  In "mixed_scale" a random generator
+    about 1e-6 times smaller than a diagonal one gives survivor Gram
+    eigenvalues near 1e-12 of the largest, under the admission cut, so
+    the cut decides the round in which its directions enter.  In
+    "near_identity" every new direction is about 1e-7 of its candidate,
+    so one projection leaves a residue along the basis that only the
+    re-projection of the admitted rows removes."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from((
+        "many_small", "few_large", "hermitian_closed", "with_identity", "units", "diagonal",
+        "mixed_scale", "near_identity",
+    )))
+
+    def scaled(d):
+        return 10.0 ** rng.uniform(-2, 2) * rand_mat(d, rng)
+
+    if kind == "many_small":
+        return [scaled(4) for _ in range(draw(st.integers(12, 24)))]
+    if kind == "few_large":
+        d = draw(st.integers(9, 16))
+        return [scaled(d) for _ in range(draw(st.integers(1, 3)))]
+    d = draw(st.integers(3, 6))
+    if kind == "hermitian_closed":
+        gens = [scaled(d) for _ in range(draw(st.integers(1, 3)))]
+        return gens + [g.conj().T for g in gens]
+    if kind == "with_identity":
+        return [np.eye(d)] + [scaled(d) for _ in range(draw(st.integers(0, 2)))]
+    if kind == "mixed_scale":
+        return [np.diag(np.arange(1.0, d + 1)), 10.0 ** rng.uniform(-6.5, -6) * rand_mat(d, rng)]
+    if kind == "near_identity":
+        return [np.eye(d) + 10.0 ** rng.uniform(-7, -6) * rand_mat(d, rng)]
+    if kind == "units":
+        pairs = [(i, j) for i in range(d) for j in range(d) if i != j]
+        picks = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=3))
+        return [unit(d, i, j) for i, j in picks]
+    # commuting diagonals with repeated entries span a rank-deficient set
+    levels = rng.integers(0, draw(st.integers(1, d)), size=(draw(st.integers(1, 3)), d))
+    return [np.diag(row.astype(float)) for row in levels]
+
+
+class TestClosureKernel:
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(generator_sets())
+    def test_matches_reference_closure(self, gens):
+        got, rounds = span_closure(gens)
+        want, want_rounds = reference_span_closure(gens)
+        assert (len(got), rounds) == (len(want), want_rounds)
+        b, r = flat_rows(got), flat_rows(want)
+        assert np.abs(b @ b.conj().T - np.eye(len(got))).max() < 1e-10
+        # orthogonal projectors onto the two spans
+        assert np.abs(b.T @ b.conj() - r.T @ r.conj()).max() < 1e-8
+
+    def test_identity_alone(self):
+        # the only multiplier is skipped, so the one round sees no candidates
+        basis, rounds = span_closure([np.eye(3)])
+        assert (len(basis), rounds) == (1, 1)
+
+    def test_open_closure_raises(self):
+        with pytest.raises(NumericError):
+            span_closure([rand_mat(3)], max_rounds=1)
+
+    @pytest.mark.parametrize("p, N", [(2, 2), (3, 2), (2, 3)])
+    def test_span_growth_matches_reference_loop(self, p, N):
+        rep = span_growth_check(p, N)
+        assert (rep.cyclic_dim, rep.rounds) == reference_cyclic_growth(p, N)
+        assert rep.rounds == p and rep.agree
