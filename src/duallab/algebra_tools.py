@@ -295,6 +295,14 @@ def _orthonormal_rows(block: np.ndarray) -> np.ndarray:
     return (vecs[:, keep].conj().T / np.sqrt(vals[keep])[:, None]) @ block
 
 
+def _row_norms(block: np.ndarray) -> np.ndarray:
+    """2-norms of the rows of a complex block, as one real dot product
+    per row of its float64 view (several times faster than
+    ``np.linalg.norm(block, axis=1)`` on wide blocks)."""
+    flat = np.ascontiguousarray(block).view(np.float64)
+    return np.sqrt(np.einsum("ij,ij->i", flat, flat))
+
+
 def _closure(
     start: np.ndarray, mults: Sequence[np.ndarray], max_rounds: int, rel_tol: float
 ) -> tuple[np.ndarray, int]:
@@ -317,12 +325,12 @@ def _closure(
         cand = np.empty((len(distinct) * f, r * d), dtype=np.complex128)
         for gi, g in enumerate(distinct):
             np.matmul(frontier.reshape(f, r, d), g, out=cand[gi * f:(gi + 1) * f].reshape(f, r, d))
-        scale = float(np.linalg.norm(cand, axis=1).max(initial=0.0)) or 1.0
+        scale = float(_row_norms(cand).max(initial=0.0)) or 1.0
         # one projection sorts the candidates: a residual above
         # rel_tol * scale carries a new direction, the rest is residue
         bh = basis.conj().T
         cand -= (cand @ bh) @ basis
-        live = np.linalg.norm(cand, axis=1) > rel_tol * scale
+        live = _row_norms(cand) > rel_tol * scale
         if not live.any():
             return basis, rounds
         # polish only the admitted rows: re-project twice, drop those
@@ -330,7 +338,7 @@ def _closure(
         frontier = _orthonormal_rows(cand[live])
         for _ in range(2):
             frontier -= (frontier @ bh) @ basis
-        frontier = frontier[np.linalg.norm(frontier, axis=1) > rel_tol * scale]
+        frontier = frontier[_row_norms(frontier) > rel_tol * scale]
         if not len(frontier):
             return basis, rounds
         frontier = _orthonormal_rows(frontier)

@@ -1,7 +1,7 @@
 """Command-line runner for the verification experiments.
 
 Three commands: ``run`` executes one experiment, ``run-all`` executes a
-suite on a small worker pool, ``list`` prints the registry.  Every run
+suite one experiment after another, ``list`` prints the registry.  Every run
 writes a canonical JSON report and a JSONL check log under the output
 directory (flag, else the environment variable, else ./duallab-out);
 the process exits 0 exactly when every executed check passed.
@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
+import traceback
 from pathlib import Path
 
 from .reporting import (
@@ -25,33 +25,28 @@ from .reporting import (
 from .experiments import (
     EXPERIMENTS,
     SUITES,
-    get_experiment,
     run_experiment,
     suite_configs,
 )
 
-MAX_WORKERS = 4
 
-
-def _write_report(report: ExperimentReport, out_dir: Path) -> None:
+def _run_one(config: ExperimentConfig, out_dir: Path, verbose: bool) -> ExperimentReport:
+    """Run one experiment, write its report files and print its result."""
+    report = run_experiment(config, out_dir=out_dir)
+    name = report.config.experiment
     out_dir.mkdir(parents=True, exist_ok=True)
     payload = report.body()
     payload["duration_s"] = round(report.duration_s, 3)
-    path = out_dir / f"{report.config.experiment}.report.json"
+    path = out_dir / f"{name}.report.json"
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    write_jsonl(out_dir / f"{report.config.experiment}.checks.jsonl", report.records())
-
-
-def _print_report(report: ExperimentReport, verbose: bool) -> None:
+    write_jsonl(out_dir / f"{name}.checks.jsonl", report.records())
     if verbose:
         for c in report.checks:
             mark = "PASS" if c.passed else "FAIL"
             print(f"  [{mark}] {c.name}: measured={c.measured} predicted={c.predicted}")
     status = "PASS" if report.passed else "FAIL"
-    print(
-        f"{report.config.experiment}: {status} "
-        f"({len(report.checks)} checks, {report.duration_s:.2f}s)"
-    )
+    print(f"{name}: {status} ({len(report.checks)} checks, {report.duration_s:.2f}s)")
+    return report
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -65,32 +60,27 @@ def _cmd_run(args: argparse.Namespace) -> int:
         samples=args.samples,
         out=out_dir,
     )
-    report = run_experiment(config, out_dir=out_dir)
-    _write_report(report, out_dir)
-    _print_report(report, verbose=True)
+    report = _run_one(config, out_dir, verbose=True)
     print(f"report: {out_dir / (args.experiment + '.report.json')}")
     return 0 if report.passed else 1
 
 
 def _cmd_run_all(args: argparse.Namespace) -> int:
     out_dir = Path(args.out) if args.out else default_output_dir()
-    configs = suite_configs(args.suite, seed=args.seed, out=out_dir)
-    reports: dict[str, ExperimentReport] = {}
-    with ThreadPoolExecutor(max_workers=MAX_WORKERS) as pool:
-        futures = {
-            cfg.experiment: pool.submit(run_experiment, cfg, out_dir)
-            for cfg in configs
-        }
-        for name, fut in futures.items():
-            reports[name] = fut.result()
-    # single sink: write and print in registry order once all are done
     summary = []
-    all_passed = True
-    for cfg in configs:
-        report = reports[cfg.experiment]
-        _write_report(report, out_dir)
-        _print_report(report, verbose=False)
-        all_passed = all_passed and report.passed
+    for cfg in suite_configs(args.suite, seed=args.seed, out=out_dir):
+        # one experiment that raises is recorded as failed; the rest still run
+        try:
+            report = _run_one(cfg, out_dir, verbose=False)
+        except Exception as exc:
+            traceback.print_exc()
+            error = f"{type(exc).__name__}: {exc}"
+            print(f"{cfg.experiment}: ERROR ({error})")
+            summary.append(
+                {"experiment": cfg.experiment, "passed": False, "checks": 0,
+                 "failed": [], "error": error}
+            )
+            continue
         summary.append(
             {
                 "experiment": cfg.experiment,
@@ -100,6 +90,8 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
                 "duration_s": round(report.duration_s, 3),
             }
         )
+    all_passed = all(row["passed"] for row in summary)
+    out_dir.mkdir(parents=True, exist_ok=True)
     summary_path = out_dir / "summary.json"
     summary_path.write_text(
         json.dumps(

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import permutations
 from math import factorial
 from typing import Sequence
@@ -33,7 +32,8 @@ from .legops import (
     CapExceededError,
     ModelSpace,
     NumericError,
-    permutation_op,
+    _invert,
+    _row_gather,
     permuted_product_trace,
 )
 from .symcomb import Partition, cycle_type_of_permutation, dimension, enumerate_partitions
@@ -47,6 +47,7 @@ __all__ = [
     "theta_apply",
     "crossed_multiply",
     "tau_hat",
+    "l2_probes",
     "center_basis",
     "CompressionReport",
     "compression_check",
@@ -62,13 +63,6 @@ __all__ = [
 
 def _compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(a[b[k]] for k in range(len(a)))
-
-
-def _inverse(a: tuple[int, ...]) -> tuple[int, ...]:
-    inv = [0] * len(a)
-    for i, v in enumerate(a):
-        inv[v] = i
-    return tuple(inv)
 
 
 @dataclass(frozen=True)
@@ -99,7 +93,7 @@ class ProductGroupElement:
         )
 
     def inverse(self) -> "ProductGroupElement":
-        return ProductGroupElement(_inverse(self.s), _inverse(self.t))
+        return ProductGroupElement(_invert(self.s), _invert(self.t))
 
     def combined(self) -> tuple[int, ...]:
         """One-line permutation of all p + q legs."""
@@ -130,24 +124,23 @@ def group_conjugacy_classes(p: int, q: int) -> list[list[ProductGroupElement]]:
     return [classes[k] for k in sorted(classes)]
 
 
-@lru_cache(maxsize=256)
-def _leg_unitary_cached(space: ModelSpace, combined: tuple[int, ...]) -> np.ndarray:
-    mat = permutation_op(space, combined).to_dense().matrix
-    mat.setflags(write=False)
-    return mat
+def _leg_gather(space: ModelSpace, g: ProductGroupElement) -> np.ndarray:
+    """Row index of U_g: U_g = I[idx], so U_g a U_g* = a[idx][:, idx]."""
+    if len(g.s) != space.p or len(g.t) != space.q:
+        raise ValueError(f"group shape ({len(g.s)},{len(g.t)}) vs space ({space.p},{space.q})")
+    return _row_gather(_invert(g.combined()), space.N)
 
 
 def leg_unitary(space: ModelSpace, g: ProductGroupElement) -> np.ndarray:
     """Dense unitary implementing the leg permutation of g on the model space."""
-    if len(g.s) != space.p or len(g.t) != space.q:
-        raise ValueError(f"group shape ({len(g.s)},{len(g.t)}) vs space ({space.p},{space.q})")
-    return _leg_unitary_cached(space, g.combined())
+    return np.eye(space.dim)[_leg_gather(space, g)]
 
 
 def theta_apply(space: ModelSpace, g: ProductGroupElement, a: np.ndarray) -> np.ndarray:
-    """Action of g on an operator over the model space: U_g a U_g*."""
-    u = leg_unitary(space, g)
-    return u @ a @ u.conj().T
+    """Action of g on an operator over the model space: U_g a U_g*, as a
+    gather of the rows and columns of a."""
+    idx = _leg_gather(space, g)
+    return a[np.ix_(idx, idx)]
 
 
 class CrossedOperator:
@@ -297,6 +290,19 @@ def tau_hat(a: CrossedOperator) -> complex:
     return a.tau_hat()
 
 
+def l2_probes(space: ModelSpace, rng: np.random.Generator) -> list[np.ndarray]:
+    """Dense generators of the crossed product on l2(G, H): three random
+    fiber elements Pi(z), then every shift lambda_g."""
+    d = space.dim
+    probes = []
+    for _ in range(3):
+        z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        probes.append(CrossedOperator.embed(space, z).to_dense_l2())
+    for g in group_elements(space.p, space.q):
+        probes.append(CrossedOperator.shift(space, g).to_dense_l2())
+    return probes
+
+
 def center_basis(space: ModelSpace) -> tuple[AlgebraBasis, list[CrossedOperator]]:
     """Center of the crossed product, dense basis plus block witnesses.
 
@@ -321,14 +327,7 @@ def center_basis(space: ModelSpace) -> tuple[AlgebraBasis, list[CrossedOperator]
         witnesses.append(CrossedOperator(space, blocks))
     dense = [w.to_dense_l2() for w in witnesses]
     # verify centrality against the generators of the dense algebra
-    rng = np.random.default_rng(0xCE17E5)
-    d = space.dim
-    probes = []
-    for _ in range(3):
-        z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        probes.append(CrossedOperator.embed(space, z).to_dense_l2())
-    for g in elems:
-        probes.append(CrossedOperator.shift(space, g).to_dense_l2())
+    probes = l2_probes(space, np.random.default_rng(0xCE17E5))
     for zmat in dense:
         scale = max(float(np.abs(zmat).max()), 1.0)
         for pmat in probes:

@@ -37,6 +37,8 @@ from .crossed import (
     center_basis,
     compression_check,
     equivalence_criterion,
+    group_elements,
+    l2_probes,
     tau_prime_table,
     trace_inequality_check,
 )
@@ -488,16 +490,7 @@ def _crossed_center(cfg, rng, out_dir) -> list[CheckResult]:
         )
     # independent spectral certification of the oracle case
     sp = ModelSpace(cfg.N, 2, 0)
-    probes = []
-    for _ in range(3):
-        z = rng.standard_normal((sp.dim, sp.dim)) + 1j * rng.standard_normal(
-            (sp.dim, sp.dim)
-        )
-        probes.append(CrossedOperator.embed(sp, z).to_dense_l2())
-    from .crossed import group_elements
-
-    for g in group_elements(2, 0):
-        probes.append(CrossedOperator.shift(sp, g).to_dense_l2())
+    probes = l2_probes(sp, rng)
     blocks, _, _ = block_structure(probes)
     checks.append(exact_check("center_dim_blocks_p2q0", len(blocks), 2))
 
@@ -520,15 +513,14 @@ def _crossed_center(cfg, rng, out_dir) -> list[CheckResult]:
 
 
 def _random_crossed(space: ModelSpace, rng: np.random.Generator) -> CrossedOperator:
-    from .crossed import group_elements
-
-    out = CrossedOperator.zero(space)
-    for g in group_elements(space.p, space.q):
-        z = rng.standard_normal((space.dim, space.dim)) + 1j * rng.standard_normal(
-            (space.dim, space.dim)
-        )
-        out = out + CrossedOperator(space, {g: z / space.dim})
-    return out
+    d = space.dim
+    return CrossedOperator(
+        space,
+        {
+            g: (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / d
+            for g in group_elements(space.p, space.q)
+        },
+    )
 
 
 # -- compression-check -------------------------------------------------------

@@ -108,9 +108,20 @@ class TestGroupElements:
 
 class TestThetaAction:
     def test_leg_unitary_matches_permutation_matrix(self):
-        sp = ModelSpace(2, 2, 1)
-        g = ProductGroupElement((1, 0), (0,))
-        assert np.allclose(leg_unitary(sp, g), leg_perm_dense(sp, g.combined()))
+        # S_3 has 3-cycles, so a gather built from g instead of g^-1 shows
+        for p, q in [(2, 1), (3, 0)]:
+            sp = ModelSpace(2, p, q)
+            for g in group_elements(p, q):
+                oracle = leg_perm_dense(sp, g.combined())
+                assert np.array_equal(leg_unitary(sp, g), oracle)
+
+    def test_theta_apply_matches_oracle_conjugation(self):
+        for p, q in [(2, 1), (3, 0)]:
+            sp = ModelSpace(2, p, q)
+            a = rand_mat(sp.dim)
+            for g in group_elements(p, q):
+                u = leg_perm_dense(sp, g.combined())
+                assert np.array_equal(theta_apply(sp, g, a), u @ a @ u.T)
 
     def test_leg_unitary_shape_mismatch(self):
         with pytest.raises(ValueError):

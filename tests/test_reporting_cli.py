@@ -1,5 +1,6 @@
 """Report plumbing, the experiment registry, and the CLI surface."""
 
+import dataclasses
 import json
 
 import jsonschema
@@ -276,3 +277,42 @@ class TestCli:
         assert code == 0
         assert (explicit / "trace-table.report.json").exists()
         assert not (tmp_path / "ignored").exists()
+
+    def test_run_all_smoke(self, tmp_path, capsys):
+        code = cli.main(["run-all", "--suite", "smoke", "--out", str(tmp_path)])
+        assert code == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["passed"] is True
+        assert [row["experiment"] for row in summary["experiments"]] == EXPECTED_NAMES
+        out = capsys.readouterr().out
+        lines = [out.index(f"{name}: PASS") for name in EXPECTED_NAMES]
+        assert lines == sorted(lines)
+
+    def test_run_all_contains_a_failure(self, tmp_path, monkeypatch, capsys):
+        def boom(cfg, rng, out_dir):
+            raise RuntimeError("boom")
+
+        failing = "crossed-center"
+        monkeypatch.setitem(
+            EXPERIMENTS, failing, dataclasses.replace(EXPERIMENTS[failing], func=boom)
+        )
+        code = cli.main(["run-all", "--suite", "smoke", "--out", str(tmp_path)])
+        assert code == 1
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["passed"] is False
+        rows = {row["experiment"]: row for row in summary["experiments"]}
+        assert list(rows) == EXPECTED_NAMES
+        assert rows[failing] == {
+            "experiment": failing,
+            "passed": False,
+            "checks": 0,
+            "failed": [],
+            "error": "RuntimeError: boom",
+        }
+        assert not (tmp_path / f"{failing}.report.json").exists()
+        assert not (tmp_path / f"{failing}.checks.jsonl").exists()
+        for name in EXPECTED_NAMES:
+            if name != failing:
+                assert rows[name]["passed"] is True
+                assert (tmp_path / f"{name}.report.json").exists()
+        assert f"{failing}: ERROR (RuntimeError: boom)" in capsys.readouterr().out
