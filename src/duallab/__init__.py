@@ -80,11 +80,9 @@ from .crossed import (
     TraceInequalityReport,
     center_basis,
     compression_check,
-    crossed_multiply,
     equivalence_criterion,
     group_conjugacy_classes,
     group_elements,
-    tau_hat,
     tau_prime_table,
     theta_apply,
     trace_inequality_check,

@@ -40,6 +40,8 @@ RANK_TOL = 1e-8
 # a sigma cut at RANK_TOL would square to 1e-16, inside that floor.
 GRAM_EIG_TOL = 1e-10
 COMMUTANT_DIM_CAP = 64
+# Round limit of span_closure; a closure still open after it raises.
+CLOSURE_ROUNDS = 24
 
 __all__ = [
     "RANK_TOL",
@@ -49,6 +51,7 @@ __all__ = [
     "SpanGrowthReport",
     "hs_inner",
     "orthonormalize",
+    "left_average_generators",
     "commutant_basis",
     "block_structure",
     "span_closure",
@@ -88,11 +91,11 @@ def _gather(generators) -> tuple[list[np.ndarray], int]:
     return mats, d
 
 
-def orthonormalize(mats: Sequence[np.ndarray], rel_tol: float = RANK_TOL) -> list[np.ndarray]:
+def orthonormalize(mats: Sequence[np.ndarray]) -> list[np.ndarray]:
     """Orthonormal spanning set in the normalized trace inner product.
 
     Stacks the flattened inputs, takes an SVD, and keeps right singular
-    vectors above ``rel_tol`` times the largest singular value.  Output
+    vectors above ``RANK_TOL`` times the largest singular value.  Output
     matrices satisfy <b_i, b_j> = delta_ij under :func:`hs_inner`.
     """
     if not len(mats):
@@ -100,7 +103,7 @@ def orthonormalize(mats: Sequence[np.ndarray], rel_tol: float = RANK_TOL) -> lis
     d = mats[0].shape[0]
     stack = np.array([m.reshape(-1) for m in mats])
     _, sv, vh = np.linalg.svd(stack, full_matrices=False)
-    keep = sv > rel_tol * sv[0] if sv.size else np.zeros(0, dtype=bool)
+    keep = sv > RANK_TOL * sv[0] if sv.size else np.zeros(0, dtype=bool)
     # rows of vh are Frobenius-orthonormal; sqrt(d) rescales to the
     # normalized trace inner product
     return [vh[i].reshape(d, d) * math.sqrt(d) for i in range(int(keep.sum()))]
@@ -119,7 +122,6 @@ class AlgebraBasis:
 
     space: ModelSpace | None
     elements: tuple[np.ndarray, ...]
-    is_algebra: bool
     dimension: int = field(default=-1)
 
     def __post_init__(self) -> None:
@@ -140,15 +142,27 @@ class AlgebraBasis:
         g = flat @ flat.conj().T / self.elements[0].shape[0]
         return float(np.abs(g - np.eye(n)).max())
 
-    def contains(self, x: np.ndarray, tol: float = 1e-8) -> bool:
-        """True when x lies in the span of the basis elements."""
+    def contains(self, x: np.ndarray) -> bool:
+        """True when x lies in the span, to RANK_TOL * max(1, max |x|)."""
         if not self.elements:
             return False
         flat = np.array(self.elements).reshape(len(self.elements), -1)
         xf = np.asarray(x, dtype=np.complex128).reshape(-1)
         resid = xf - (flat.conj() @ xf / self.elements[0].shape[0]) @ flat
         scale = max(1.0, float(np.abs(x).max()))
-        return bool(np.abs(resid).max() <= tol * scale)
+        return bool(np.abs(resid).max() <= RANK_TOL * scale)
+
+
+def left_average_generators(p: int, N: int) -> list[np.ndarray]:
+    """Dense t_plus(e_ij) on p left legs, matrix units in row-major order."""
+    space = ModelSpace(N, p, 0)
+    mats = []
+    for i in range(N):
+        for j in range(N):
+            e = np.zeros((N, N))
+            e[i, j] = 1.0
+            mats.append(t_plus(space, e).to_dense().matrix)
+    return mats
 
 
 def commutant_basis(generators: Sequence) -> AlgebraBasis:
@@ -181,7 +195,7 @@ def commutant_basis(generators: Sequence) -> AlgebraBasis:
     null = vh[rank:].conj()
     elements = [null[i].reshape(d, d) * math.sqrt(d) for i in range(null.shape[0])]
     space = getattr(generators[0], "space", None)
-    return AlgebraBasis(space, tuple(elements), is_algebra=True)
+    return AlgebraBasis(space, tuple(elements))
 
 
 def _sample_words(mats: list[np.ndarray], rng: np.random.Generator, count: int) -> list[np.ndarray]:
@@ -199,7 +213,6 @@ def _sample_words(mats: list[np.ndarray], rng: np.random.Generator, count: int) 
 def block_structure(
     generators: Sequence,
     rng: np.random.Generator | None = None,
-    retries: int = 3,
 ) -> tuple[list[tuple[int, int]], int, int]:
     """Wedderburn block data of the unital *-algebra generated by a set.
 
@@ -214,7 +227,7 @@ def block_structure(
     clusters sit in the same block exactly when some generator word
     couples their eigenspaces.  A malformed clustering (unequal sizes
     inside one component) triggers a retry with a fresh generic
-    element; persistent failure raises :class:`NumericError`.
+    element; a third failure raises :class:`NumericError`.
     """
     mats, d = _gather(generators)
     rng = np.random.default_rng(0xA15EB) if rng is None else rng
@@ -222,7 +235,7 @@ def block_structure(
     hermm += [g.conj().T for g in mats]
     couplers = hermm + _sample_words(hermm, rng, min(8, 2 * len(mats)))
 
-    for _ in range(retries):
+    for _ in range(3):
         h = np.zeros((d, d), dtype=np.complex128)
         for g in mats + _sample_words(mats, rng, 4):
             c = rng.standard_normal() + 1j * rng.standard_normal()
@@ -304,7 +317,7 @@ def _row_norms(block: np.ndarray) -> np.ndarray:
 
 
 def _closure(
-    start: np.ndarray, mults: Sequence[np.ndarray], max_rounds: int, rel_tol: float
+    start: np.ndarray, mults: Sequence[np.ndarray], max_rounds: int
 ) -> tuple[np.ndarray, int]:
     """Breadth-first closure of span{start} (r x d) under right products.
 
@@ -327,10 +340,10 @@ def _closure(
             np.matmul(frontier.reshape(f, r, d), g, out=cand[gi * f:(gi + 1) * f].reshape(f, r, d))
         scale = float(_row_norms(cand).max(initial=0.0)) or 1.0
         # one projection sorts the candidates: a residual above
-        # rel_tol * scale carries a new direction, the rest is residue
+        # RANK_TOL * scale carries a new direction, the rest is residue
         bh = basis.conj().T
         cand -= (cand @ bh) @ basis
-        live = _row_norms(cand) > rel_tol * scale
+        live = _row_norms(cand) > RANK_TOL * scale
         if not live.any():
             return basis, rounds
         # polish only the admitted rows: re-project twice, drop those
@@ -338,7 +351,7 @@ def _closure(
         frontier = _orthonormal_rows(cand[live])
         for _ in range(2):
             frontier -= (frontier @ bh) @ basis
-        frontier = frontier[_row_norms(frontier) > rel_tol * scale]
+        frontier = frontier[_row_norms(frontier) > RANK_TOL * scale]
         if not len(frontier):
             return basis, rounds
         frontier = _orthonormal_rows(frontier)
@@ -346,47 +359,42 @@ def _closure(
     raise NumericError(f"span closure open after {max_rounds} rounds")
 
 
-def span_closure(
-    generators: Sequence,
-    max_rounds: int = 24,
-    rel_tol: float = RANK_TOL,
-) -> tuple[list[np.ndarray], int]:
+def span_closure(generators: Sequence) -> tuple[list[np.ndarray], int]:
     """Basis of the unital algebra spanned by words in the generators.
 
     Breadth-first closure: start from the identity, right-multiply the
     frontier by every distinct generator and adjoint, and admit the
     directions whose residual after projection on the current basis
-    exceeds ``rel_tol`` times the candidate scale.  Admission goes
-    through the smaller Gram matrix of the surviving candidates, so its
-    cost follows the algebra's dimension, not the candidate count.
+    exceeds ``RANK_TOL`` times the candidate scale, for at most
+    ``CLOSURE_ROUNDS`` rounds.  Admission goes through the smaller Gram
+    matrix of the surviving candidates, so its cost follows the
+    algebra's dimension, not the candidate count.
     Returns (basis, rounds); basis elements are orthonormal under
     :func:`hs_inner`.
     """
     mats, d = _gather(generators)
     basis, rounds = _closure(
-        np.eye(d, dtype=np.complex128), mats + [g.conj().T for g in mats], max_rounds, rel_tol
+        np.eye(d, dtype=np.complex128), mats + [g.conj().T for g in mats], CLOSURE_ROUNDS
     )
     return [row.reshape(d, d) * math.sqrt(d) for row in basis], rounds
 
 
 def generated_algebra_dim(
     generators: Sequence | Callable[[np.random.Generator], np.ndarray],
-    budget: int = 8,
     rng: np.random.Generator | None = None,
-    closure_generators: int = 4,
 ) -> tuple[int, AlgebraBasis]:
     """Dimension of the generated unital *-algebra, doubly certified.
 
     ``generators`` is either an explicit matrix list or a sampler
     called with an rng (one Haar draw per call).  For a sampler the
-    budget doubles until the spectral-route dimension is unchanged
-    across two successive doublings.  The final dimension must agree
-    between the spectral block-structure route and an independent span
-    closure, else :class:`NumericError`.
+    draws start at 8 and double until the spectral-route dimension is
+    unchanged across two successive doublings.  The final dimension must
+    agree between the spectral block-structure route and an independent
+    span closure of the first 4 generators, else :class:`NumericError`.
     """
     rng = np.random.default_rng(0xD1A1) if rng is None else rng
     if callable(generators):
-        samples = [generators(rng) for _ in range(budget)]
+        samples = [generators(rng) for _ in range(8)]
         dim_prev = None
         stable = 0
         dim_spec = 0
@@ -406,14 +414,13 @@ def generated_algebra_dim(
         if not mats:
             raise ValueError("empty generator list: pass the identity explicitly")
         _, dim_spec, _ = block_structure(mats, rng=rng)
-    closure_mats = mats[: max(closure_generators, 1)]
-    basis, _ = span_closure(closure_mats)
+    basis, _ = span_closure(mats[:4])
     if len(basis) != dim_spec:
         raise NumericError(
             f"span closure dim {len(basis)} vs spectral dim {dim_spec}"
         )
     space = getattr(generators[0], "space", None) if not callable(generators) else None
-    return dim_spec, AlgebraBasis(space, tuple(basis), is_algebra=True)
+    return dim_spec, AlgebraBasis(space, tuple(basis))
 
 
 def fixed_point_dimension(p: int, N: int) -> int:
@@ -445,7 +452,7 @@ def fixed_point_basis(p: int, N: int, side: str = "left") -> AlgebraBasis:
         raise CapExceededError(f"model dimension {space.dim} exceeds cap {DENSE_CAP}")
     dim = fixed_point_dimension(p, N)
     if space.dim > 256:
-        return AlgebraBasis(space, (), is_algebra=True, dimension=dim)
+        return AlgebraBasis(space, (), dimension=dim)
     mult = left_mult if side == "left" else right_mult
 
     def unit(i: int, j: int) -> np.ndarray:
@@ -470,7 +477,7 @@ def fixed_point_basis(p: int, N: int, side: str = "left") -> AlgebraBasis:
         nrm = math.sqrt(abs(hs_inner(mat, mat)))
         elements.append(mat / nrm)
     assert len(elements) == dim
-    return AlgebraBasis(space, tuple(elements), is_algebra=True)
+    return AlgebraBasis(space, tuple(elements))
 
 
 @dataclass(eq=False)
@@ -489,7 +496,6 @@ def relative_gap(
     p: int,
     q: int,
     N: int,
-    budget: int = 8,
     rng: np.random.Generator | None = None,
 ) -> GapReport:
     """Dimension gap between the algebra generated by u -> l(u)...r(u*)
@@ -516,7 +522,7 @@ def relative_gap(
             op = op.compose(right_mult(space, u.conj().T, j))
         return op.to_dense().matrix
 
-    g, _ = generated_algebra_dim(sampler, budget=budget, rng=rng)
+    g, _ = generated_algebra_dim(sampler, rng=rng)
     f = fixed_point_dimension(p, N) * fixed_point_dimension(q, N)
     return GapReport(
         p=p,
@@ -554,19 +560,14 @@ def span_growth_check(p: int, N: int) -> SpanGrowthReport:
     space = ModelSpace(N, p, 0)
     if space.dim > DENSE_CAP:
         raise CapExceededError(f"model dimension {space.dim} exceeds cap {DENSE_CAP}")
-    mats = []
-    for i in range(N):
-        for j in range(N):
-            e = np.zeros((N, N))
-            e[i, j] = 1.0
-            mats.append(t_plus(space, e).to_dense().matrix)
+    mats = left_average_generators(p, N)
     ident = np.eye(N, dtype=np.complex128).reshape(-1)
     vec = ident
     for _ in range(p - 1):
         vec = np.outer(vec, ident).reshape(-1)
     # a row vector v times m.T is the row of m v: the cyclic subspace is
     # the closure of span{v} under right multiplication by the transposes
-    basis, rounds = _closure(vec[None, :], [m.T for m in mats], 4 * p + 9, RANK_TOL)
+    basis, rounds = _closure(vec[None, :], [m.T for m in mats], 4 * p + 9)
     # the closing round admits nothing; the others are growth rounds
     rounds -= 1
     cyclic_dim = basis.shape[0]

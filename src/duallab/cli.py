@@ -58,7 +58,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         q=args.q,
         seed=args.seed,
         samples=args.samples,
-        out=out_dir,
     )
     report = _run_one(config, out_dir, verbose=True)
     print(f"report: {out_dir / (args.experiment + '.report.json')}")
@@ -68,7 +67,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_run_all(args: argparse.Namespace) -> int:
     out_dir = Path(args.out) if args.out else default_output_dir()
     summary = []
-    for cfg in suite_configs(args.suite, seed=args.seed, out=out_dir):
+    for cfg in suite_configs(args.suite, seed=args.seed):
         # one experiment that raises is recorded as failed; the rest still run
         try:
             report = _run_one(cfg, out_dir, verbose=False)

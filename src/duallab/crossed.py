@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra_tools import AlgebraBasis, orthonormalize
+from .algebra_tools import COMMUTANT_DIM_CAP, AlgebraBasis, orthonormalize
 from .legops import (
     DENSE_CAP,
     CapExceededError,
@@ -45,8 +45,6 @@ __all__ = [
     "group_conjugacy_classes",
     "leg_unitary",
     "theta_apply",
-    "crossed_multiply",
-    "tau_hat",
     "l2_probes",
     "center_basis",
     "CompressionReport",
@@ -146,28 +144,26 @@ def theta_apply(space: ModelSpace, g: ProductGroupElement, a: np.ndarray) -> np.
 class CrossedOperator:
     """Finite block sum sum_g Pi(a_g) lambda_g over the model space.
 
-    Blocks index by the (s, t) tuples of the group element; the
-    decomposition is unique, so two operators are equal exactly when
-    all block differences vanish.
+    Blocks are keyed by :class:`ProductGroupElement`; the decomposition
+    is unique, so two operators are equal exactly when all block
+    differences vanish.  All-zero blocks are dropped.
     """
 
     __slots__ = ("space", "blocks")
 
     def __init__(self, space: ModelSpace, blocks: dict | None = None):
         self.space = space
-        clean: dict[tuple, np.ndarray] = {}
-        for key, mat in (blocks or {}).items():
-            g = key if isinstance(key, ProductGroupElement) else ProductGroupElement(*key)
+        self.blocks: dict[ProductGroupElement, np.ndarray] = {}
+        for g, mat in (blocks or {}).items():
             if len(g.s) != space.p or len(g.t) != space.q:
                 raise ValueError("block group element does not match the space")
-            arr = np.asarray(mat, dtype=np.complex128)
+            arr = np.array(mat, dtype=np.complex128)
             if arr.shape != (space.dim, space.dim):
                 raise ValueError(
                     f"block must be {space.dim}x{space.dim}, got {arr.shape}"
                 )
-            k = (g.s, g.t)
-            clean[k] = clean[k] + arr if k in clean else arr.copy()
-        self.blocks = {k: v for k, v in clean.items() if np.abs(v).max() > 0.0}
+            if np.abs(arr).max() > 0.0:
+                self.blocks[g] = arr
 
     # -- constructors ---------------------------------------------------
 
@@ -218,15 +214,12 @@ class CrossedOperator:
         """Twisted product: c_k = sum over gh = k of a_g theta_g(b_h)."""
         self._check(other)
         space = self.space
-        out: dict[tuple, np.ndarray] = {}
-        for (gs, gt), a in self.blocks.items():
-            g = ProductGroupElement(gs, gt)
-            for (hs, ht), b in other.blocks.items():
-                h = ProductGroupElement(hs, ht)
+        out: dict[ProductGroupElement, np.ndarray] = {}
+        for g, a in self.blocks.items():
+            for h, b in other.blocks.items():
                 k = g.compose(h)
                 term = a @ theta_apply(space, g, b)
-                key = (k.s, k.t)
-                out[key] = out[key] + term if key in out else term
+                out[k] = out[k] + term if k in out else term
         return CrossedOperator(space, out)
 
     def __matmul__(self, other: "CrossedOperator") -> "CrossedOperator":
@@ -235,17 +228,16 @@ class CrossedOperator:
     def adjoint(self) -> "CrossedOperator":
         """Block adjoint: the g block moves to g^{-1} as theta_{g^{-1}}(a_g*)."""
         out = {}
-        for (gs, gt), a in self.blocks.items():
-            ginv = ProductGroupElement(gs, gt).inverse()
-            out[(ginv.s, ginv.t)] = theta_apply(self.space, ginv, a.conj().T)
+        for g, a in self.blocks.items():
+            ginv = g.inverse()
+            out[ginv] = theta_apply(self.space, ginv, a.conj().T)
         return CrossedOperator(self.space, out)
 
     # -- functionals ------------------------------------------------------
 
     def tau_hat(self) -> complex:
         """Normalized trace: the normalized trace of the identity block."""
-        e = ProductGroupElement.identity(self.space.p, self.space.q)
-        blk = self.blocks.get((e.s, e.t))
+        blk = self.blocks.get(ProductGroupElement.identity(self.space.p, self.space.q))
         if blk is None:
             return 0.0 + 0.0j
         return complex(np.trace(blk) / self.space.dim)
@@ -267,27 +259,16 @@ class CrossedOperator:
         n, d = len(elems), space.dim
         if n * d > DENSE_CAP:
             raise CapExceededError(f"l2 dimension {n * d} exceeds cap {DENSE_CAP}")
-        index = {(g.s, g.t): i for i, g in enumerate(elems)}
+        index = {g: i for i, g in enumerate(elems)}
         out = np.zeros((n * d, n * d), dtype=np.complex128)
-        for (ls, lt), a in self.blocks.items():
-            l = ProductGroupElement(ls, lt)
+        for l, a in self.blocks.items():
             for g in elems:
                 col = g.inverse().compose(l).inverse()  # col = l^{-1} g
-                i, j = index[(g.s, g.t)], index[(col.s, col.t)]
+                i, j = index[g], index[col]
                 out[i * d:(i + 1) * d, j * d:(j + 1) * d] = theta_apply(
                     space, g.inverse(), a
                 )
         return out
-
-
-def crossed_multiply(a: CrossedOperator, b: CrossedOperator) -> CrossedOperator:
-    """Module-level alias for :meth:`CrossedOperator.multiply`."""
-    return a.multiply(b)
-
-
-def tau_hat(a: CrossedOperator) -> complex:
-    """Module-level alias for :meth:`CrossedOperator.tau_hat`."""
-    return a.tau_hat()
 
 
 def l2_probes(space: ModelSpace, rng: np.random.Generator) -> list[np.ndarray]:
@@ -321,9 +302,7 @@ def center_basis(space: ModelSpace) -> tuple[AlgebraBasis, list[CrossedOperator]
         )
     witnesses = []
     for cls in group_conjugacy_classes(space.p, space.q):
-        blocks = {}
-        for g in cls:
-            blocks[(g.s, g.t)] = leg_unitary(space, g.inverse())
+        blocks = {g: leg_unitary(space, g.inverse()) for g in cls}
         witnesses.append(CrossedOperator(space, blocks))
     dense = [w.to_dense_l2() for w in witnesses]
     # verify centrality against the generators of the dense algebra
@@ -333,7 +312,7 @@ def center_basis(space: ModelSpace) -> tuple[AlgebraBasis, list[CrossedOperator]
         for pmat in probes:
             if np.abs(zmat @ pmat - pmat @ zmat).max() > 1e-10 * scale * np.abs(pmat).max():
                 raise NumericError("claimed center element fails to commute")
-    basis = AlgebraBasis(None, tuple(orthonormalize(dense)), is_algebra=True)
+    basis = AlgebraBasis(None, tuple(orthonormalize(dense)))
     if basis.dim != len(witnesses):
         raise NumericError("center witnesses are not independent")
     return basis, witnesses
@@ -403,7 +382,7 @@ def compression_check(space: ModelSpace, samples: int = 12, seed: int = 0xC0DA) 
         average_defect = max(average_defect, float(np.abs(lhs - rhs).max()))
     span, _ = span_closure(averaged + [np.eye(d)])
     legs = [leg_unitary(space, g) for g in elems]
-    if d <= 64:
+    if d <= COMMUTANT_DIM_CAP:
         fixed_dim = commutant_basis(legs).dim
     else:
         _, _, fixed_dim = block_structure(legs)

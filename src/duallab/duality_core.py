@@ -135,20 +135,23 @@ def haar_unitary(N: int, rng: np.random.Generator) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
+# Child seed streams haar_average_mc splits its samples over, run one
+# after another.  The split is part of the determinism contract, not
+# parallelism: another count draws other unitaries.
+MC_STREAMS = 4
+
+
 @dataclass(frozen=True)
 class HaarConfig:
-    """Monte Carlo budget: sample count, master seed, leg size, workers."""
+    """Monte Carlo budget: sample count, master seed, leg size."""
 
     samples: int
     seed: int
     N: int
-    workers: int = 4
 
     def __post_init__(self) -> None:
         if self.samples < 1:
             raise ValueError("need at least one sample")
-        if self.workers < 1:
-            raise ValueError("need at least one worker stream")
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,26 +160,25 @@ class MCAverage:
 
     ``stderr`` is the Frobenius-aggregated standard error of the mean:
     the square root of the summed per-entry variances of the mean
-    estimator.  Deterministic given (seed, workers).
+    estimator.  Deterministic given the seed.
     """
 
     mean: DenseOperator
     samples: int
     seed: int
-    workers: int
     stderr: float
 
 
 def haar_average_mc(f, config: HaarConfig) -> MCAverage:
     """Empirical Haar average of ``f(u)`` densified per sample.
 
-    The sample budget is split across ``config.workers`` independent
-    child seed streams; the reduction is a sum in worker order, so the
-    result is reproducible for a fixed (seed, workers) pair.
+    The sample budget is split across ``MC_STREAMS`` independent child
+    seed streams; the reduction is a sum in stream order, so the result
+    is reproducible for a fixed seed.
     """
-    streams = np.random.SeedSequence(config.seed).spawn(config.workers)
-    base, extra = divmod(config.samples, config.workers)
-    counts = [base + (1 if w < extra else 0) for w in range(config.workers)]
+    streams = np.random.SeedSequence(config.seed).spawn(MC_STREAMS)
+    base, extra = divmod(config.samples, MC_STREAMS)
+    counts = [base + (1 if w < extra else 0) for w in range(MC_STREAMS)]
     total = None
     totalsq = None
     space = None
@@ -198,7 +200,7 @@ def haar_average_mc(f, config: HaarConfig) -> MCAverage:
         stderr = float(np.sqrt(entry_var.sum() / n))
     else:
         stderr = float("inf")
-    return MCAverage(DenseOperator(space, mean), n, config.seed, config.workers, stderr)
+    return MCAverage(DenseOperator(space, mean), n, config.seed, stderr)
 
 
 def _block_units(N: int, block_dim: int) -> list[list[np.ndarray]]:
@@ -447,7 +449,6 @@ def limit_formula_check(
     a: np.ndarray,
     tower: SubfactorTower | None = None,
     level: int | None = None,
-    norm_tol: float = 1e-8,
 ) -> LimitFormulaReport:
     """Measure how far the averaged product is from the difference form.
 
@@ -478,9 +479,9 @@ def limit_formula_check(
         q=space.q,
         block_dim=block_dim,
         a_op_norm=a_norm,
-        residual_op_norm=residual.operator_norm(norm_tol),
+        residual_op_norm=residual.operator_norm(),
         residual_hs_norm=residual.hs_norm(),
-        sigma_average_op_norm=sigma_avg.operator_norm(norm_tol),
+        sigma_average_op_norm=sigma_avg.operator_norm(),
         sigma_average_hs_norm=sigma_avg.hs_norm(),
         stated_bound=2.0 * a_norm**2 * space.m**2 / space.N,
     )

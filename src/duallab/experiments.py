@@ -28,6 +28,7 @@ from .algebra_tools import (
     commutant_basis,
     fixed_point_dimension,
     generated_algebra_dim,
+    left_average_generators,
     relative_gap,
     span_growth_check,
 )
@@ -80,8 +81,14 @@ __all__ = [
 ]
 
 
-def _tol(cfg: ExperimentConfig, key: str, default: float) -> float:
-    return float(cfg.tolerances.get(key, default))
+# Check tolerances.  Exact structured arithmetic and closed forms, where
+# a few ulps remain:
+EXACT_TOL = 1e-12
+# identities computed through sums of many products, dense matrix
+# products or eigendecompositions, whose rounding grows with the size:
+IDENTITY_TOL = 1e-10
+# power-iteration operator norms, whose stopping rule is no error bound:
+OP_NORM_TOL = 1e-6
 
 
 def _random_hermitian(rng: np.random.Generator, n: int, unit: bool = True) -> np.ndarray:
@@ -99,7 +106,6 @@ def _young_check(cfg, rng, out_dir) -> list[CheckResult]:
     """Central projections on the left legs: the complete system of
     mutually orthogonal self-adjoint idempotents summing to the
     identity and commuting with every averaged left multiplication."""
-    tol = _tol(cfg, "projection", 1e-10)
     space = ModelSpace(cfg.N, cfg.p, 0)
     parts = enumerate_partitions(cfg.p)
     projs = [young_projection(space, lam) for lam in parts]
@@ -117,11 +123,11 @@ def _young_check(cfg, rng, out_dir) -> list[CheckResult]:
     comm = max((P @ T - T @ P).hs_norm() for P in projs)
 
     return [
-        scalar_check("self_adjoint_defect", selfadj, 0.0, tol),
-        scalar_check("idempotent_defect", idem, 0.0, tol),
-        scalar_check("pairwise_orthogonality", ortho, 0.0, tol),
-        scalar_check("resolution_of_identity", (total - ident).hs_norm(), 0.0, tol),
-        scalar_check("commutes_with_left_averages", comm, 0.0, tol),
+        scalar_check("self_adjoint_defect", selfadj, 0.0, IDENTITY_TOL),
+        scalar_check("idempotent_defect", idem, 0.0, IDENTITY_TOL),
+        scalar_check("pairwise_orthogonality", ortho, 0.0, IDENTITY_TOL),
+        scalar_check("resolution_of_identity", (total - ident).hs_norm(), 0.0, IDENTITY_TOL),
+        scalar_check("commutes_with_left_averages", comm, 0.0, IDENTITY_TOL),
         exact_check(
             "squared_dimension_sum",
             sum(dimension(lam) ** 2 for lam in parts),
@@ -143,7 +149,6 @@ def _haar_relations(cfg, rng, out_dir) -> list[CheckResult]:
     against the 1/N-scaled variant is exactly (1 - 1/N)/N, recorded as
     such rather than wished away.
     """
-    tol = _tol(cfg, "exact", 1e-12)
     checks = []
     for n in range(2, cfg.N + 1):
         sp = ModelSpace(n, cfg.p, cfg.q)
@@ -156,31 +161,31 @@ def _haar_relations(cfg, rng, out_dir) -> list[CheckResult]:
                 f"ll_square_is_inverse_square_N{n}",
                 (tll @ tll - ident.scale(1.0 / n**2)).hs_norm(),
                 0.0,
-                tol,
+                EXACT_TOL,
             ),
             scalar_check(
                 f"rr_square_is_inverse_square_N{n}",
                 (trr @ trr - ident.scale(1.0 / n**2)).hs_norm(),
                 0.0,
-                tol,
+                EXACT_TOL,
             ),
             scalar_check(
                 f"mixed_idempotent_N{n}",
                 (proj @ proj - proj).hs_norm(),
                 0.0,
-                tol,
+                EXACT_TOL,
             ),
             scalar_check(
                 f"mixed_self_adjoint_N{n}",
                 (proj.adjoint() - proj).hs_norm(),
                 0.0,
-                tol,
+                EXACT_TOL,
             ),
             scalar_check(
                 f"mixed_scaled_defect_N{n}",
                 (proj @ proj - proj.scale(1.0 / n)).hs_norm(),
                 (1.0 - 1.0 / n) / n,
-                tol,
+                EXACT_TOL,
             ),
         ]
     # Monte Carlo cross-validation of the closed forms at the top size
@@ -223,22 +228,17 @@ def _sigma_decay(cfg, rng, out_dir) -> list[CheckResult]:
     ladder = [2]
     while 2 * ladder[-1] <= cfg.N:
         ladder.append(2 * ladder[-1])
-    tol = _tol(cfg, "exact", 1e-12)
     checks = []
     hs_vals = {}
     for n in ladder:
         sp = ModelSpace(n, 1, 1)
         sig = sigma_average_exact(sp, np.eye(n))
         hs_vals[n] = sig.hs_norm()
-        checks.append(scalar_check(f"hs_norm_N{n}", hs_vals[n], 2.0 / n, tol))
-        checks.append(
-            scalar_check(
-                f"op_norm_N{n}", sig.operator_norm(), 2.0, _tol(cfg, "op_norm", 1e-6)
-            )
-        )
+        checks.append(scalar_check(f"hs_norm_N{n}", hs_vals[n], 2.0 / n, EXACT_TOL))
+        checks.append(scalar_check(f"op_norm_N{n}", sig.operator_norm(), 2.0, OP_NORM_TOL))
     for lo, hi in zip(ladder, ladder[1:]):
         checks.append(
-            scalar_check(f"hs_ratio_N{lo}_to_N{hi}", hs_vals[hi] / hs_vals[lo], 0.5, tol)
+            scalar_check(f"hs_ratio_N{lo}_to_N{hi}", hs_vals[hi] / hs_vals[lo], 0.5, EXACT_TOL)
         )
     return checks
 
@@ -279,7 +279,7 @@ def _limit_formula(cfg, rng, out_dir) -> list[CheckResult]:
             "traceless_residual_equals_cross_leg",
             abs(rep0.residual_hs_norm - rep0.sigma_average_hs_norm),
             0.0,
-            _tol(cfg, "exact", 1e-12),
+            EXACT_TOL,
         )
     )
     return checks
@@ -296,7 +296,6 @@ def _cond_expectation(cfg, rng, out_dir) -> list[CheckResult]:
     levels = list(range(1, min(2, tower.levels) + 1))
     samples = cfg.samples or 6
     N = cfg.N
-    tol = _tol(cfg, "exact", 1e-12)
 
     trace_def = module_def = idem_def = adj_def = 0.0
     for _ in range(samples):
@@ -327,10 +326,10 @@ def _cond_expectation(cfg, rng, out_dir) -> list[CheckResult]:
                 ),
             )
     checks = [
-        scalar_check("trace_preserved", trace_def, 0.0, tol),
-        scalar_check("bimodule_property", module_def, 0.0, _tol(cfg, "module", 1e-10)),
-        scalar_check("idempotent", idem_def, 0.0, _tol(cfg, "module", 1e-10)),
-        scalar_check("adjoint_compatible", adj_def, 0.0, _tol(cfg, "module", 1e-10)),
+        scalar_check("trace_preserved", trace_def, 0.0, EXACT_TOL),
+        scalar_check("bimodule_property", module_def, 0.0, IDENTITY_TOL),
+        scalar_check("idempotent", idem_def, 0.0, IDENTITY_TOL),
+        scalar_check("adjoint_compatible", adj_def, 0.0, IDENTITY_TOL),
     ]
     if len(levels) >= 2:
         nest_def = 0.0
@@ -349,7 +348,7 @@ def _cond_expectation(cfg, rng, out_dir) -> list[CheckResult]:
                     ).max()
                 ),
             )
-        checks.append(scalar_check("tower_nesting", nest_def, 0.0, tol))
+        checks.append(scalar_check("tower_nesting", nest_def, 0.0, EXACT_TOL))
     if tower.complement == 1:
         scalar_def = 0.0
         for _ in range(samples):
@@ -359,7 +358,7 @@ def _cond_expectation(cfg, rng, out_dir) -> list[CheckResult]:
                 scalar_def,
                 float(np.abs(top - (np.trace(a) / N) * np.eye(N)).max()),
             )
-        checks.append(scalar_check("top_level_scalar", scalar_def, 0.0, tol))
+        checks.append(scalar_check("top_level_scalar", scalar_def, 0.0, EXACT_TOL))
     return checks
 
 
@@ -394,14 +393,7 @@ def _commutant_dims(cfg, rng, out_dir) -> list[CheckResult]:
     if cfg.N >= 3:
         pairs.append((2, 3))
     for p, n in pairs:
-        sp = ModelSpace(n, p, 0)
-        gens = []
-        for i in range(n):
-            for j in range(n):
-                e = np.zeros((n, n))
-                e[i, j] = 1.0
-                gens.append(t_plus(sp, e).to_dense().matrix)
-        dim, _ = generated_algebra_dim(gens)
+        dim, _ = generated_algebra_dim(left_average_generators(p, n))
         checks.append(
             exact_check(
                 f"left_average_algebra_dim_p{p}_N{n}",
@@ -506,7 +498,7 @@ def _crossed_center(cfg, rng, out_dir) -> list[CheckResult]:
         val = x.adjoint().multiply(x).tau_hat()
         pos_ok = pos_ok and val.real > 0 and abs(val.imag) <= 1e-12
     checks += [
-        scalar_check("trace_tracial_defect", trac, 0.0, _tol(cfg, "trace", 1e-10)),
+        scalar_check("trace_tracial_defect", trac, 0.0, IDENTITY_TOL),
         exact_check("trace_positive_on_nonzero", pos_ok, True),
     ]
     return checks
@@ -537,11 +529,10 @@ def _compression_check(cfg, rng, out_dir) -> list[CheckResult]:
         samples=cfg.samples or 12,
         seed=derive_seed(cfg.seed, "compression-check:probes"),
     )
-    tol = _tol(cfg, "defect", 1e-10)
     checks = [
-        bound_check("projection_defect", rep.projection_defect, tol),
-        bound_check("shift_absorption_defect", rep.shift_defect, tol),
-        bound_check("average_compression_defect", rep.average_defect, tol),
+        bound_check("projection_defect", rep.projection_defect, IDENTITY_TOL),
+        bound_check("shift_absorption_defect", rep.shift_defect, IDENTITY_TOL),
+        bound_check("average_compression_defect", rep.average_defect, IDENTITY_TOL),
         exact_check(
             "fixed_dim_span_equals_commutant",
             rep.fixed_dim_span,
@@ -640,14 +631,10 @@ def _trace_inequality(cfg, rng, out_dir) -> list[CheckResult]:
     return [
         exact_check("bound_holds_transposition", rep_swap.all_within, True),
         exact_check("equality_at_identity_legs", rep_swap.equality_attained, True),
-        scalar_check(
-            "transposition_max", rep_swap.max_abs_trace, 1.0 / N, _tol(cfg, "exact", 1e-12)
-        ),
+        scalar_check("transposition_max", rep_swap.max_abs_trace, 1.0 / N, EXACT_TOL),
         exact_check("bound_holds_3cycle", rep_cycle.all_within, True),
         exact_check("no_equality_3cycle", rep_cycle.equality_attained, False),
-        scalar_check(
-            "cycle_max", rep_cycle.max_abs_trace, 1.0 / N**2, _tol(cfg, "exact", 1e-12)
-        ),
+        scalar_check("cycle_max", rep_cycle.max_abs_trace, 1.0 / N**2, EXACT_TOL),
     ]
 
 
@@ -687,7 +674,7 @@ def _spectral_binning(cfg, rng, out_dir) -> list[CheckResult]:
             for Q in projs[i + 1 :]:
                 proj_def = max(proj_def, float(np.abs(P @ Q).max()))
     checks.append(
-        scalar_check("projections_resolve_identity", proj_def, 0.0, _tol(cfg, "proj", 1e-10))
+        scalar_check("projections_resolve_identity", proj_def, 0.0, IDENTITY_TOL)
     )
 
     isolated = np.diag(np.arange(4, dtype=float))
@@ -697,7 +684,7 @@ def _spectral_binning(cfg, rng, out_dir) -> list[CheckResult]:
             "isolated_spectrum_exact",
             float(np.linalg.norm(isolated - a_eps, 2)),
             0.0,
-            _tol(cfg, "exact", 1e-12),
+            EXACT_TOL,
         )
     )
     return checks
@@ -841,9 +828,7 @@ def run_experiment(
     return ExperimentReport(cfg, checks, duration_s=time.perf_counter() - start)
 
 
-def suite_configs(
-    suite: str, seed: int = 20240, out: Path | None = None
-) -> list[ExperimentConfig]:
+def suite_configs(suite: str, seed: int = 20240) -> list[ExperimentConfig]:
     """One config per experiment; the full suite applies the heavier
     parameter overrides on top of the defaults."""
     if suite not in SUITES:
@@ -861,7 +846,6 @@ def suite_configs(
                 q=params.get("q"),
                 seed=seed,
                 samples=params.get("samples"),
-                out=out,
             )
         )
     return configs

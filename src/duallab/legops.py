@@ -179,18 +179,6 @@ class LegFactor:
             bool(np.array_equal(self.A, eye) and np.array_equal(self.B, eye)),
         )
 
-    def star(self) -> "LegFactor":
-        """Adjoint sandwich in the trace inner product: (A, B) -> (A*, B*)."""
-        if self.is_identity:
-            return self
-        return LegFactor(self.A.conj().T, self.B.conj().T)
-
-    def flip(self) -> "LegFactor":
-        """J-conjugate sandwich: (A, B) -> (B*, A*)."""
-        if self.is_identity:
-            return self
-        return LegFactor(self.B.conj().T, self.A.conj().T)
-
     def signature(self) -> bytes:
         if self.is_identity:
             return b"I"
@@ -804,6 +792,9 @@ class StructuredOperator:
         Computed as c^H G c / N^(2m) with G the Gram matrix of the terms
         under the unnormalized trace, block by block over pairs of
         permutation groups.
+        The sum carries cancellation: for a difference X - Y whose terms
+        do not cancel one by one in the merge, the result is accurate
+        only to about sqrt(eps) * |X|, near 1e-8 * |X|.
         """
         N = self.space.N
         total = 0.0 + 0.0j
@@ -813,10 +804,11 @@ class StructuredOperator:
         val = total.real / self.space.dim
         return float(np.sqrt(max(val, 0.0)))
 
-    def is_zero(self, tol: float = 1e-10) -> bool:
+    def is_zero(self) -> bool:
+        """No terms, or a Hilbert-Schmidt norm at most 1e-10."""
         if not self._groups:
             return True
-        return self.hs_norm() <= tol
+        return self.hs_norm() <= 1e-10
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """Matrix-free action on a vector of length N^(2m)."""
@@ -833,12 +825,12 @@ class StructuredOperator:
             out += w.transpose([axes.index(2 * inv[k] + e) for k in range(m) for e in (0, 1)])
         return out.reshape(space.dim)
 
-    def to_dense(self, cap: int = DENSE_CAP) -> "DenseOperator":
-        """Explicit matrix; guarded by the dense cap."""
+    def to_dense(self) -> "DenseOperator":
+        """Explicit matrix; guarded by ``DENSE_CAP``."""
         space = self.space
-        if space.dim > cap:
+        if space.dim > DENSE_CAP:
             raise CapExceededError(
-                f"dense dimension {space.dim} exceeds cap {cap}"
+                f"dense dimension {space.dim} exceeds cap {DENSE_CAP}"
             )
         N, m, d = space.N, space.m, space.dim
         mat = np.zeros((d, d), dtype=np.complex128)
@@ -856,14 +848,14 @@ class StructuredOperator:
             )
         return DenseOperator(space, mat)
 
-    def operator_norm(
-        self, tol: float = 1e-8, max_iter: int = 5000, restarts: int = 2
-    ) -> float:
+    def operator_norm(self) -> float:
         """Largest singular value by power iteration on X* X.
 
-        Matrix-free: alternates apply(X) and apply(X*).  Deterministic
-        start vectors; raises :class:`PowerIterationError` if no restart
-        converges to relative accuracy ``tol``.
+        Matrix-free: alternates apply(X) and apply(X*) from 3 seeded
+        start vectors and keeps the largest estimate.  A start stops when
+        two successive estimates agree to 1e-8 relative, a stopping rule
+        rather than an error bound; raises :class:`PowerIterationError`
+        if no start stops within 5000 steps.
         """
         if not self._groups:
             return 0.0
@@ -872,11 +864,11 @@ class StructuredOperator:
         rng = np.random.default_rng(0x5EED)
         best = 0.0
         converged = False
-        for _ in range(restarts + 1):
+        for _ in range(3):
             v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
             v /= np.linalg.norm(v)
             est = 0.0
-            for _ in range(max_iter):
+            for _ in range(5000):
                 w = adj.apply(self.apply(v))
                 norm_w = np.linalg.norm(w)
                 if norm_w < 1e-300:
@@ -885,7 +877,7 @@ class StructuredOperator:
                     break
                 new_est = float(np.sqrt(norm_w))
                 v = w / norm_w
-                if est > 0 and abs(new_est - est) <= tol * new_est:
+                if est > 0 and abs(new_est - est) <= 1e-8 * new_est:
                     est = new_est
                     converged = True
                     break
@@ -893,7 +885,7 @@ class StructuredOperator:
             best = max(best, est)
         if not converged:
             raise PowerIterationError(
-                f"no convergence to rel. tol {tol} in {max_iter} iterations"
+                "no convergence to rel. tol 1e-08 in 5000 iterations"
             )
         return best
 

@@ -14,11 +14,9 @@ import csv
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
-
-import jsonschema
 
 from . import __version__
 
@@ -74,6 +72,10 @@ REPORT_RECORD_SCHEMA = {
 
 def validate_record(record: dict) -> None:
     """Raise jsonschema.ValidationError when a record is malformed."""
+    # imported here, not at module level, so that importing the package
+    # does not pay for loading jsonschema
+    import jsonschema
+
     jsonschema.validate(record, REPORT_RECORD_SCHEMA)
 
 
@@ -161,7 +163,7 @@ def exact_check(name: str, measured, predicted) -> CheckResult:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Echoable configuration; None fields take experiment defaults."""
+    """Echoed configuration; None fields take experiment defaults."""
 
     experiment: str
     N: int | None = None
@@ -169,50 +171,24 @@ class ExperimentConfig:
     q: int | None = None
     seed: int = 20240
     samples: int | None = None
-    tolerances: dict = field(default_factory=dict)
-    out: Path | None = None
 
     def resolved(self, **defaults) -> "ExperimentConfig":
         """Fill None fields from the experiment's defaults."""
-        updates = {}
-        for key in ("N", "p", "q", "samples"):
-            if getattr(self, key) is None and key in defaults:
-                updates[key] = defaults[key]
-        if not updates:
-            return self
-        data = {
-            "experiment": self.experiment,
-            "N": self.N,
-            "p": self.p,
-            "q": self.q,
-            "seed": self.seed,
-            "samples": self.samples,
-            "tolerances": self.tolerances,
-            "out": self.out,
+        updates = {
+            key: defaults[key]
+            for key in ("N", "p", "q", "samples")
+            if getattr(self, key) is None and key in defaults
         }
-        data.update(updates)
-        return ExperimentConfig(**data)
-
-    def echo(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "N": self.N,
-            "p": self.p,
-            "q": self.q,
-            "seed": self.seed,
-            "samples": self.samples,
-            "tolerances": dict(self.tolerances),
-        }
+        return replace(self, **updates) if updates else self
 
 
 @dataclass(eq=False)
 class ExperimentReport:
-    """Config echo, check list, duration, and artifact version."""
+    """Config echo, check list and duration; the body adds the version."""
 
     config: ExperimentConfig
     checks: list[CheckResult]
     duration_s: float
-    version: str = __version__
 
     @property
     def passed(self) -> bool:
@@ -221,9 +197,9 @@ class ExperimentReport:
     def body(self) -> dict:
         """Canonical content: everything except the wall-clock duration."""
         return {
-            "config": self.config.echo(),
+            "config": asdict(self.config),
             "checks": [c.to_record() for c in self.checks],
-            "version": self.version,
+            "version": __version__,
             "passed": self.passed,
         }
 

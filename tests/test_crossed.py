@@ -14,12 +14,10 @@ from duallab.crossed import (
     ProductGroupElement,
     center_basis,
     compression_check,
-    crossed_multiply,
     equivalence_criterion,
     group_conjugacy_classes,
     group_elements,
     leg_unitary,
-    tau_hat,
     tau_prime_table,
     theta_apply,
     trace_inequality_check,
@@ -186,9 +184,7 @@ class TestCrossedAlgebra:
 
     def test_embed_is_homomorphism(self):
         a, b = rand_mat(16), rand_mat(16)
-        lhs = crossed_multiply(
-            CrossedOperator.embed(self.SP, a), CrossedOperator.embed(self.SP, b)
-        )
+        lhs = CrossedOperator.embed(self.SP, a).multiply(CrossedOperator.embed(self.SP, b))
         rhs = CrossedOperator.embed(self.SP, a @ b)
         assert (lhs - rhs).max_block_norm() < 1e-10
 
@@ -234,18 +230,18 @@ class TestDenseRepresentation:
     def test_tau_hat_is_dense_trace(self):
         x = rand_crossed(self.SP)
         dense = x.to_dense_l2()
-        assert tau_hat(x) == pytest.approx(np.trace(dense) / dense.shape[0])
+        assert x.tau_hat() == pytest.approx(np.trace(dense) / dense.shape[0])
 
     def test_tau_hat_tracial(self):
         rng = np.random.default_rng(77)
         for _ in range(4):
             x = rand_crossed(self.SP, rng)
             y = rand_crossed(self.SP, rng)
-            assert tau_hat(x @ y) == pytest.approx(tau_hat(y @ x), abs=1e-10)
+            assert (x @ y).tau_hat() == pytest.approx((y @ x).tau_hat(), abs=1e-10)
 
     def test_tau_hat_positive_definite(self):
         x = rand_crossed(self.SP)
-        val = tau_hat(x.adjoint() @ x)
+        val = (x.adjoint() @ x).tau_hat()
         assert val.imag == pytest.approx(0.0, abs=1e-12)
         assert val.real > 1e-8
 
@@ -272,7 +268,7 @@ class TestCenter:
         assert (witnesses[0] - ident).max_block_norm() < 1e-12
         # the other carries the swap unitary on the swap shift
         swap = ProductGroupElement((1, 0), ())
-        blk = witnesses[1].blocks[(swap.s, swap.t)]
+        blk = witnesses[1].blocks[swap]
         assert np.allclose(blk, leg_perm_dense(sp, swap.combined()))
 
     def test_witnesses_commute_with_samples(self):

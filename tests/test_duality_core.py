@@ -182,7 +182,7 @@ class TestHaarAverageMC:
 
     def test_deterministic_for_fixed_seed_and_workers(self):
         sp = ModelSpace(2, 1, 0)
-        cfg = HaarConfig(samples=100, seed=9, N=2, workers=3)
+        cfg = HaarConfig(samples=100, seed=9, N=2)
         f = lambda u: left_mult(sp, u, 0)
         one = haar_average_mc(f, cfg).mean.matrix
         two = haar_average_mc(f, cfg).mean.matrix
@@ -191,8 +191,6 @@ class TestHaarAverageMC:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             HaarConfig(samples=0, seed=1, N=2)
-        with pytest.raises(ValueError):
-            HaarConfig(samples=1, seed=1, N=2, workers=0)
 
 
 class TestPairAverageExact:

@@ -2,11 +2,16 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
+import duallab
 from duallab import cli
 from duallab.experiments import (
     EXPERIMENTS,
@@ -150,6 +155,7 @@ class TestConfigAndReport:
             10,
         )
         validate_record(rec)
+        assert set(rep.body()["config"]) == {"experiment", "N", "p", "q", "seed", "samples"}
 
     def test_passed_aggregates(self):
         cfg = ExperimentConfig(experiment="e")
@@ -231,6 +237,17 @@ class TestRunExperiment:
         assert header.split(",")[0] == "lam"
 
 
+def _without_durations(path: Path) -> bytes:
+    data = path.read_bytes()
+    if path.suffix != ".json":
+        return data
+    body = json.loads(data)
+    body.pop("duration_s", None)
+    for row in body.get("experiments", ()):
+        row.pop("duration_s", None)
+    return json.dumps(body, sort_keys=True, indent=2).encode()
+
+
 class TestCli:
     def test_list(self, capsys):
         assert cli.main(["list"]) == 0
@@ -279,14 +296,21 @@ class TestCli:
         assert not (tmp_path / "ignored").exists()
 
     def test_run_all_smoke(self, tmp_path, capsys):
-        code = cli.main(["run-all", "--suite", "smoke", "--out", str(tmp_path)])
+        one, two = tmp_path / "one", tmp_path / "two"
+        code = cli.main(["run-all", "--suite", "smoke", "--out", str(one)])
         assert code == 0
-        summary = json.loads((tmp_path / "summary.json").read_text())
+        summary = json.loads((one / "summary.json").read_text())
         assert summary["passed"] is True
         assert [row["experiment"] for row in summary["experiments"]] == EXPECTED_NAMES
         out = capsys.readouterr().out
         lines = [out.index(f"{name}: PASS") for name in EXPECTED_NAMES]
         assert lines == sorted(lines)
+        # determinism contract: a second run writes the same files, byte
+        # for byte once the wall-clock durations are removed
+        assert cli.main(["run-all", "--suite", "smoke", "--out", str(two)]) == 0
+        assert sorted(p.name for p in one.iterdir()) == sorted(p.name for p in two.iterdir())
+        for path in one.iterdir():
+            assert _without_durations(path) == _without_durations(two / path.name), path.name
 
     def test_run_all_contains_a_failure(self, tmp_path, monkeypatch, capsys):
         def boom(cfg, rng, out_dir):
@@ -316,3 +340,14 @@ class TestCli:
                 assert rows[name]["passed"] is True
                 assert (tmp_path / f"{name}.report.json").exists()
         assert f"{failing}: ERROR (RuntimeError: boom)" in capsys.readouterr().out
+
+
+def test_import_leaves_jsonschema_unloaded():
+    # jsonschema is loaded only when the first record is validated
+    src = Path(duallab.__file__).resolve().parents[1]
+    code = "import sys, duallab; print('jsonschema' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": str(src)},
+    ).stdout
+    assert out.strip() == "False"
