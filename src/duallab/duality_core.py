@@ -174,33 +174,34 @@ def haar_average_mc(f, config: HaarConfig) -> MCAverage:
 
     The sample budget is split across ``MC_STREAMS`` independent child
     seed streams; the reduction is a sum in stream order, so the result
-    is reproducible for a fixed seed.
+    is reproducible for a fixed seed.  The sums accumulate in place, so
+    past the first sample a sample allocates only its dense matrix.
     """
     streams = np.random.SeedSequence(config.seed).spawn(MC_STREAMS)
     base, extra = divmod(config.samples, MC_STREAMS)
     counts = [base + (1 if w < extra else 0) for w in range(MC_STREAMS)]
     total = None
-    totalsq = None
-    space = None
     for stream, count in zip(streams, counts):
         rng = np.random.default_rng(stream)
         for _ in range(count):
             u = haar_unitary(config.N, rng)
             dense = f(u).to_dense()
             if total is None:
-                space = dense.space
                 total = np.zeros_like(dense.matrix)
                 totalsq = np.zeros(dense.matrix.shape)
+                buf = np.empty(dense.matrix.shape)
             total += dense.matrix
-            totalsq += np.abs(dense.matrix) ** 2
+            totalsq += np.square(np.abs(dense.matrix, out=buf), out=buf)
     n = config.samples
-    mean = total / n
+    mean = np.divide(total, n, out=total)
     if n > 1:
-        entry_var = np.maximum(totalsq - n * np.abs(mean) ** 2, 0.0) / (n - 1)
+        # entry variances max(totalsq - n |mean|^2, 0) / (n - 1), in totalsq
+        totalsq -= np.multiply(np.square(np.abs(mean, out=buf), out=buf), n, out=buf)
+        entry_var = np.divide(np.maximum(totalsq, 0.0, out=totalsq), n - 1, out=totalsq)
         stderr = float(np.sqrt(entry_var.sum() / n))
     else:
         stderr = float("inf")
-    return MCAverage(DenseOperator(space, mean), n, config.seed, stderr)
+    return MCAverage(DenseOperator(dense.space, mean), n, config.seed, stderr)
 
 
 def _block_units(N: int, block_dim: int) -> list[list[np.ndarray]]:

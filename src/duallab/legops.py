@@ -37,8 +37,9 @@ Cost model, for groups of T terms with L carried legs:
   fixed by that permutation costs one (T_g x N^2)(N^2 x T_h) product,
   and X* X is never formed;
 - apply costs two batched matmuls per carried leg, O(T L N^(2m+1)), and
-  to_dense one GEMM over the terms, O(T N^(4m)); each then permutes the
-  axes of its group's result once.
+  one axis permutation per group; to_dense one batched matmul per
+  group, O(T N^(4m)), written into the output through a row-permuted
+  view: one d x d allocation for one group, one more per later group.
 
 Traces are evaluated exactly through the cycle factorization of the
 permutation part, norms by power iteration on the matrix-free apply.
@@ -544,25 +545,19 @@ def _row_gather(inv: tuple[int, ...], N: int) -> np.ndarray:
     return idx
 
 
-def _dense_group(g: _Group, N: int, m: int) -> np.ndarray:
-    """sum_t c_t (x) over legs of kron(A_tk, B_tk^T), as a tensor with
-    axes (row of leg k, column of leg k) for k in the order returned."""
+def _kron_legs(g: _Group, legs, N: int, start: np.ndarray) -> np.ndarray:
+    """start_t times the Kronecker product over ``legs`` of kron(A_tk,
+    B_tk^T), the identity on a leg no term carries: (rows, cols, T),
+    rows and columns each flattened over ``legs`` in order."""
     n2 = N * N
-    T, L = g.A.shape[:2]
-    # kron(A, B^T)[(a, c), (b, d)] = A[a, b] B[d, c], flattened row-major
-    F = np.einsum("tlab,tldc->tlacbd", g.A, g.B).reshape(T, L, n2 * n2)
-    half = (L + 1) // 2
-    left = g.coeffs[:, None]
-    for li in range(half):
-        left = (left[:, :, None] * F[:, li, None, :]).reshape(T, -1)
-    right = np.ones((T, 1), dtype=np.complex128)
-    for li in range(half, L):
-        right = (right[:, :, None] * F[:, li, None, :]).reshape(T, -1)
-    S = (left.T @ right).reshape((n2,) * (2 * L))
-    eye = np.eye(n2)
-    for _ in range(m - L):
-        S = np.multiply.outer(S, eye)
-    return S, list(g.legs) + [k for k in range(m) if k not in g.legs]
+    pos = {k: i for i, k in enumerate(g.legs)}
+    out = start.reshape(1, 1, -1)
+    for k in legs:
+        # kron(A, B^T)[(a, c), (b, d)] = A[a, b] B[d, c]
+        F = (np.einsum("tab,tdc->acbdt", g.A[:, pos[k]], g.B[:, pos[k]]).reshape(n2, n2, -1)
+             if k in pos else np.eye(n2)[:, :, None])
+        out = (out[:, None, :, None] * F[None, :, None]).reshape(out.shape[0] * n2, -1, len(start))
+    return out
 
 
 class StructuredOperator:
@@ -829,23 +824,30 @@ class StructuredOperator:
         """Explicit matrix; guarded by ``DENSE_CAP``."""
         space = self.space
         if space.dim > DENSE_CAP:
-            raise CapExceededError(
-                f"dense dimension {space.dim} exceeds cap {DENSE_CAP}"
-            )
+            raise CapExceededError(f"dense dimension {space.dim} exceeds cap {DENSE_CAP}")
         N, m, d = space.N, space.m, space.dim
-        mat = np.zeros((d, d), dtype=np.complex128)
-        view = mat.reshape((N * N,) * (2 * m))
-        for g in self._groups:
-            inv = _invert(g.sigma)
+        n2, h = N * N, (m + 1) // 2
+        cols = (n2**h, n2 ** (m - h))
+        # carried groups first (sorted is stable): the first one writes
+        # every entry, every later group accumulates
+        groups = sorted(self._groups, key=lambda g: not g.legs)
+        mat = (np.empty if groups and groups[0].legs else np.zeros)((d, d), dtype=np.complex128)
+        for i, g in enumerate(groups):
             if not g.legs:
-                mat[np.arange(d), _row_gather(inv, N)] += g.coeffs[0]
+                mat[np.arange(d), _row_gather(_invert(g.sigma), N)] += g.coeffs[0]
                 continue
-            S, order = _dense_group(g, N, m)
-            pos = {k: i for i, k in enumerate(order)}
-            # row of output leg k is the row of input leg sigma^-1(k)
-            view += S.transpose(
-                [2 * pos[inv[k]] for k in range(m)] + [2 * pos[k] + 1 for k in range(m)]
-            )
+            # one matmul batched over the row of every leg: (cols of the
+            # legs below h, terms) times (terms, cols of the others)
+            x = _kron_legs(g, range(h), N, g.coeffs)
+            x = x.reshape((n2,) * h + (1,) * (m - h) + (cols[0], -1))
+            y = _kron_legs(g, range(h, m), N, np.ones(len(g.coeffs)))
+            y = y.reshape((n2,) * (m - h) + (cols[1], -1)).swapaxes(-1, -2)
+            # row of output leg sigma(k) is the row of input leg k
+            view = mat.reshape((n2,) * m + cols).transpose([*g.sigma, m, m + 1])
+            if i == 0:
+                np.matmul(x, y, out=view)
+            else:
+                view += np.matmul(x, y)
         return DenseOperator(space, mat)
 
     def operator_norm(self) -> float:
@@ -958,12 +960,18 @@ class DenseOperator:
 
 
 def _one_leg(space: ModelSpace, k: int, A: np.ndarray, B: np.ndarray) -> StructuredOperator:
+    """The single term x_k -> A x_k B, built as its canonical group: a
+    zero factor gives the zero operator, identity factors the identity."""
     space.check_leg(k)
     N = space.N
     A, B = _sanitize(A, N), _sanitize(B, N)
+    if not (A.any() and B.any()):
+        return StructuredOperator.zero(space)
+    if np.array_equal(A, np.eye(N)) and np.array_equal(B, np.eye(N)):
+        return StructuredOperator.identity(space)
     return StructuredOperator._from_raw(space, [_Group(
         tuple(range(space.m)), np.ones(1, dtype=np.complex128), (k,),
-        A.reshape(1, 1, N, N), B.reshape(1, 1, N, N),
+        A.reshape(1, 1, N, N), B.reshape(1, 1, N, N), merged=True,
     )])
 
 

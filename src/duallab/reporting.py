@@ -42,11 +42,11 @@ REPORT_RECORD_SCHEMA = {
     "type": "object",
     "properties": {
         "experiment": {"type": "string", "minLength": 1},
-        "N": {"type": "integer", "minimum": 2},
-        "p": {"type": "integer", "minimum": 0},
-        "q": {"type": "integer", "minimum": 0},
+        "N": {"type": ["integer", "null"], "minimum": 2},
+        "p": {"type": ["integer", "null"], "minimum": 0},
+        "q": {"type": ["integer", "null"], "minimum": 0},
         "seed": {"type": "integer", "minimum": 0},
-        "samples": {"type": "integer", "minimum": 0},
+        "samples": {"type": ["integer", "null"], "minimum": 0},
         "check": {"type": "string", "minLength": 1},
         "measured": {"type": ["number", "string", "boolean"]},
         "predicted": {"type": ["number", "string", "boolean", "null"]},
@@ -207,21 +207,11 @@ class ExperimentReport:
         return json.dumps(self.body(), sort_keys=True, separators=(",", ":"))
 
     def records(self) -> list[dict]:
-        """One schema-valid JSONL record per check."""
-        base = {
-            "experiment": self.config.experiment,
-            "N": int(self.config.N if self.config.N is not None else 2),
-            "p": int(self.config.p if self.config.p is not None else 0),
-            "q": int(self.config.q if self.config.q is not None else 0),
-            "seed": int(self.config.seed),
-            "samples": int(self.config.samples or 0),
-        }
-        out = []
-        for c in self.checks:
-            rec = dict(base)
-            rec.update(c.to_record())
+        """One schema-valid JSONL record per check: the config echo, with
+        None for a field the experiment does not use, then the check."""
+        out = [{**asdict(self.config), **c.to_record()} for c in self.checks]
+        for rec in out:
             validate_record(rec)
-            out.append(rec)
         return out
 
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from duallab.duality_core import (
+    MC_STREAMS,
     HaarConfig,
     SubfactorTower,
     conditional_expectation,
@@ -166,7 +167,56 @@ class TestHaarUnitary:
         assert np.abs(mean).max() < 0.05
 
 
+def reference_haar_average_mc(f, config):
+    """The accumulation haar_average_mc replaced: fresh arrays for the
+    sums and for every |sample|^2, and an out-of-place mean and variance."""
+    streams = np.random.SeedSequence(config.seed).spawn(MC_STREAMS)
+    base, extra = divmod(config.samples, MC_STREAMS)
+    counts = [base + (1 if w < extra else 0) for w in range(MC_STREAMS)]
+    total = totalsq = None
+    for stream, count in zip(streams, counts):
+        rng = np.random.default_rng(stream)
+        for _ in range(count):
+            dense = f(haar_unitary(config.N, rng)).to_dense().matrix
+            if total is None:
+                total = np.zeros_like(dense)
+                totalsq = np.zeros(dense.shape)
+            total += dense
+            totalsq += np.abs(dense) ** 2
+    n = config.samples
+    mean = total / n
+    if n == 1:
+        return mean, float("inf")
+    entry_var = np.maximum(totalsq - n * np.abs(mean) ** 2, 0.0) / (n - 1)
+    return mean, float(np.sqrt(entry_var.sum() / n))
+
+
+def mc_integrand(kind, space, a):
+    if kind == "product":
+        return lambda u: t_mixed(space, a @ u.conj().T) @ t_mixed(space, u)
+    second = left_mult if kind == "ll" else right_mult
+    return lambda u: left_mult(space, u.conj().T, 0) @ second(space, u, 1)
+
+
 class TestHaarAverageMC:
+    @pytest.mark.parametrize("N", [3, 4])
+    @pytest.mark.parametrize("kind", ["product", "ll", "lr"])
+    @pytest.mark.parametrize("samples", [1, 23])
+    def test_matches_reference_loop(self, kind, N, samples):
+        sp = ModelSpace(N, 1, 1)
+        # its own generator: the module RNG stream of later tests is unchanged
+        f = mc_integrand(kind, sp, rand_herm(N, np.random.default_rng(N)))
+        cfg = HaarConfig(samples=samples, seed=1009, N=N)
+        mc = haar_average_mc(f, cfg)
+        mean, stderr = reference_haar_average_mc(f, cfg)
+        assert mc.samples == samples and mc.seed == 1009
+        scale = np.abs(mean).max()
+        assert np.abs(mc.mean.matrix - mean).max() <= 1e-15 * scale
+        if samples == 1:
+            assert mc.stderr == stderr == float("inf")
+        else:
+            assert abs(mc.stderr - stderr) <= 1e-12 * stderr
+
     def test_matches_scalar_average(self):
         # int u a u* du = tr(a)/N on one leg
         N = 2

@@ -2,11 +2,13 @@
 
 The oracle materializes a term by acting on every standard basis
 vector with plain reshape-and-matmul steps, so it shares neither the
-grouped GEMM of ``to_dense`` nor the batched matmuls of ``apply``.
+batched per-group matmul of ``to_dense`` nor the batched matmuls of
+``apply``.
 The canonical form is checked against ``greedy_merge``, the pairwise
 merge the grouped engine replaced.
 """
 
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -24,6 +26,8 @@ from duallab.legops import (
     OperatorTerm,
     SpaceMismatchError,
     StructuredOperator,
+    _Group,
+    _merge,
     identity_factor,
     left_mult,
     load_dense,
@@ -704,3 +708,111 @@ class TestGroupedEngine:
             StructuredOperator.sum([])
         with pytest.raises(SpaceMismatchError):
             StructuredOperator.sum([rand_op(sp)], ModelSpace(2, 2, 0))
+
+
+def term(space, coefficient, sigma, carried, rng=RNG):
+    """A term with random factors on the legs in ``carried``, the
+    identity elsewhere."""
+    N = space.N
+    factors = tuple(
+        LegFactor(rand_mat(N, rng), rand_mat(N, rng)) if k in carried else identity_factor(N)
+        for k in range(space.m)
+    )
+    return OperatorTerm(coefficient, factors, sigma)
+
+
+# (space, terms as (coefficient, sigma, carried legs)), oracle-sized
+TO_DENSE_CASES = {
+    # one carried group whose permutation sorts after two pure ones,
+    # with a third pure one after it
+    "pure_sorts_before_carried": (ModelSpace(2, 2, 1), [
+        (0.5, (0, 1, 2), ()), (-1.5j, (0, 2, 1), ()), (2.0, (1, 0, 2), (0, 2)),
+        (1.0 - 1j, (1, 0, 2), (1,)), (0.25, (2, 1, 0), ()),
+    ]),
+    # leg 1 is the identity in every term of the carried group
+    "identity_leg": (ModelSpace(3, 1, 1), [(1.0, (0, 1), (0,)), (2.0 + 1j, (0, 1), (0,))]),
+    "all_legs_identity_but_one": (ModelSpace(2, 2, 2), [(1.0j, (3, 0, 1, 2), (2,))]),
+    "sigma_not_id_m3": (ModelSpace(2, 1, 2), [(1.0, (2, 0, 1), (0, 1, 2)), (-0.5, (2, 0, 1), (1,))]),
+    "several_groups_m4": (ModelSpace(2, 2, 2), [
+        (1.0, (1, 0, 2, 3), (0, 3)), (0.5j, (0, 1, 3, 2), (0, 1, 2, 3)),
+        (-2.0, (3, 2, 1, 0), (1, 2)), (1.5, (0, 1, 2, 3), ()), (0.75, (2, 3, 0, 1), ()),
+    ]),
+    "one_leg": (ModelSpace(3, 1, 0), [(2.0, (0,), (0,)), (-1.0, (0,), ())]),
+}
+
+
+class TestToDense:
+    @pytest.mark.parametrize("case", sorted(TO_DENSE_CASES))
+    def test_matches_oracle(self, case):
+        space, spec = TO_DENSE_CASES[case]
+        op = StructuredOperator(space, [term(space, c, s, legs) for c, s, legs in spec])
+        assert len({t.sigma for t in op.terms}) == len({s for _, s, _ in spec})
+        assert_dense_close(op.to_dense().matrix, oracle_dense(op))
+
+    def test_zero_and_pure_permutations(self):
+        sp = ModelSpace(2, 2, 1)
+        assert not StructuredOperator.zero(sp).to_dense().matrix.any()
+        op = permutation_op(sp, (1, 2, 0)) * 2.0 + permutation_op(sp, (0, 1, 2))
+        np.testing.assert_array_equal(op.to_dense().matrix, oracle_dense(op))
+
+    def test_single_group_allocates_only_its_result(self):
+        # d = 256; a GEMM temporary beside a zeroed output traces
+        # 2.13 d^2 complex entries
+        sp = ModelSpace(4, 1, 1)
+        # one group of four terms, the shape of the Monte Carlo product integrand
+        a, b = rand_mat(4), rand_mat(4)
+        op = (left_mult(sp, a, 0) - right_mult(sp, a, 1)) @ (left_mult(sp, b, 0) - right_mult(sp, b, 1))
+        assert len(op._groups) == 1
+        op.to_dense()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            op.to_dense()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * sp.dim**2 * 16
+
+
+def negative_zeros(n, diagonal):
+    """Diagonal matrix whose off-diagonal entries are -0.0 - 0.0j."""
+    a = np.full((n, n), complex(-0.0, -0.0))
+    np.fill_diagonal(a, diagonal)
+    return a
+
+
+class TestOneLeg:
+    """left_mult/right_mult build their term as a canonical group; it
+    must equal what the merge makes of the raw one-term group."""
+
+    N = 3
+    MATRICES = {
+        "generic": lambda n: rand_mat(n),
+        "zero": lambda n: np.zeros((n, n)),
+        "identity": lambda n: np.eye(n),
+        "identity_with_negative_zeros": lambda n: negative_zeros(n, 1.0),
+        "negative_zeros": lambda n: negative_zeros(n, 2.0),
+    }
+
+    @pytest.mark.parametrize("case", sorted(MATRICES))
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_group_equals_merge(self, case, side, k):
+        N = self.N
+        sp = ModelSpace(N, 1, 1)
+        a, eye = self.MATRICES[case](N), np.eye(N)
+        A, B = (a, eye) if side == "left" else (eye, a)
+        op = (left_mult if side == "left" else right_mult)(sp, a, k)
+        raw = _Group(
+            (0, 1), np.ones(1, dtype=np.complex128), (k,),
+            np.asarray(A, np.complex128).reshape(1, 1, N, N),
+            np.asarray(B, np.complex128).reshape(1, 1, N, N),
+        )
+        want = _merge(raw, N)
+        if want is None:
+            assert op._groups == ()
+            return
+        (got,) = op._groups
+        assert (got.sigma, got.legs, got.merged) == (want.sigma, want.legs, want.merged)
+        for x, y in ((got.coeffs, want.coeffs), (got.A, want.A), (got.B, want.B)):
+            assert x.shape == y.shape and x.tobytes() == y.tobytes()

@@ -157,6 +157,20 @@ class TestConfigAndReport:
         validate_record(rec)
         assert set(rep.body()["config"]) == {"experiment", "N", "p", "q", "seed", "samples"}
 
+    @pytest.mark.parametrize("name", ["trace-table", "spectral-binning"])
+    def test_records_echo_config_unchanged(self, name):
+        # these experiments leave N or samples (spectral-binning also p
+        # and q) None; a record must say None too, not invent a value
+        (cfg,) = [c for c in suite_configs("smoke", seed=1) if c.experiment == name]
+        rep = run_experiment(cfg)
+        echo = rep.body()["config"]
+        assert None in echo.values()
+        records = rep.records()
+        assert records
+        for rec in records:
+            assert {key: rec[key] for key in echo} == echo
+            validate_record(rec)
+
     def test_passed_aggregates(self):
         cfg = ExperimentConfig(experiment="e")
         good = exact_check("a", 1, 1)
