@@ -24,9 +24,11 @@ algebra itself runs on the arrays.
 
 Cost model, for groups of T terms with L carried legs:
 
-- merging sorts each group once by its factor bytes, O(T log T), and
-  compares factors entrywise only for terms whose fixed 1-D projections
-  lie within the merge tolerance of each other;
+- merging a group of at most FEW_TERMS terms sorts Python byte keys
+  and compares every pair of terms entrywise, O(T^2 L N^2) in a handful
+  of numpy calls; a larger group is sorted once by its factor bytes,
+  O(T log T), and factors are compared entrywise only for terms whose
+  fixed 1-D projections lie within the merge tolerance of each other;
 - compose is one batched matmul per pair of groups and carried leg,
   O(T_x T_y L N^3); products of pure permutations are index arithmetic
   over all pairs at once;
@@ -50,6 +52,7 @@ downstream.
 from __future__ import annotations
 
 import bisect
+import cmath
 import json
 import math
 from dataclasses import dataclass, field
@@ -71,6 +74,13 @@ MERGE_TOL = 1e-14
 # 1e-12 absorbs that with a wide margin, while factors that differ by
 # 1e-6 stay apart.
 FACTOR_MERGE_TOL = 1e-12
+# Largest group _merge canonicalizes pairwise.  Up to here one T x T
+# closeness array and a Python sort of byte keys cost less than the
+# signature sort and the projection window, whose fixed cost is a few
+# dozen numpy calls; past it the pairwise array grows as T^2, and the
+# sums of exact-residual reach hundreds of terms.  Measured crossover:
+# 12 to 16 terms at N = 2..4, about 8 at N = 8.
+FEW_TERMS = 8
 # Largest model dimension N^(2m) that to_dense and the dense solvers in
 # algebra_tools and crossed materialize: one 4096 x 4096 complex matrix
 # takes 256 MiB, so the few such matrices a solver holds at once still
@@ -156,6 +166,22 @@ def _sanitize(a: np.ndarray, N: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
+def _eye(N: int) -> np.ndarray:
+    """Shared read-only N x N complex identity."""
+    eye = np.eye(N, dtype=np.complex128)
+    eye.setflags(write=False)
+    return eye
+
+
+@lru_cache(maxsize=32)
+def _eye_pair(N: int) -> np.ndarray:
+    """The identity sandwich flattened: the entries of A = 1 then B = 1."""
+    pair = np.concatenate((_eye(N).reshape(-1), _eye(N).reshape(-1)))
+    pair.setflags(write=False)
+    return pair
+
+
+@lru_cache(maxsize=32)
 def identity_factor(N: int) -> "LegFactor":
     """Shared identity sandwich for leg size N."""
     return LegFactor(np.eye(N), np.eye(N))
@@ -173,7 +199,7 @@ class LegFactor:
         N = np.asarray(self.A).shape[0]
         object.__setattr__(self, "A", _sanitize(self.A, N))
         object.__setattr__(self, "B", _sanitize(self.B, N))
-        eye = np.eye(N)
+        eye = _eye(N)
         object.__setattr__(
             self,
             "is_identity",
@@ -270,6 +296,8 @@ def _groups_from_terms(space: ModelSpace, terms) -> list[_Group]:
         A = np.array([[t.factors[k].A for k in legs] for t in ts], np.complex128).reshape(shape)
         B = np.array([[t.factors[k].B for k in legs] for t in ts], np.complex128).reshape(shape)
         coeffs = np.array([t.coefficient for t in ts], dtype=np.complex128)
+        if not np.isfinite(coeffs).all():
+            raise NumericError(f"non-finite coefficient among {coeffs.tolist()}")
         raw.append(_Group(sigma, coeffs, legs, A, B))
     return raw
 
@@ -282,17 +310,21 @@ def _concat(parts: list[_Group], N: int) -> _Group:
     T = sum(len(p.coeffs) for p in parts)
     A = np.empty((T, len(legs), N, N), dtype=np.complex128)
     B = np.empty_like(A)
-    A[...] = B[...] = np.eye(N)
+    A[...] = B[...] = _eye(N)
     off = 0
     for p in parts:
+        n = len(p.coeffs)
         cols = [legs.index(k) for k in p.legs]
-        A[off:off + len(p.coeffs), cols] = p.A
-        B[off:off + len(p.coeffs), cols] = p.B
-        off += len(p.coeffs)
+        if cols:
+            if cols[-1] - cols[0] == len(cols) - 1:
+                cols = slice(cols[0], cols[-1] + 1)  # a slice assigns in half the time of a list
+            A[off:off + n, cols] = p.A
+            B[off:off + n, cols] = p.B
+        off += n
     return _Group(parts[0].sigma, np.concatenate([p.coeffs for p in parts]), legs, A, B)
 
 
-def _signature_sort(A: np.ndarray, B: np.ndarray, ident: np.ndarray):
+def _signature_sort(x: np.ndarray, ident: np.ndarray):
     """Exact merge keys: (index of the first term of each distinct
     signature, in sorted-signature order; class of every term).
 
@@ -302,8 +334,8 @@ def _signature_sort(A: np.ndarray, B: np.ndarray, ident: np.ndarray):
     is that order: byte 0 of the factor bytes, then 1 (0 for identity,
     whose byte 0 is "I"), then the remaining bytes (zeros for identity).
     """
-    T, L = A.shape[:2]
-    raw = np.concatenate((A.reshape(T, L, -1), B.reshape(T, L, -1)), axis=2).view(np.uint8)
+    T, L = x.shape[:2]
+    raw = x.view(np.uint8)
     key = np.empty((T, L, raw.shape[2] + 1), dtype=np.uint8)
     key[:, :, 0] = raw[:, :, 0]
     key[:, :, 1] = 1
@@ -326,7 +358,7 @@ def _projection_weights(n: int) -> np.ndarray:
     return 1.0 + (np.arange(n) * 0.6180339887498949) % 1.0
 
 
-def _fuzzy_merge(c: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+def _fuzzy_merge(c: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Fold float twins onto the first close term before them, in place.
 
     The terms are in sorted-signature order.  Each term t merges into
@@ -338,16 +370,15 @@ def _fuzzy_merge(c: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     are visited, and each visits only the survivors inside its own.
     Returns the mask of surviving terms.
     """
-    T, L = A.shape[:2]
+    T, L = x.shape[:2]
     alive = np.ones(T, dtype=bool)
-    scale = np.maximum(np.abs(A).max(axis=(2, 3)), np.abs(B).max(axis=(2, 3)))
-    tol = FACTOR_MERGE_TOL * (1.0 + scale)  # (T, L)
-    x = np.concatenate((A.reshape(T, L, -1), B.reshape(T, L, -1)), axis=2).view(np.float64)
-    w = _projection_weights(x.shape[2])
-    proj = (x @ w).sum(axis=1)
-    mag = (np.abs(x) @ w).sum(axis=1)
+    tol = FACTOR_MERGE_TOL * (1.0 + np.abs(x).max(axis=2))  # (T, L)
+    xf = x.view(np.float64)
+    w = _projection_weights(xf.shape[2])
+    proj = (xf @ w).sum(axis=1)
+    mag = (np.abs(xf) @ w).sum(axis=1)
     # |p_t - p_r| <= sum over legs of tol * sum(w), plus the rounding of both sums
-    slack = 2.0 * L * x.shape[2] * np.finfo(float).eps * (mag + mag.max())
+    slack = 2.0 * L * xf.shape[2] * np.finfo(float).eps * (mag + mag.max())
     win = tol.sum(axis=1) * w.sum() + slack
     ps = np.sort(proj)
     reach = win.max()
@@ -362,10 +393,7 @@ def _fuzzy_merge(c: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         hi = bisect.bisect_right(rep_p, plist[t] + wlist[t])
         if lo < hi:
             cand = np.sort(rep_i[lo:hi])
-            close = (
-                (np.abs(A[cand] - A[t]).max(axis=(2, 3)) <= tol[t])
-                & (np.abs(B[cand] - B[t]).max(axis=(2, 3)) <= tol[t])
-            ).all(axis=1)
+            close = (np.abs(x[cand] - x[t]).max(axis=2) <= tol[t]).all(axis=1)
             if close.any():
                 c[cand[close.argmax()]] += c[t]
                 alive[t] = False
@@ -376,46 +404,93 @@ def _fuzzy_merge(c: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return alive
 
 
+def _merge_windowed(c: np.ndarray, x: np.ndarray, ident: np.ndarray):
+    """Exact merge and float twins of many terms: the signature sort,
+    then the projection window of ``_fuzzy_merge``.  Returns the merged
+    (c, x, ident) in signature order and the mask of survivors."""
+    first, inverse = _signature_sort(x, ident)
+    merged = np.zeros(len(first), dtype=np.complex128)
+    np.add.at(merged, inverse, c)
+    x = x[first]
+    return merged, x, ident[first], _fuzzy_merge(merged, x)
+
+
+def _merge_few(c: np.ndarray, x: np.ndarray, ident: np.ndarray):
+    """``_merge_windowed`` for a few terms, without sort or window.
+
+    A leg's key is b"I" for an identity factor, else its A then B bytes:
+    the order ``_signature_sort`` encodes.  A dict of keys gives the
+    exact merge, summing in term order from zero as ``np.add.at`` does;
+    one T x T array of entrywise distances, held against the later
+    term's tolerance, gives the float twins by ``_fuzzy_merge``'s rule.
+    """
+    first: dict[tuple, int] = {}
+    sums: dict[tuple, complex] = {}
+    for t, (coeff, flags, row) in enumerate(zip(c.tolist(), ident.tolist(), x)):
+        key = tuple(b"I" if i else f.tobytes() for i, f in zip(flags, row))
+        if key in first:
+            sums[key] += coeff
+        else:
+            first[key] = t
+            sums[key] = 0j + coeff
+    keys = sorted(first)
+    rows = [first[k] for k in keys]
+    c, x = [sums[k] for k in keys], x[rows]
+    alive = [True] * len(c)
+    if len(c) > 1:
+        tol = FACTOR_MERGE_TOL * (1.0 + np.abs(x).max(axis=2))  # (T, L)
+        # close[r][t]: on every leg, r's entries within t's tolerance of t's
+        close = (np.abs(x[:, None] - x[None]).max(axis=3) <= tol).all(axis=2).tolist()
+        for t in range(1, len(c)):
+            r = next((r for r in range(t) if alive[r] and close[r][t]), None)
+            if r is not None:
+                c[r] += c[t]
+                alive[t] = False
+    return np.array(c, dtype=np.complex128), x, ident[rows], np.array(alive)
+
+
 def _merge(g: _Group, N: int) -> _Group | None:
     """Canonical form of one permutation's raw terms, or None if empty.
 
     Drops terms with an exactly zero factor, merges equal signatures
     (summing in term order), sorts by signature, folds float twins,
     drops coefficients below MERGE_TOL and flags the legs that are the
-    identity in every remaining term.
+    identity in every remaining term.  Up to FEW_TERMS terms merge by
+    ``_merge_few``, more by ``_merge_windowed``; both give the same
+    group, bit for bit.
     """
-    c, A, B = g.coeffs, g.A, g.B
     if not g.legs:
-        total = np.add.accumulate(c)[-1:]
+        total = np.add.accumulate(g.coeffs)[-1:]
         if abs(total[0]) < MERGE_TOL:
             return None
         return _pure(g.sigma, total, N)._replace(merged=True)
-    # + 0j turns -0.0 into 0.0, as LegFactor does, so equal factors have equal bytes
-    A, B = A + 0j, B + 0j
-    live = (A.any(axis=(2, 3)) & B.any(axis=(2, 3))).all(axis=1)
-    if not live.all():
-        c, A, B = c[live], A[live], B[live]
-    if not len(c):
-        return None
-    eye = np.eye(N)
-    ident = (A == eye).all(axis=(2, 3)) & (B == eye).all(axis=(2, 3))
-    if len(c) > 1:
-        first, inverse = _signature_sort(A, B, ident)
-        merged = np.zeros(len(first), dtype=np.complex128)
-        np.add.at(merged, inverse, c)
-        c, A, B, ident = merged, A[first], B[first], ident[first]
-        keep = _fuzzy_merge(c, A, B) & (np.abs(c) >= MERGE_TOL)
-    else:
-        keep = np.abs(c) >= MERGE_TOL
-    if not keep.all():
-        if not keep.any():
+    T, L, n2 = len(g.coeffs), len(g.legs), N * N
+    # the A then the B entries of each leg; + 0j turns -0.0 into 0.0, as
+    # LegFactor does, so equal factors have equal bytes
+    x = np.concatenate((g.A.reshape(T, L, n2), g.B.reshape(T, L, n2)), axis=2)
+    x += 0j
+    c = g.coeffs
+    live = x.reshape(T, 2 * L, n2).any(axis=2).all(axis=1).tolist()
+    if not all(live):
+        if not any(live):
             return None
-        c, A, B, ident = c[keep], A[keep], B[keep], ident[keep]
-    carried = ~ident.all(axis=0)
-    if not carried.all():
-        A, B = A[:, carried], B[:, carried]
+        c, x = c[live], x[live]
+    ident = (x == _eye_pair(N)).all(axis=2)  # (T, L)
+    if len(c) > 1:
+        c, x, ident, alive = (_merge_few if len(c) <= FEW_TERMS else _merge_windowed)(c, x, ident)
+        keep = (alive & (np.abs(c) >= MERGE_TOL)).tolist()
+    else:
+        keep = (np.abs(c) >= MERGE_TOL).tolist()
+    if not all(keep):
+        if not any(keep):
+            return None
+        c, x, ident = c[keep], x[keep], ident[keep]
+    carried = (~ident.all(axis=0)).tolist()
+    if not all(carried):
+        x = x[:, carried]
     legs = tuple(k for k, flag in zip(g.legs, carried) if flag)
-    return _Group(g.sigma, c, legs, A, B, merged=True)
+    x = x.reshape(len(c), len(legs), 2, N, N)
+    return _Group(g.sigma, c, legs, x[:, :, 0], x[:, :, 1], merged=True)
 
 
 def _canonical(space: ModelSpace, raw: Iterable[_Group]) -> tuple[_Group, ...]:
@@ -583,9 +658,13 @@ class StructuredOperator:
 
     @classmethod
     def _from_raw(cls, space: ModelSpace, raw: Iterable[_Group]) -> "StructuredOperator":
+        return cls._from_canonical(space, _canonical(space, raw))
+
+    @classmethod
+    def _from_canonical(cls, space: ModelSpace, groups: tuple[_Group, ...]) -> "StructuredOperator":
         op = cls.__new__(cls)
         op.space = space
-        op._groups = _canonical(space, raw)
+        op._groups = groups
         op._terms = None
         return op
 
@@ -629,6 +708,8 @@ class StructuredOperator:
         for op in ops:
             if op.space != space:
                 raise SpaceMismatchError(f"{space} vs {op.space}")
+        if len(ops) == 1:
+            return ops[0]
         return cls._from_raw(space, [g for op in ops for g in op._groups])
 
     # -- linear structure ---------------------------------------------
@@ -648,11 +729,17 @@ class StructuredOperator:
         return self.scale(-1.0)
 
     def scale(self, c: complex) -> "StructuredOperator":
+        """c times the operator; a non-finite c raises :class:`NumericError`
+        instead of vanishing in the merge."""
+        if not cmath.isfinite(c):
+            raise NumericError(f"non-finite scale factor {c!r}")
         raw = []
         for g in self._groups:
             coeffs = c * g.coeffs
             # a group stays canonical unless a coefficient falls below MERGE_TOL
             raw.append(g._replace(coeffs=coeffs, merged=bool(np.all(np.abs(coeffs) >= MERGE_TOL))))
+        if all(g.merged for g in raw):
+            return StructuredOperator._from_canonical(self.space, tuple(raw))
         return StructuredOperator._from_raw(self.space, raw)
 
     def __mul__(self, c: complex) -> "StructuredOperator":
@@ -683,10 +770,17 @@ class StructuredOperator:
             coeffs = np.multiply.outer(
                 np.array([X[i].coeffs[0] for i in px]), np.array([Y[j].coeffs[0] for j in py])
             ).reshape(-1)
-            uniq, inverse = np.unique(sigmas, axis=0, return_inverse=True)
-            inverse = inverse.reshape(-1)
-            for u, sigma in enumerate(map(tuple, uniq.tolist())):
-                raw.append(_pure(sigma, coeffs[inverse == u], N))
+            # one int64 per row, its digits in base m: integer order is the
+            # rows' lexicographic order; m^m overflows int64 from m = 16
+            if m < 16:
+                codes = sigmas @ m ** np.arange(m - 1, -1, -1)
+            else:
+                codes = np.unique(sigmas, axis=0, return_inverse=True)[1].reshape(-1)
+            order = np.argsort(codes, kind="stable")
+            ranked = codes[order]
+            starts = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))
+            for sigma, part in zip(sigmas[order[starts]].tolist(), np.split(coeffs[order], starts[1:])):
+                raw.append(_pure(tuple(sigma), part, N))
         for gx in X:
             xpos = {k: i for i, k in enumerate(gx.legs)}
             for gy in Y:
@@ -959,30 +1053,32 @@ class DenseOperator:
 # -- builders ----------------------------------------------------------
 
 
-def _one_leg(space: ModelSpace, k: int, A: np.ndarray, B: np.ndarray) -> StructuredOperator:
-    """The single term x_k -> A x_k B, built as its canonical group: a
-    zero factor gives the zero operator, identity factors the identity."""
+def _one_leg(space: ModelSpace, k: int, a: np.ndarray, left: bool) -> StructuredOperator:
+    """The single term x_k -> a x_k (``left``) or x_k a, built as its
+    canonical group: a zero ``a`` gives the zero operator, the identity
+    the identity."""
     space.check_leg(k)
     N = space.N
-    A, B = _sanitize(A, N), _sanitize(B, N)
-    if not (A.any() and B.any()):
+    a = _sanitize(a, N)
+    eye = _eye(N)
+    if not a.any():
         return StructuredOperator.zero(space)
-    if np.array_equal(A, np.eye(N)) and np.array_equal(B, np.eye(N)):
+    if (a == eye).all():
         return StructuredOperator.identity(space)
-    return StructuredOperator._from_raw(space, [_Group(
-        tuple(range(space.m)), np.ones(1, dtype=np.complex128), (k,),
-        A.reshape(1, 1, N, N), B.reshape(1, 1, N, N), merged=True,
-    )])
+    a, eye = a.reshape(1, 1, N, N), eye.reshape(1, 1, N, N)
+    A, B = (a, eye) if left else (eye, a)
+    group = _Group(tuple(range(space.m)), np.ones(1, dtype=np.complex128), (k,), A, B, merged=True)
+    return StructuredOperator._from_canonical(space, (group,))
 
 
 def left_mult(space: ModelSpace, a: np.ndarray, k: int) -> StructuredOperator:
     """Left multiplication by ``a`` on leg ``k``: eta_k -> a eta_k."""
-    return _one_leg(space, k, a, np.eye(space.N))
+    return _one_leg(space, k, a, left=True)
 
 
 def right_mult(space: ModelSpace, a: np.ndarray, k: int) -> StructuredOperator:
     """Right multiplication by ``a`` on leg ``k``: eta_k -> eta_k a."""
-    return _one_leg(space, k, np.eye(space.N), a)
+    return _one_leg(space, k, a, left=False)
 
 
 def permutation_op(space: ModelSpace, sigma: tuple[int, ...]) -> StructuredOperator:
@@ -994,9 +1090,8 @@ def permutation_op(space: ModelSpace, sigma: tuple[int, ...]) -> StructuredOpera
     if sorted(sigma) != list(range(space.m)):
         raise ValueError(f"sigma {sigma} is not a permutation of 0..{space.m - 1}")
     sigma = tuple(int(s) for s in sigma)
-    return StructuredOperator._from_raw(
-        space, [_pure(sigma, np.ones(1, dtype=np.complex128), space.N)]
-    )
+    group = _pure(sigma, np.ones(1, dtype=np.complex128), space.N)._replace(merged=True)
+    return StructuredOperator._from_canonical(space, (group,))
 
 
 # -- flat binary serialization ------------------------------------------

@@ -9,6 +9,7 @@ merge the grouped engine replaced.
 """
 
 import tracemalloc
+from unittest import mock
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,13 +17,17 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from duallab import legops
+
 from duallab.legops import (
     CapExceededError,
     DenseOperator,
     FACTOR_MERGE_TOL,
+    FEW_TERMS,
     LegFactor,
     MERGE_TOL,
     ModelSpace,
+    NumericError,
     OperatorTerm,
     SpaceMismatchError,
     StructuredOperator,
@@ -314,6 +319,31 @@ class TestCanonicalize:
         t = rand_term(ModelSpace(2, 1, 0))
         with pytest.raises(ValueError):
             StructuredOperator(sp, [t])
+
+    # abs(nan) >= MERGE_TOL is False: unchecked, a NaN coefficient would
+    # drop out of the merge and leave the zero operator
+    NON_FINITE = [float("nan"), complex(0.0, float("nan")), float("inf"), complex(1.0, -float("inf"))]
+
+    @pytest.mark.parametrize("c", NON_FINITE, ids=repr)
+    def test_non_finite_scale_rejected(self, c):
+        x = left_mult(ModelSpace(2, 1, 1), rand_mat(2), 0)
+        with pytest.raises(NumericError):
+            x.scale(c)
+
+    @pytest.mark.parametrize("c", NON_FINITE, ids=repr)
+    def test_non_finite_multiplier_rejected(self, c):
+        x = right_mult(ModelSpace(2, 1, 1), rand_mat(2), 1)
+        with pytest.raises(NumericError):
+            x * c
+        with pytest.raises(NumericError):
+            c * x
+
+    @pytest.mark.parametrize("c", NON_FINITE, ids=repr)
+    def test_non_finite_term_coefficient_rejected(self, c):
+        sp = ModelSpace(2, 1, 1)
+        t = rand_term(sp)
+        with pytest.raises(NumericError):
+            StructuredOperator(sp, [t, OperatorTerm(c, t.factors, t.sigma)])
 
 
 # -- positivity and norms ---------------------------------------------------------
@@ -816,3 +846,140 @@ class TestOneLeg:
         assert (got.sigma, got.legs, got.merged) == (want.sigma, want.legs, want.merged)
         for x, y in ((got.coeffs, want.coeffs), (got.A, want.A), (got.B, want.B)):
             assert x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+# -- the two merge paths --------------------------------------------------------
+
+
+def factor_tol(x):
+    """_merge's tolerance for one leg, from its A and B entries."""
+    return FACTOR_MERGE_TOL * (1.0 + np.abs(x).max())
+
+
+def signed_zeros(x):
+    """x with every zero real or imaginary part made -0.0."""
+    return np.where(x.real == 0, -0.0, x.real) + 1j * np.where(x.imag == 0, -0.0, x.imag)
+
+
+def boundary_twin(x):
+    """A twin of one leg's (2, N, N) A and B entries that one merge
+    tolerance takes in and the other leaves out: its largest entry grows
+    by 0.9 tolerances, which raises its own tolerance by about
+    FACTOR_MERGE_TOL^2, and a zero entry moves to halfway between the two
+    tolerances.  None without a zero entry."""
+    zeros = np.flatnonzero(x.reshape(-1) == 0)
+    if not len(zeros):
+        return None
+    y = x.reshape(-1).copy()
+    big = np.abs(y).argmax()
+    y[big] += 0.9 * factor_tol(x) * y[big] / abs(y[big])
+    lo, hi = factor_tol(x), factor_tol(y)
+    y[zeros[0]] = (lo + hi) / 2
+    assert lo < abs(y[zeros[0]]) < hi
+    return y.reshape(x.shape)
+
+
+FRESH_LEGS = ("random", "sparse", "identity", "left", "zero", "near_identity")
+TWINS = ("fresh", "copy", "signed_zeros", "near", "apart", "boundary")
+
+
+@st.composite
+def raw_groups(draw, sizes):
+    """One permutation's raw terms, T drawn from ``sizes``: fresh terms
+    mixing random, sparse, identity, one-sided, zero and near-identity
+    leg factors, and twins of earlier terms: exact copies, copies with
+    -0.0 for their zeros, copies moved 0.75 (``near``) or 1.5
+    (``apart``) merge tolerances on one entry, and ``boundary_twin``s.
+    Coefficients may cancel a twin's, be zero or carry -0.0 parts."""
+    T = draw(sizes)
+    N = draw(st.sampled_from((2, 3)))
+    L = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    eye = np.eye(N)
+    x = np.empty((T, L, 2, N, N), dtype=np.complex128)  # A and B per leg
+    c = np.empty(T, dtype=np.complex128)
+    for t in range(T):
+        kind = draw(st.sampled_from(TWINS)) if t else "fresh"
+        src = draw(st.integers(0, t - 1)) if t else 0
+        if kind == "fresh":
+            for leg in range(L):
+                a, b = rand_mat(N, rng), rand_mat(N, rng)
+                x[t, leg] = {
+                    "random": (a, b),
+                    "sparse": (a * (rng.random((N, N)) < 0.5), b),
+                    "identity": (eye, eye),
+                    "left": (a, eye),
+                    "zero": (0 * a, b),
+                    "near_identity": (eye + 1e-13 * a, eye),
+                }[draw(st.sampled_from(FRESH_LEGS))]
+        else:
+            x[t] = x[src]
+            leg = draw(st.integers(0, L - 1))
+            if kind == "signed_zeros":
+                x[t] = signed_zeros(x[src])
+            elif kind in ("near", "apart"):
+                x[t, leg, 0, 0, 0] += (0.75 if kind == "near" else 1.5) * factor_tol(x[src, leg])
+            elif kind == "boundary":
+                twin = boundary_twin(x[src, leg])
+                if twin is not None:
+                    x[t, leg] = twin
+        coeff = draw(st.sampled_from(("random", "cancel", "zero", "signed_zero")))
+        c[t] = {
+            "random": complex(rng.standard_normal(), rng.standard_normal()),
+            "cancel": -c[src],
+            "zero": 0.0,
+            "signed_zero": complex(rng.standard_normal(), -0.0),
+        }[coeff if t or coeff != "cancel" else "random"]
+    legs = tuple(range(L))
+    return _Group(legs, c, legs, x[:, :, 0], x[:, :, 1])
+
+
+def assert_same_group(got, want):
+    if want is None or got is None:
+        assert got is want
+        return
+    assert (got.sigma, got.legs, got.merged) == (want.sigma, want.legs, want.merged)
+    for a, b in ((got.coeffs, want.coeffs), (got.A, want.A), (got.B, want.B)):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestMergePaths:
+    """_merge makes the same canonical group, bit for bit, whether the
+    terms go through _merge_few or _merge_windowed, on either side of
+    FEW_TERMS."""
+
+    SIDES = {
+        "few_terms": st.integers(1, FEW_TERMS),
+        "windowed": st.just(FEW_TERMS + 1),
+    }
+
+    @pytest.mark.parametrize("side", sorted(SIDES))
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_paths_agree(self, side, data):
+        g = data.draw(raw_groups(self.SIDES[side]))
+        N = g.A.shape[-1]
+        with mock.patch.object(legops, "FEW_TERMS", 0):
+            windowed = _merge(g, N)
+        with mock.patch.object(legops, "FEW_TERMS", len(g.coeffs)):
+            few = _merge(g, N)
+        assert_same_group(few, windowed)
+        assert_same_group(_merge(g, N), windowed)
+
+    @pytest.mark.parametrize("T, path", [(FEW_TERMS, "_merge_few"), (FEW_TERMS + 1, "_merge_windowed")])
+    def test_threshold_selects_path(self, monkeypatch, T, path):
+        taken = []
+
+        def spy(name):
+            real = getattr(legops, name)
+
+            def call(*args):
+                taken.append(name)
+                return real(*args)
+            return call
+
+        for name in ("_merge_few", "_merge_windowed"):
+            monkeypatch.setattr(legops, name, spy(name))
+        A = np.stack([rand_mat(2)[None] for _ in range(T)])
+        _merge(_Group((0,), np.ones(T, dtype=np.complex128), (0,), A, np.ones_like(A)), 2)
+        assert taken == [path]
