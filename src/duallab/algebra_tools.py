@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import combinations_with_replacement, permutations
 from typing import Callable, Sequence
 
@@ -492,6 +493,11 @@ class GapReport:
     relative_gap: float
 
 
+def _acting_factor(u: np.ndarray, p: int, q: int) -> np.ndarray:
+    """u x ... x u x conj(u) x ... x conj(u): p copies of u, q of conj(u)."""
+    return reduce(np.kron, [u] * p + [u.conj()] * q)
+
+
 def relative_gap(
     p: int,
     q: int,
@@ -507,22 +513,18 @@ def relative_gap(
     grows is the finite-size shadow of the limiting statement; at finite
     N the difference is spanned by contraction operators, so g < f for
     mixed actions.
+
+    Samples are the N^(p+q)-square acting factors u x .. x u x conj(u)
+    x .. x conj(u), not their model-space lifts: a lift permutes the
+    indices of factor x I, an injective unital *-homomorphism, so both
+    generate algebras of one dimension.
     """
     space = ModelSpace(N, p, q)
     if space.dim > DENSE_CAP:
         raise CapExceededError(f"model dimension {space.dim} exceeds cap {DENSE_CAP}")
     rng = np.random.default_rng(0x6A9 + 1000 * N + 10 * p + q) if rng is None else rng
 
-    def sampler(r: np.random.Generator) -> np.ndarray:
-        u = haar_unitary(N, r)
-        op = StructuredOperator.identity(space)
-        for k in range(p):
-            op = op.compose(left_mult(space, u, k))
-        for j in range(p, p + q):
-            op = op.compose(right_mult(space, u.conj().T, j))
-        return op.to_dense().matrix
-
-    g, _ = generated_algebra_dim(sampler, rng=rng)
+    g, _ = generated_algebra_dim(lambda r: _acting_factor(haar_unitary(N, r), p, q), rng=rng)
     f = fixed_point_dimension(p, N) * fixed_point_dimension(q, N)
     return GapReport(
         p=p,

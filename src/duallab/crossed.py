@@ -18,6 +18,7 @@ the shift unitaries.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
@@ -146,7 +147,8 @@ class CrossedOperator:
 
     Blocks are keyed by :class:`ProductGroupElement`; the decomposition
     is unique, so two operators are equal exactly when all block
-    differences vanish.  All-zero blocks are dropped.
+    differences vanish.  All-zero blocks are dropped; a non-finite block
+    entry or scale factor raises :class:`NumericError`.
     """
 
     __slots__ = ("space", "blocks")
@@ -162,7 +164,9 @@ class CrossedOperator:
                 raise ValueError(
                     f"block must be {space.dim}x{space.dim}, got {arr.shape}"
                 )
-            if np.abs(arr).max() > 0.0:
+            if not np.isfinite(arr).all():
+                raise NumericError(f"non-finite entry in the block of {g}")
+            if arr.any():
                 self.blocks[g] = arr
 
     # -- constructors ---------------------------------------------------
@@ -199,6 +203,8 @@ class CrossedOperator:
         return self + other.scale(-1.0)
 
     def scale(self, c: complex) -> "CrossedOperator":
+        if not cmath.isfinite(c):
+            raise NumericError(f"non-finite scale factor {c!r}")
         return CrossedOperator(
             self.space, {k: c * v for k, v in self.blocks.items()}
         )

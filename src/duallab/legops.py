@@ -893,12 +893,6 @@ class StructuredOperator:
         val = total.real / self.space.dim
         return float(np.sqrt(max(val, 0.0)))
 
-    def is_zero(self) -> bool:
-        """No terms, or a Hilbert-Schmidt norm at most 1e-10."""
-        if not self._groups:
-            return True
-        return self.hs_norm() <= 1e-10
-
     def apply(self, v: np.ndarray) -> np.ndarray:
         """Matrix-free action on a vector of length N^(2m)."""
         space = self.space
@@ -1034,20 +1028,6 @@ class DenseOperator:
                 f"expected {self.space.dim}x{self.space.dim}, got {mat.shape}"
             )
         object.__setattr__(self, "matrix", mat)
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        return self.matrix @ v
-
-    def adjoint(self) -> "DenseOperator":
-        return DenseOperator(self.space, self.matrix.conj().T)
-
-    def compose(self, other: "DenseOperator") -> "DenseOperator":
-        if self.space != other.space:
-            raise SpaceMismatchError(f"{self.space} vs {other.space}")
-        return DenseOperator(self.space, self.matrix @ other.matrix)
-
-    def normalized_trace(self) -> complex:
-        return complex(np.trace(self.matrix) / self.space.dim)
 
 
 # -- builders ----------------------------------------------------------

@@ -11,6 +11,7 @@ validate against :data:`REPORT_RECORD_SCHEMA`.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
 import os
@@ -70,13 +71,23 @@ REPORT_RECORD_SCHEMA = {
 }
 
 
-def validate_record(record: dict) -> None:
-    """Raise jsonschema.ValidationError when a record is malformed."""
-    # imported here, not at module level, so that importing the package
-    # does not pay for loading jsonschema
+@functools.cache
+def _record_validator():
+    # imported here so that importing the package does not load jsonschema
     import jsonschema
 
-    jsonschema.validate(record, REPORT_RECORD_SCHEMA)
+    cls = jsonschema.validators.validator_for(REPORT_RECORD_SCHEMA)
+    cls.check_schema(REPORT_RECORD_SCHEMA)
+    return cls(REPORT_RECORD_SCHEMA)
+
+
+def validate_record(record: dict) -> None:
+    """Raise ``jsonschema.validate``'s error (the best match) for a malformed record."""
+    from jsonschema.exceptions import best_match
+
+    error = best_match(_record_validator().iter_errors(record))
+    if error is not None:
+        raise error
 
 
 def derive_seed(master: int, name: str) -> int:

@@ -31,7 +31,14 @@ from duallab.algebra_tools import (
     span_growth_check,
 )
 from duallab.duality_core import haar_unitary, t_plus
-from duallab.legops import CapExceededError, ModelSpace, NumericError
+from duallab.legops import (
+    CapExceededError,
+    ModelSpace,
+    NumericError,
+    StructuredOperator,
+    left_mult,
+    right_mult,
+)
 
 RNG = np.random.default_rng(0xA16)
 
@@ -44,6 +51,25 @@ def unit(n, i, j):
     e = np.zeros((n, n))
     e[i, j] = 1.0
     return e
+
+
+def model_space_sampler(p, q, N):
+    """The relative-gap sampler on the model space: the dense lift of
+    l(u) on the p left legs and r(u*) on the q right legs, one Haar
+    draw per call.  It is the differential oracle for the acting-factor
+    sampler of ``relative_gap``."""
+    space = ModelSpace(N, p, q)
+
+    def sampler(r):
+        u = haar_unitary(N, r)
+        op = StructuredOperator.identity(space)
+        for k in range(p):
+            op = op.compose(left_mult(space, u, k))
+        for j in range(p, p + q):
+            op = op.compose(right_mult(space, u.conj().T, j))
+        return op.to_dense().matrix
+
+    return sampler
 
 
 class TestInnerProduct:
@@ -293,6 +319,34 @@ class TestRelativeGap:
     def test_cap(self):
         with pytest.raises(CapExceededError):
             relative_gap(2, 2, 4)
+
+    def test_five(self):
+        # on the model space (d = 625) the closure basis alone would
+        # take 577 rows of d^2 complex entries, about 3.6 GB; on the
+        # 25 x 25 acting factor its rows have 625 entries
+        rep = relative_gap(1, 1, 5)
+        assert rep.generated_dim == 5**4 - 2 * 5**2 + 2 == 577
+        assert rep.fixed_dim == 625
+
+    @pytest.mark.parametrize("p, q, N", [(1, 1, 2), (1, 1, 3), (2, 1, 2), (1, 2, 2)])
+    def test_oracle_is_lifted_factor(self, p, q, N):
+        m = p + q
+        u = haar_unitary(N, np.random.default_rng(7))
+        lifted = model_space_sampler(p, q, N)(np.random.default_rng(7))
+        # leg k has row axis 2k and column axis 2k + 1: the left legs'
+        # rows and the right legs' columns first, the rest after
+        acting = [2 * k for k in range(p)] + [2 * k + 1 for k in range(p, m)]
+        order = acting + [a for a in range(2 * m) if a not in acting]
+        t = lifted.reshape((N,) * (4 * m)).transpose(order + [2 * m + a for a in order])
+        expected = np.kron(algebra_tools._acting_factor(u, p, q), np.eye(N**m))
+        assert np.abs(t.reshape(expected.shape) - expected).max() < 1e-14
+
+    @pytest.mark.parametrize("p, q, N", [(1, 1, 2), (1, 1, 3), (2, 1, 2)])
+    def test_matches_model_space_oracle(self, p, q, N):
+        # relative_gap's default seed
+        rng = np.random.default_rng(0x6A9 + 1000 * N + 10 * p + q)
+        dim, _ = generated_algebra_dim(model_space_sampler(p, q, N), rng=rng)
+        assert relative_gap(p, q, N).generated_dim == dim
 
 
 class TestSpanGrowth:

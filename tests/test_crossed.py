@@ -24,7 +24,7 @@ from duallab.crossed import (
     trace_tau_prime,
 )
 from duallab.duality_core import haar_unitary
-from duallab.legops import CapExceededError, ModelSpace
+from duallab.legops import CapExceededError, ModelSpace, NumericError
 from duallab.symcomb import Partition, enumerate_partitions
 
 from fractions import Fraction
@@ -159,6 +159,23 @@ class TestCrossedAlgebra:
         op = CrossedOperator(self.SP, {ProductGroupElement.identity(2, 0): np.zeros((16, 16))})
         assert op.blocks == {}
         assert op.max_block_norm() == 0.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, -np.inf)], ids=repr)
+    def test_non_finite_block_rejected(self, bad):
+        blk = np.eye(16, dtype=np.complex128)
+        blk[3, 5] = bad
+        with pytest.raises(NumericError):
+            CrossedOperator(self.SP, {ProductGroupElement((1, 0), ()): blk})
+        with pytest.raises(NumericError):
+            CrossedOperator.embed(self.SP, np.full((16, 16), bad))
+
+    @pytest.mark.parametrize("c", [np.nan, np.inf, complex(0.0, np.nan)], ids=repr)
+    def test_non_finite_scale_rejected(self, c):
+        x = CrossedOperator.embed(self.SP, np.eye(16))
+        with pytest.raises(NumericError):
+            x.scale(c)
+        with pytest.raises(NumericError):
+            c * x
 
     def test_shift_homomorphism(self):
         g = ProductGroupElement((1, 0), ())

@@ -20,6 +20,7 @@ from duallab.experiments import (
     suite_configs,
 )
 from duallab.reporting import (
+    REPORT_RECORD_SCHEMA,
     CheckResult,
     ExperimentConfig,
     ExperimentReport,
@@ -124,6 +125,17 @@ class TestRecordSchema:
         bad = dict(self.BASE, N="two")
         with pytest.raises(jsonschema.ValidationError):
             validate_record(bad)
+
+    def test_error_matches_jsonschema_validate(self):
+        # two faults: the best match is the one jsonschema.validate raises
+        bad = dict(self.BASE, N="two", seed=-1)
+        with pytest.raises(jsonschema.ValidationError) as want:
+            jsonschema.validate(bad, REPORT_RECORD_SCHEMA)
+        for _ in range(2):  # the second call reuses the cached validator
+            with pytest.raises(jsonschema.ValidationError) as got:
+                validate_record(bad)
+            assert got.value.message == want.value.message
+            assert list(got.value.path) == list(want.value.path)
 
 
 class TestConfigAndReport:
