@@ -16,7 +16,6 @@ from .legops import (
     ModelSpace,
     NumericError,
     OperatorTerm,
-    PowerIterationError,
     SpaceMismatchError,
     StructuredOperator,
     left_mult,

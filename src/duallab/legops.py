@@ -44,7 +44,7 @@ Cost model, for groups of T terms with L carried legs:
   view: one d x d allocation for one group, one more per later group.
 
 Traces are evaluated exactly through the cycle factorization of the
-permutation part, norms by power iteration on the matrix-free apply.
+permutation part, operator norms by Lanczos on the matrix-free apply.
 Dense materialization is capped; the cap guards the commutant solvers
 downstream.
 """
@@ -86,6 +86,9 @@ FEW_TERMS = 8
 # takes 256 MiB, so the few such matrices a solver holds at once still
 # fit in the memory of a laptop-class machine.
 DENSE_CAP = 4096
+# Lanczos steps operator_norm may take; the package's operators need a
+# few dozen.  Full, the Krylov basis is 300 MiB at N = 16, p = q = 1.
+LANCZOS_STEPS = 300
 
 __all__ = [
     "MERGE_TOL",
@@ -99,7 +102,6 @@ __all__ = [
     "SpaceMismatchError",
     "CapExceededError",
     "NumericError",
-    "PowerIterationError",
     "identity_factor",
     "left_mult",
     "right_mult",
@@ -120,10 +122,6 @@ class CapExceededError(RuntimeError):
 
 class NumericError(RuntimeError):
     """A numerical routine could not certify its result."""
-
-
-class PowerIterationError(NumericError):
-    """Power iteration failed to converge within the iteration budget."""
 
 
 @dataclass(frozen=True)
@@ -939,45 +937,37 @@ class StructuredOperator:
         return DenseOperator(space, mat)
 
     def operator_norm(self) -> float:
-        """Largest singular value by power iteration on X* X.
+        """Largest singular value by Lanczos on X* X, from one seeded start.
 
-        Matrix-free: alternates apply(X) and apply(X*) from 3 seeded
-        start vectors and keeps the largest estimate.  A start stops when
-        two successive estimates agree to 1e-8 relative, a stopping rule
-        rather than an error bound; raises :class:`PowerIterationError`
-        if no start stops within 5000 steps.
+        Each step applies X, then X*, and reorthogonalizes twice against
+        every Krylov vector kept.  Stops when the top Ritz value theta
+        has residual beta_k |s_k| <= 1e-10 theta (X* X has an eigenvalue
+        that close) or the Krylov space is invariant, and returns
+        sqrt(theta), a lower bound; raises :class:`NumericError` after
+        LANCZOS_STEPS steps.
         """
         if not self._groups:
             return 0.0
         adj = self.adjoint()
         dim = self.space.dim
         rng = np.random.default_rng(0x5EED)
-        best = 0.0
-        converged = False
-        for _ in range(3):
-            v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-            v /= np.linalg.norm(v)
-            est = 0.0
-            for _ in range(5000):
-                w = adj.apply(self.apply(v))
-                norm_w = np.linalg.norm(w)
-                if norm_w < 1e-300:
-                    est = 0.0
-                    converged = True
-                    break
-                new_est = float(np.sqrt(norm_w))
-                v = w / norm_w
-                if est > 0 and abs(new_est - est) <= 1e-8 * new_est:
-                    est = new_est
-                    converged = True
-                    break
-                est = new_est
-            best = max(best, est)
-        if not converged:
-            raise PowerIterationError(
-                "no convergence to rel. tol 1e-08 in 5000 iterations"
-            )
-        return best
+        v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        krylov = (v / np.linalg.norm(v))[None, :]  # grows by one row per step
+        alphas, betas = [], []
+        for k in range(LANCZOS_STEPS):
+            w = adj.apply(self.apply(krylov[-1]))
+            alphas.append(float(np.vdot(krylov[-1], w).real))
+            for _ in range(2):
+                # w -= sum_j <q_j, w> q_j, without a conjugated copy of krylov
+                w -= (krylov @ w.conj()).conj() @ krylov
+            beta = float(np.linalg.norm(w))
+            ritz, vecs = np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))
+            theta = ritz[-1]
+            if beta * abs(vecs[-1, -1]) <= 1e-10 * theta or beta == 0.0 or k + 1 == dim:
+                return math.sqrt(max(theta, 0.0))
+            betas.append(beta)
+            krylov = np.vstack([krylov, w / beta])
+        raise NumericError(f"Lanczos reached no certified norm in {LANCZOS_STEPS} steps")
 
     # -- bookkeeping ---------------------------------------------------
 
@@ -1079,6 +1069,14 @@ def permutation_op(space: ModelSpace, sigma: tuple[int, ...]) -> StructuredOpera
 _MAGIC = b"DLABBIN1"
 
 
+def _check_operator_shape(path, kind: str, shape: tuple, space: ModelSpace) -> None:
+    if kind == "operator" and tuple(shape) != (space.dim, space.dim):
+        raise ValueError(
+            f"{path}: operator shape {list(shape)} is not ({space.dim}, {space.dim}) "
+            f"for N={space.N}, p={space.p}, q={space.q}"
+        )
+
+
 def save_dense(
     path: str | Path,
     array: np.ndarray,
@@ -1090,8 +1088,10 @@ def save_dense(
     Layout: 8-byte magic, little-endian uint64 header length, UTF-8
     JSON header {N, p, q, m, kind, shape}, then the array entries
     row-major as little-endian interleaved real/imaginary doubles.
+    An ``operator`` not (dim, dim) raises ValueError before the file opens.
     """
     arr = np.ascontiguousarray(np.asarray(array, dtype=np.complex128))
+    _check_operator_shape(path, kind, arr.shape, space)
     header = {
         "N": space.N,
         "p": space.p,
@@ -1140,10 +1140,6 @@ def load_dense(path: str | Path) -> tuple[np.ndarray, ModelSpace, str]:
         raise ValueError(
             f"{path}: payload has {len(payload)} bytes, shape {list(shape)} needs {expected}"
         )
-    if kind == "operator" and shape != (space.dim, space.dim):
-        raise ValueError(
-            f"{path}: operator shape {list(shape)} is not ({space.dim}, {space.dim}) "
-            f"for N={space.N}, p={space.p}, q={space.q}"
-        )
+    _check_operator_shape(path, kind, shape, space)
     arr = np.frombuffer(payload, dtype="<c16").reshape(shape).astype(np.complex128)
     return arr, space, kind

@@ -183,6 +183,11 @@ class ExperimentConfig:
     seed: int = 20240
     samples: int | None = None
 
+    def __post_init__(self) -> None:
+        for name, value, low in (("seed", self.seed, 0), ("samples", self.samples, 1)):
+            if value is not None and value < low:
+                raise ValueError(f"{name} must be >= {low}, got {value}")
+
     def resolved(self, **defaults) -> "ExperimentConfig":
         """Fill None fields from the experiment's defaults."""
         updates = {

@@ -197,7 +197,7 @@ def test_c05_limit_formula_envelope_and_decay():
         bounds_ok = bounds_ok and rep.residual_op_norm <= rep.stated_bound
         op_norm = abs(t) + math.sqrt(s)
         op_norm_ok = op_norm_ok and (
-            abs(rep.residual_op_norm - op_norm) <= 1e-6 * op_norm
+            abs(rep.residual_op_norm - op_norm) <= 1e-10 * op_norm
         )
         sigma_scale = math.sqrt(2 * (t * t + s))
         sigma_ok = sigma_ok and (

@@ -18,6 +18,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from duallab import legops
+from duallab.duality_core import sigma_average_exact, young_projection
+from duallab.symcomb import Partition
 
 from duallab.legops import (
     CapExceededError,
@@ -360,11 +362,12 @@ class TestNorms:
         for space in SPACES[:3]:
             x = rand_op(space)
             want = np.linalg.norm(x.to_dense().matrix, 2)
-            assert abs(x.operator_norm() - want) < 1e-6 * want
+            assert abs(x.operator_norm() - want) < 1e-10 * want
 
     def test_operator_norm_of_zero(self):
         sp = ModelSpace(2, 1, 1)
-        assert StructuredOperator.zero(sp).operator_norm() == 0.0
+        with mock.patch.object(StructuredOperator, "apply", side_effect=AssertionError):
+            assert StructuredOperator.zero(sp).operator_norm() == 0.0
 
     def test_identity_norms(self):
         sp = ModelSpace(3, 1, 1)
@@ -384,6 +387,39 @@ class TestNorms:
         sp = ModelSpace(3, 2, 2)  # dim 6561 exceeds DENSE_CAP = 4096
         with pytest.raises(CapExceededError):
             rand_op(sp, 1).to_dense()
+
+
+class TestLanczos:
+    """operator_norm: one seeded Lanczos run on X* X."""
+
+    @pytest.mark.parametrize("case", ["identity", "permutation", "young", "rank_one"])
+    def test_matches_dense_two_norm(self, case):
+        if case == "young":
+            sp = ModelSpace(2, 3, 0)
+            x = young_projection(sp, Partition((2, 1)))  # rank 40 of 64
+        elif case == "rank_one":
+            # X* X = left_mult(e_00) is a projection: the Krylov space
+            # span{v, X* X v} is invariant after the first step
+            sp = ModelSpace(2, 1, 1)
+            x = left_mult(sp, np.diag([1.0, 0.0]), 0)
+        else:
+            sp = ModelSpace(3, 1, 1)
+            x = (StructuredOperator.identity(sp) if case == "identity"
+                 else permutation_op(sp, (1, 0)).scale(3.0))
+        want = np.linalg.norm(x.to_dense().matrix, 2)
+        assert abs(x.operator_norm() - want) <= 1e-10 * want
+
+    def test_step_budget_raises(self, monkeypatch):
+        monkeypatch.setattr(legops, "LANCZOS_STEPS", 1)
+        with pytest.raises(NumericError, match="1 steps"):
+            rand_op(ModelSpace(2, 1, 1)).operator_norm()
+
+    def test_sigma_average_closes_in_few_steps(self):
+        sig = sigma_average_exact(ModelSpace(8, 1, 1), np.eye(8))
+        apply = StructuredOperator.apply
+        with mock.patch.object(StructuredOperator, "apply", autospec=True, side_effect=apply) as m:
+            assert abs(sig.operator_norm() - 2.0) <= 1e-12
+        assert m.call_count <= 8
 
 
 # -- cycle traces ------------------------------------------------------------------
@@ -483,9 +519,16 @@ class TestLoadDenseFaults:
             load_dense(path)
 
     def test_operator_shape_must_match_space(self, tmp_path):
-        path, _ = self.saved(tmp_path, np.eye(3))
-        with pytest.raises(ValueError, match=r"op\.bin: operator shape \[3, 3\] is not \(4, 4\)"):
+        path, raw = self.saved(tmp_path)
+        path.write_bytes(raw.replace(b'"N": 2', b'"N": 3'))
+        with pytest.raises(ValueError, match=r"op\.bin: operator shape \[4, 4\] is not \(9, 9\)"):
             load_dense(path)
+
+    def test_save_rejects_operator_of_wrong_shape(self, tmp_path):
+        path = tmp_path / "op.bin"
+        with pytest.raises(ValueError, match=r"op\.bin: operator shape \[3, 3\] is not \(16, 16\)"):
+            save_dense(path, np.zeros((3, 3)), ModelSpace(2, 1, 1))
+        assert not path.exists()
 
     def test_malformed_header(self, tmp_path):
         path, raw = self.saved(tmp_path)

@@ -307,6 +307,23 @@ class TestCli:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "young-check", "--seed", "-1"],
+            ["run", "young-check", "--samples", "-3"],
+            ["run", "young-check", "--samples", "0"],
+            ["run-all", "--seed", "-1"],
+        ],
+    )
+    def test_bad_seed_or_samples_exit_2_before_running(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert cli.main([*argv, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "PASS" not in captured.out
+        assert not out.exists()
+
     def test_unknown_experiment_rejected_by_parser(self):
         with pytest.raises(SystemExit):
             cli.main(["run", "nope"])
