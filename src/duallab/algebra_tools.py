@@ -9,6 +9,12 @@ block-structure decomposition (eigenspace clustering of a generic
 element, then coupling analysis) and a breadth-first span closure under
 products.  Both must agree or the caller gets :class:`NumericError`;
 nothing here trusts a single numerical method.
+
+The one-sided actions enter the dense solvers as acting factors on
+(C^N)^(x m), never as model-space lifts: a lift is a fixed index
+permutation of factor x 1, and X -> X x 1 is an injective unital
+*-homomorphism, so the generated dimensions agree.  The dense cap
+still bounds the model dimension.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .duality_core import haar_unitary, t_plus
+from .duality_core import haar_unitary
 from .legops import (
     DENSE_CAP,
     CapExceededError,
@@ -155,14 +161,15 @@ class AlgebraBasis:
 
 
 def left_average_generators(p: int, N: int) -> list[np.ndarray]:
-    """Dense t_plus(e_ij) on p left legs, matrix units in row-major order."""
-    space = ModelSpace(N, p, 0)
+    """t_plus(e_ij) on the acting factor (C^N)^(x p), matrix units in
+    row-major order: the sum over k of 1^(x k) x e_ij x 1^(x (p-k-1))."""
+    eye = np.eye(N)
     mats = []
     for i in range(N):
         for j in range(N):
             e = np.zeros((N, N))
             e[i, j] = 1.0
-            mats.append(t_plus(space, e).to_dense().matrix)
+            mats.append(sum(reduce(np.kron, [eye] * k + [e] + [eye] * (p - k - 1)) for k in range(p)))
     return mats
 
 
@@ -224,16 +231,17 @@ def block_structure(
     sum m_i^2.
 
     Method: spectral decomposition of a generic Hermitian element of
-    the algebra; eigenvalue clusters are the isotypic slices, and two
-    clusters sit in the same block exactly when some generator word
-    couples their eigenspaces.  A malformed clustering (unequal sizes
-    inside one component) triggers a retry with a fresh generic
-    element; a third failure raises :class:`NumericError`.
+    the algebra; eigenvalue clusters (runs of the sorted spectrum) are
+    the isotypic slices, and two clusters sit in the same block exactly
+    when some generator word couples their eigenspaces (a block maximum
+    of |V* g V|).  Blocks are listed by first cluster.  A malformed
+    clustering (unequal sizes inside one component) triggers a retry
+    with a fresh generic element; a third failure raises
+    :class:`NumericError`.
     """
     mats, d = _gather(generators)
     rng = np.random.default_rng(0xA15EB) if rng is None else rng
-    hermm = [g for g in mats]
-    hermm += [g.conj().T for g in mats]
+    hermm = mats + [g.conj().T for g in mats]
     couplers = hermm + _sample_words(hermm, rng, min(8, 2 * len(mats)))
 
     for _ in range(3):
@@ -244,49 +252,32 @@ def block_structure(
         h = (h + h.conj().T) / 2
         vals, vecs = np.linalg.eigh(h)
         span = max(float(vals[-1] - vals[0]), 1.0)
-        clusters: list[list[int]] = [[0]]
-        for i in range(1, d):
-            if vals[i] - vals[i - 1] > 1e-8 * span:
-                clusters.append([])
-            clusters[-1].append(i)
-        nclust = len(clusters)
-        # adjacency between eigenvalue clusters through generator words
-        adj = np.zeros((nclust, nclust), dtype=bool)
+        # clusters are contiguous: starts[c] is the first index of cluster c
+        starts = np.flatnonzero(np.diff(vals, prepend=-np.inf) > 1e-8 * span)
+        sizes = np.diff(starts, append=d)
+        nclust = len(starts)
+        # reach[u, v]: clusters u and v coupled by some generator word
+        reach = np.eye(nclust, dtype=bool)
         for g in couplers:
-            gv = vecs.conj().T @ g @ vecs
-            scale = max(float(np.abs(gv).max()), 1.0)
-            for u in range(nclust):
-                for v in range(nclust):
-                    if u == v or adj[u, v]:
-                        continue
-                    blk = gv[np.ix_(clusters[u], clusters[v])]
-                    if np.abs(blk).max() > 1e-8 * scale:
-                        adj[u, v] = adj[v, u] = True
-        # connected components
-        comp = [-1] * nclust
-        ncomp = 0
-        for s in range(nclust):
-            if comp[s] >= 0:
-                continue
-            stack = [s]
-            comp[s] = ncomp
-            while stack:
-                u = stack.pop()
-                for v in range(nclust):
-                    if adj[u, v] and comp[v] < 0:
-                        comp[v] = ncomp
-                        stack.append(v)
-            ncomp += 1
-        blocks = []
-        ok = True
-        for c in range(ncomp):
-            sizes = {len(clusters[i]) for i in range(nclust) if comp[i] == c}
-            count = sum(1 for i in range(nclust) if comp[i] == c)
-            if len(sizes) != 1:
-                ok = False
+            gv = np.abs(vecs.conj().T @ g @ vecs)
+            scale = max(float(gv.max()), 1.0)
+            blockmax = np.maximum.reduceat(np.maximum.reduceat(gv, starts, axis=0), starts, axis=1)
+            reach |= blockmax > 1e-8 * scale
+        reach |= reach.T
+        # transitive closure by squaring: reachability within 2^k steps
+        while True:
+            r = reach.astype(np.float32)
+            grown = (r @ r) > 0
+            if np.array_equal(grown, reach):
                 break
-            blocks.append((count, sizes.pop()))
-        if ok:
+            reach = grown
+        # first[c] is the first cluster of c's component, whose size every
+        # cluster of the component must share
+        first = reach.argmax(axis=1)
+        if np.array_equal(sizes, sizes[first]):
+            roots = np.unique(first)
+            counts = np.bincount(first, minlength=nclust)[roots]
+            blocks = list(zip(counts.tolist(), sizes[roots].tolist()))
             dim_alg = sum(k * k for k, _ in blocks)
             dim_comm = sum(m * m for _, m in blocks)
             return blocks, dim_alg, dim_comm
@@ -515,9 +506,7 @@ def relative_gap(
     mixed actions.
 
     Samples are the N^(p+q)-square acting factors u x .. x u x conj(u)
-    x .. x conj(u), not their model-space lifts: a lift permutes the
-    indices of factor x I, an injective unital *-homomorphism, so both
-    generate algebras of one dimension.
+    x .. x conj(u), not their model-space lifts.
     """
     space = ModelSpace(N, p, q)
     if space.dim > DENSE_CAP:
@@ -557,19 +546,17 @@ def span_growth_check(p: int, N: int) -> SpanGrowthReport:
     and grows the reached subspace until stable.  The reached dimension
     must equal the invariant-algebra dimension C(N^2 + p - 1, p), and
     the algebra generated by the same operators must have that
-    dimension as well.
+    dimension as well.  Both routes run on the acting factor: the
+    model-space vector of x is x itself, and t_plus(b) multiplies it on
+    the left, so the cyclic subspace of the identity is the algebra.
     """
     space = ModelSpace(N, p, 0)
     if space.dim > DENSE_CAP:
         raise CapExceededError(f"model dimension {space.dim} exceeds cap {DENSE_CAP}")
     mats = left_average_generators(p, N)
-    ident = np.eye(N, dtype=np.complex128).reshape(-1)
-    vec = ident
-    for _ in range(p - 1):
-        vec = np.outer(vec, ident).reshape(-1)
-    # a row vector v times m.T is the row of m v: the cyclic subspace is
-    # the closure of span{v} under right multiplication by the transposes
-    basis, rounds = _closure(vec[None, :], [m.T for m in mats], 4 * p + 9)
+    # x m.T = (m x^T)^T: right products by the transposes reach the
+    # transposed words, a subspace of the same dimension
+    basis, rounds = _closure(np.eye(N**p), [m.T for m in mats], 4 * p + 9)
     # the closing round admits nothing; the others are growth rounds
     rounds -= 1
     cyclic_dim = basis.shape[0]

@@ -429,8 +429,10 @@ class LimitFormulaReport:
     form t_plus(a) - t_minus(E(a)); ``sigma_average_*`` measure the
     averaged cross-leg remainder alone, i.e. the residual against the
     sum form t_plus(a) + t_minus(E(a)).  ``stated_bound`` is the
-    reference envelope 2 * |a|^2 * (p+q)^2 / N the rate experiments
-    compare against.
+    reference figure 2 * |a|^2 * (p+q)^2 / N.  It is no bound in
+    general: at p = q = 1 on the full unitary group the residual's
+    operator norm is |tau(a)| + sqrt(tau(a^2)), which does not decay
+    with N (a = I at N = 8 gives 2 against 1).
     """
 
     N: int

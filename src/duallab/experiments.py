@@ -247,18 +247,23 @@ def _sigma_decay(cfg, rng, out_dir) -> list[CheckResult]:
 
 def _limit_formula(cfg, rng, out_dir) -> list[CheckResult]:
     """Averaged mixed product against its split form for a random
-    Hermitian contraction: the remainder stays inside the
-    2 |a|^2 (p+q)^2 / N envelope, Monte Carlo reproduces the exact
+    Hermitian contraction a, with t = tau(a) and s = tau(a^2): the
+    remainder has operator norm |t| + sqrt(s), the cross-leg average
+    has 2-norm sqrt(2 (t^2 + s)) / N, Monte Carlo reproduces the exact
     average, and killing the trace collapses the remainder onto the
     cross-leg average."""
+    if cfg.p != 1 or cfg.q != 1:
+        raise ValueError("limit-formula is defined for p = q = 1")
     space = ModelSpace(cfg.N, cfg.p, cfg.q)
     a = _random_hermitian(rng, cfg.N)
     rep = limit_formula_check(space, a)
+    t = float(np.trace(a).real) / cfg.N
+    s = float(np.trace(a @ a).real) / cfg.N
+    op_norm = abs(t) + math.sqrt(s)
+    hs_norm = math.sqrt(2.0 * (t * t + s)) / cfg.N
     checks = [
-        bound_check("residual_within_envelope", rep.residual_op_norm, rep.stated_bound),
-        bound_check(
-            "cross_leg_within_envelope", rep.sigma_average_op_norm, rep.stated_bound
-        ),
+        scalar_check("residual_op_norm", rep.residual_op_norm, op_norm, IDENTITY_TOL * op_norm),
+        scalar_check("cross_leg_hs_norm", rep.sigma_average_hs_norm, hs_norm, IDENTITY_TOL),
     ]
     samples = cfg.samples or 800
     from .duality_core import product_average_exact
@@ -732,7 +737,7 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
             _limit_formula,
             {"N": 2, "p": 1, "q": 1, "samples": 800},
             {"N": 4},
-            "averaged product against its split form with envelope",
+            "averaged product against its split form, closed-form norms",
         ),
         ExperimentSpec(
             "cond-expectation",

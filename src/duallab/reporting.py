@@ -184,7 +184,9 @@ class ExperimentConfig:
     samples: int | None = None
 
     def __post_init__(self) -> None:
-        for name, value, low in (("seed", self.seed, 0), ("samples", self.samples, 1)):
+        lows = {"N": 2, "p": 0, "q": 0, "seed": 0, "samples": 1}
+        for name, low in lows.items():
+            value = getattr(self, name)
             if value is not None and value < low:
                 raise ValueError(f"{name} must be >= {low}, got {value}")
 

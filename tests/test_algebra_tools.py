@@ -3,7 +3,8 @@
 The span-closure kernel is also checked against
 ``reference_span_closure`` and ``reference_cyclic_growth``, the
 survivor-Gram plus modified Gram-Schmidt closure and the per-candidate
-cyclic loop it replaced.
+cyclic loop it replaced, and ``block_structure`` against
+``reference_block_structure``, the per-cluster-pair loop it replaced.
 """
 
 import math
@@ -25,6 +26,7 @@ from duallab.algebra_tools import (
     fixed_point_dimension,
     generated_algebra_dim,
     hs_inner,
+    left_average_generators,
     orthonormalize,
     relative_gap,
     span_closure,
@@ -70,6 +72,25 @@ def model_space_sampler(p, q, N):
         return op.to_dense().matrix
 
     return sampler
+
+
+def model_space_left_averages(p, N):
+    """Dense t_plus(e_ij) on the model space of p left legs, matrix
+    units in row-major order: the differential oracle for the
+    acting-factor ``left_average_generators``."""
+    space = ModelSpace(N, p, 0)
+    return [t_plus(space, unit(N, i, j)).to_dense().matrix for i in range(N) for j in range(N)]
+
+
+def lift_axes(p, q, N):
+    """Axis order that maps a model-space matrix on p + q legs to
+    kron(acting factor, 1): leg k has row axis 2k and column axis
+    2k + 1, so the left legs' rows and the right legs' columns come
+    first and the rest after."""
+    m = p + q
+    acting = [2 * k for k in range(p)] + [2 * k + 1 for k in range(p, m)]
+    order = acting + [a for a in range(2 * m) if a not in acting]
+    return (N,) * (4 * m), order + [2 * m + a for a in order]
 
 
 class TestInnerProduct:
@@ -330,15 +351,11 @@ class TestRelativeGap:
 
     @pytest.mark.parametrize("p, q, N", [(1, 1, 2), (1, 1, 3), (2, 1, 2), (1, 2, 2)])
     def test_oracle_is_lifted_factor(self, p, q, N):
-        m = p + q
         u = haar_unitary(N, np.random.default_rng(7))
         lifted = model_space_sampler(p, q, N)(np.random.default_rng(7))
-        # leg k has row axis 2k and column axis 2k + 1: the left legs'
-        # rows and the right legs' columns first, the rest after
-        acting = [2 * k for k in range(p)] + [2 * k + 1 for k in range(p, m)]
-        order = acting + [a for a in range(2 * m) if a not in acting]
-        t = lifted.reshape((N,) * (4 * m)).transpose(order + [2 * m + a for a in order])
-        expected = np.kron(algebra_tools._acting_factor(u, p, q), np.eye(N**m))
+        shape, axes = lift_axes(p, q, N)
+        t = lifted.reshape(shape).transpose(axes)
+        expected = np.kron(algebra_tools._acting_factor(u, p, q), np.eye(N ** (p + q)))
         assert np.abs(t.reshape(expected.shape) - expected).max() < 1e-14
 
     @pytest.mark.parametrize("p, q, N", [(1, 1, 2), (1, 1, 3), (2, 1, 2)])
@@ -361,6 +378,18 @@ class TestSpanGrowth:
         assert rep.cyclic_dim == rep.expected_dim == 10
         assert rep.rounds == 2
         assert rep.agree
+
+    @pytest.mark.parametrize("p, N", [(1, 2), (2, 2), (3, 2), (2, 3)])
+    def test_oracle_is_lifted_factor(self, p, N):
+        shape, axes = lift_axes(p, 0, N)
+        for got, lifted in zip(left_average_generators(p, N), model_space_left_averages(p, N)):
+            t = lifted.reshape(shape).transpose(axes).reshape(N ** (2 * p), -1)
+            assert np.array_equal(t, np.kron(got, np.eye(N**p)))
+
+    @pytest.mark.parametrize("p, N", [(2, 2), (3, 2), (2, 3)])
+    def test_matches_model_space_oracle(self, p, N):
+        dim, _ = generated_algebra_dim(model_space_left_averages(p, N))
+        assert span_growth_check(p, N).generated_dim == dim
 
 
 # -- closure kernel against the paths it replaced --------------------------------
@@ -528,3 +557,150 @@ class TestClosureKernel:
         rep = span_growth_check(p, N)
         assert (rep.cyclic_dim, rep.rounds) == reference_cyclic_growth(p, N)
         assert rep.rounds == p and rep.agree
+
+
+# -- block structure against the loop it replaced ---------------------------------
+
+
+def reference_block_structure(generators, rng=None):
+    """The block structure before the array bookkeeping: an ``np.ix_``
+    block test per cluster pair and coupler, a hand-written DFS over the
+    cluster graph and per-component scans of the cluster sizes."""
+    mats = [np.asarray(g, dtype=np.complex128) for g in generators]
+    d = mats[0].shape[0]
+    rng = np.random.default_rng(0xA15EB) if rng is None else rng
+    hermm = [g for g in mats]
+    hermm += [g.conj().T for g in mats]
+    couplers = hermm + algebra_tools._sample_words(hermm, rng, min(8, 2 * len(mats)))
+
+    for _ in range(3):
+        h = np.zeros((d, d), dtype=np.complex128)
+        for g in mats + algebra_tools._sample_words(mats, rng, 4):
+            c = rng.standard_normal() + 1j * rng.standard_normal()
+            h += c * g + np.conj(c) * g.conj().T
+        h = (h + h.conj().T) / 2
+        vals, vecs = np.linalg.eigh(h)
+        span = max(float(vals[-1] - vals[0]), 1.0)
+        clusters = [[0]]
+        for i in range(1, d):
+            if vals[i] - vals[i - 1] > 1e-8 * span:
+                clusters.append([])
+            clusters[-1].append(i)
+        nclust = len(clusters)
+        adj = np.zeros((nclust, nclust), dtype=bool)
+        for g in couplers:
+            gv = vecs.conj().T @ g @ vecs
+            scale = max(float(np.abs(gv).max()), 1.0)
+            for u in range(nclust):
+                for v in range(nclust):
+                    if u == v or adj[u, v]:
+                        continue
+                    blk = gv[np.ix_(clusters[u], clusters[v])]
+                    if np.abs(blk).max() > 1e-8 * scale:
+                        adj[u, v] = adj[v, u] = True
+        comp = [-1] * nclust
+        ncomp = 0
+        for s in range(nclust):
+            if comp[s] >= 0:
+                continue
+            stack = [s]
+            comp[s] = ncomp
+            while stack:
+                u = stack.pop()
+                for v in range(nclust):
+                    if adj[u, v] and comp[v] < 0:
+                        comp[v] = ncomp
+                        stack.append(v)
+            ncomp += 1
+        blocks = []
+        ok = True
+        for c in range(ncomp):
+            sizes = {len(clusters[i]) for i in range(nclust) if comp[i] == c}
+            count = sum(1 for i in range(nclust) if comp[i] == c)
+            if len(sizes) != 1:
+                ok = False
+                break
+            blocks.append((count, sizes.pop()))
+        if ok:
+            dim_alg = sum(k * k for k, _ in blocks)
+            dim_comm = sum(m * m for _, m in blocks)
+            return blocks, dim_alg, dim_comm
+    raise NumericError("block structure inconsistent after retries")
+
+
+@st.composite
+def block_generator_sets(draw):
+    """Generic sets, scrambled direct sums of matrix blocks with
+    multiplicities, commuting diagonals with repeated entries, Haar
+    acting factors and the left averages.
+
+    Two kinds sit near the cuts.  In "weak_path" a diagonal with
+    distinct entries plus a tridiagonal coupling 1e-9 to 1e-5 times
+    smaller couples only neighbouring clusters above the cut, so the
+    cluster graph is a path that one squaring does not close, and some
+    couplings straddle the 1e-8 threshold.  In "split_diagonal" a
+    diagonal on three levels has entries 1e-9 to 1e-6 apart,
+    straddling the 1e-8 cluster gap."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from((
+        "generic", "hidden", "diagonal", "acting", "left_average", "weak_path", "split_diagonal",
+    )))
+    if kind == "generic":
+        d = draw(st.integers(1, 7))
+        return [rand_mat(d, rng) for _ in range(draw(st.integers(1, 3)))]
+    if kind == "hidden":
+        shape = draw(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=1, max_size=3))
+        d = sum(k * m for k, m in shape)
+        u = haar_unitary(d, rng)
+
+        def emb():
+            blk = np.zeros((d, d), dtype=np.complex128)
+            at = 0
+            for k, m in shape:
+                a = rand_mat(k, rng)
+                for _ in range(m):
+                    blk[at:at + k, at:at + k] = a
+                    at += k
+            return u @ blk @ u.conj().T
+
+        return [emb() for _ in range(draw(st.integers(1, 2)))]
+    if kind == "diagonal":
+        d = draw(st.integers(2, 8))
+        levels = rng.integers(0, draw(st.integers(1, d)), size=(draw(st.integers(1, 3)), d))
+        return [np.diag(row.astype(float)) for row in levels]
+    if kind == "weak_path":
+        d = draw(st.integers(4, 8))
+        off = np.diag(rng.standard_normal(d - 1) + 1j * rng.standard_normal(d - 1), 1)
+        return [np.diag(np.arange(1.0, d + 1)), 10.0 ** rng.uniform(-9, -5) * (off + off.conj().T)]
+    if kind == "split_diagonal":
+        d = draw(st.integers(4, 8))
+        levels = rng.integers(0, 3, size=d) + 10.0 ** rng.uniform(-9, -6, size=d) * rng.standard_normal(d)
+        return [np.diag(levels)]
+    if kind == "acting":
+        p, q, N = draw(st.sampled_from(((1, 0, 2), (1, 1, 2), (2, 0, 2), (2, 1, 2), (1, 1, 3))))
+        return [algebra_tools._acting_factor(haar_unitary(N, rng), p, q)
+                for _ in range(draw(st.integers(1, 4)))]
+    p, N = draw(st.sampled_from(((1, 2), (2, 2), (3, 2), (2, 3))))
+    return left_average_generators(p, N)
+
+
+def block_outcome(fn, gens, seed):
+    try:
+        return fn(gens, rng=np.random.default_rng(seed))
+    except NumericError:
+        return "NumericError"
+
+
+class TestBlockStructureArrays:
+    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(block_generator_sets(), st.integers(0, 2**32 - 1))
+    def test_matches_reference_loop(self, gens, seed):
+        got = block_outcome(block_structure, gens, seed)
+        assert got == block_outcome(reference_block_structure, gens, seed)
+        if got != "NumericError":
+            blocks, _, _ = got
+            assert all(type(k) is int and type(m) is int for k, m in blocks)
+
+    def test_default_rng_matches_reference(self):
+        gens = [rand_mat(5), rand_mat(5)]
+        assert block_structure(gens) == reference_block_structure(gens)

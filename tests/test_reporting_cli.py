@@ -144,7 +144,7 @@ class TestConfigAndReport:
         assert (cfg.N, cfg.p) == (5, 3)
 
     def test_resolved_noop_returns_self(self):
-        cfg = ExperimentConfig(experiment="e", N=1, p=1, q=1, samples=1)
+        cfg = ExperimentConfig(experiment="e", N=2, p=1, q=1, samples=1)
         assert cfg.resolved(N=9) is cfg
 
     def test_body_excludes_duration(self):
@@ -323,6 +323,26 @@ class TestCli:
         assert captured.err.startswith("error: ")
         assert "PASS" not in captured.out
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "sigma-decay", "--n", "1"],
+            ["run", "spectral-binning", "--q", "-2"],
+            ["run", "young-check", "--p", "-1"],
+        ],
+    )
+    def test_bad_shape_exits_2_writing_nothing(self, tmp_path, capsys, argv):
+        # the config rejects what the record schema would, before any
+        # report is written
+        out = tmp_path / "out"
+        assert cli.main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    def test_limit_formula_needs_one_leg_each_side(self, tmp_path, capsys):
+        assert cli.main(["run", "limit-formula", "--p", "2", "--out", str(tmp_path)]) == 2
+        assert "p = q = 1" in capsys.readouterr().err
 
     def test_unknown_experiment_rejected_by_parser(self):
         with pytest.raises(SystemExit):
