@@ -39,6 +39,9 @@ from .legops import (
     right_mult,
 )
 
+# Relative cut of every rank decision here: a singular value or residual
+# at most RANK_TOL times its scale is zero.  An SVD's rounding floor, about
+# n * eps * sigma_max, is under 1e-12 for n <= DENSE_CAP columns.
 RANK_TOL = 1e-8
 # Admission cut on Gram eigenvalues.  An eigenvalue of S S^H is a squared
 # singular value of S, so 1e-10 * lambda_max is the sigma cut
@@ -46,6 +49,9 @@ RANK_TOL = 1e-8
 # (about 1e-12 * lambda_max for n in the thousands), two decades below;
 # a sigma cut at RANK_TOL would square to 1e-16, inside that floor.
 GRAM_EIG_TOL = 1e-10
+# Largest d that commutant_basis solves literally: its stacked system has
+# 2 d^2 rows per generator and d^2 columns, 512 MiB of rows per generator
+# at d = 64 and 128 GiB at the next model dimension, 256.
 COMMUTANT_DIM_CAP = 64
 # Round limit of span_closure; a closure still open after it raises.
 CLOSURE_ROUNDS = 24
@@ -193,7 +199,7 @@ def commutant_basis(generators: Sequence) -> AlgebraBasis:
         for h in (g, g.conj().T):
             rows.append(np.kron(eye, h) - np.kron(h.T, eye))
     stacked = np.vstack(rows)
-    _, sv, vh = np.linalg.svd(stacked, full_matrices=True)
+    _, sv, vh = np.linalg.svd(stacked, full_matrices=False)
     # floor the cutoff at the generator scale: a constraint matrix that
     # is numerically zero (generators commuting with everything) must
     # yield the full null space, not a noise-rank one
@@ -241,8 +247,9 @@ def block_structure(
     """
     mats, d = _gather(generators)
     rng = np.random.default_rng(0xA15EB) if rng is None else rng
-    hermm = mats + [g.conj().T for g in mats]
-    couplers = hermm + _sample_words(hermm, rng, min(8, 2 * len(mats)))
+    # |V* g* V| is the transpose of |V* g V| and the coupling graph is
+    # symmetrized, so the adjoints enter only the sampled words
+    couplers = mats + _sample_words(mats + [g.conj().T for g in mats], rng, min(8, 2 * len(mats)))
 
     for _ in range(3):
         h = np.zeros((d, d), dtype=np.complex128)

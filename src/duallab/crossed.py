@@ -363,17 +363,14 @@ def compression_check(space: ModelSpace, samples: int = 12, seed: int = 0xC0DA) 
     if n * d > DENSE_CAP:
         raise CapExceededError(f"l2 dimension {n * d} exceeds cap {DENSE_CAP}")
     rng = np.random.default_rng(seed)
-    pmat = np.zeros((n * d, n * d), dtype=np.complex128)
-    for g in elems:
-        pmat += CrossedOperator.shift(space, g).to_dense_l2()
-    pmat /= n
+    lams = [CrossedOperator.shift(space, g).to_dense_l2() for g in elems]
+    pmat = sum(lams) / n
     projection_defect = max(
         float(np.abs(pmat @ pmat - pmat).max()),
         float(np.abs(pmat.conj().T - pmat).max()),
     )
     shift_defect = 0.0
-    for g in elems:
-        lam = CrossedOperator.shift(space, g).to_dense_l2()
+    for lam in lams:
         shift_defect = max(
             shift_defect, float(np.abs(pmat @ lam @ pmat - pmat).max())
         )

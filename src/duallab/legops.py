@@ -24,20 +24,22 @@ algebra itself runs on the arrays.
 
 Cost model, for groups of T terms with L carried legs:
 
-- merging a group of at most FEW_TERMS terms sorts Python byte keys
-  and compares every pair of terms entrywise, O(T^2 L N^2) in a handful
-  of numpy calls; a larger group is sorted once by its factor bytes,
-  O(T log T), and factors are compared entrywise only for terms whose
-  fixed 1-D projections lie within the merge tolerance of each other;
+- merging a group keys each term by its factor bytes in a dict and
+  sorts the distinct keys, O(T L N^2 + T log T); the float twins among
+  at most FEW_TERMS distinct terms come from one pairwise comparison,
+  O(T^2 L N^2) in a handful of numpy calls, and among more from
+  entrywise comparisons of only the terms whose fixed 1-D projections
+  lie within the merge tolerance of each other;
 - compose is one batched matmul per pair of groups and carried leg,
   O(T_x T_y L N^3); products of pure permutations are index arithmetic
   over all pairs at once;
-- normalized_trace multiplies factors along the cycles of each group's
-  permutation, O(T L N^3);
 - hs_norm is c^H G c for the Gram matrix G of the terms, which factors
   over the cycles of sigma_g^-1 sigma_h for each pair of groups; a leg
-  fixed by that permutation costs one (T_g x N^2)(N^2 x T_h) product,
-  and X* X is never formed;
+  fixed by that permutation and carried by both groups costs one
+  (T_g x N^2)(N^2 x T_h) product, and X* X is never formed;
+- normalized_trace is the identity's row of the same Gram matrix: it
+  multiplies factors along the cycles of each group's permutation,
+  O(T L N^3);
 - apply costs two batched matmuls per carried leg, O(T L N^(2m+1)), and
   one axis permutation per group; to_dense one batched matmul per
   group, O(T N^(4m)), written into the output through a row-permuted
@@ -62,6 +64,8 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
+from .symcomb import permutation_cycles
+
 # Smallest coefficient magnitude a canonical term keeps.  A sum that
 # cancels exactly leaves a remainder of a few ulps of its O(1) inputs,
 # about 1e-16; the coefficients the package builds are rational in 1/N
@@ -74,12 +78,13 @@ MERGE_TOL = 1e-14
 # 1e-12 absorbs that with a wide margin, while factors that differ by
 # 1e-6 stay apart.
 FACTOR_MERGE_TOL = 1e-12
-# Largest group _merge canonicalizes pairwise.  Up to here one T x T
-# closeness array and a Python sort of byte keys cost less than the
-# signature sort and the projection window, whose fixed cost is a few
-# dozen numpy calls; past it the pairwise array grows as T^2, and the
-# sums of exact-residual reach hundreds of terms.  Measured crossover:
-# 12 to 16 terms at N = 2..4, about 8 at N = 8.
+# Most distinct terms whose float twins _merge finds pairwise.  Up to
+# here one T x T closeness array costs less than the projection window,
+# whose fixed cost is a few dozen numpy calls: merging the 7,800 2- to
+# 4-term groups of the benchmark's haar-mc pass took 0.61-0.85 s with the
+# window for every group, 0.56-0.62 s pairwise (2-CPU machine).  Past it
+# the pairwise array grows as T^2, and the sums of the exact residuals
+# reach hundreds of terms.
 FEW_TERMS = 8
 # Largest model dimension N^(2m) that to_dense and the dense solvers in
 # algebra_tools and crossed materialize: one 4096 x 4096 complex matrix
@@ -217,23 +222,6 @@ def _invert(sigma: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(inv)
 
 
-@lru_cache(maxsize=1024)
-def _cycles(sigma: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """Cycles of sigma, each from its smallest leg: (k, sigma(k), ...)."""
-    seen = [False] * len(sigma)
-    out = []
-    for start in range(len(sigma)):
-        cycle = []
-        k = start
-        while not seen[k]:
-            seen[k] = True
-            cycle.append(k)
-            k = sigma[k]
-        if cycle:
-            out.append(tuple(cycle))
-    return tuple(out)
-
-
 @dataclass(frozen=True, eq=False)
 class OperatorTerm:
     """coefficient * P(sigma) o (per-leg sandwiches), sandwiches first.
@@ -322,32 +310,28 @@ def _concat(parts: list[_Group], N: int) -> _Group:
     return _Group(parts[0].sigma, np.concatenate([p.coeffs for p in parts]), legs, A, B)
 
 
-def _signature_sort(x: np.ndarray, ident: np.ndarray):
-    """Exact merge keys: (index of the first term of each distinct
-    signature, in sorted-signature order; class of every term).
+def _exact_merge(c: np.ndarray, x: np.ndarray, ident: np.ndarray):
+    """Merge terms of equal signature: returns (c, x, ident) with one
+    term per distinct signature, in signature order.
 
-    The signature of a leg is b"I" for an identity factor and the bytes
-    of A then B otherwise, compared as Python compares bytes.  Each leg
-    is encoded at one fixed length so that memcmp order on the encoding
-    is that order: byte 0 of the factor bytes, then 1 (0 for identity,
-    whose byte 0 is "I"), then the remaining bytes (zeros for identity).
+    A leg's key is b"I" for an identity factor, else its A then B
+    bytes, and signatures compare as Python tuples of bytes.  Each sum
+    runs in term order from zero; a term keeps the factors of the first
+    term of its signature.
     """
-    T, L = x.shape[:2]
-    raw = x.view(np.uint8)
-    key = np.empty((T, L, raw.shape[2] + 1), dtype=np.uint8)
-    key[:, :, 0] = raw[:, :, 0]
-    key[:, :, 1] = 1
-    key[:, :, 2:] = raw[:, :, 1:]
-    key[ident] = 0
-    key[ident, 0] = ord("I")
-    keys = key.reshape(T, -1).view(np.dtype((np.void, key[0].size)))[:, 0]
-    order = np.argsort(keys, kind="stable")
-    ranked = keys[order]
-    starts = np.ones(T, dtype=bool)
-    starts[1:] = ranked[1:] != ranked[:-1]
-    inverse = np.empty(T, dtype=np.intp)
-    inverse[order] = np.cumsum(starts) - 1
-    return order[starts], inverse
+    leg_bytes = x.view(np.dtype((np.void, x.shape[2] * x.itemsize)))[..., 0].tolist()
+    first: dict[tuple, int] = {}
+    sums: dict[tuple, complex] = {}
+    for t, (coeff, flags, row) in enumerate(zip(c.tolist(), ident.tolist(), leg_bytes)):
+        key = tuple(b"I" if i else f for i, f in zip(flags, row))
+        if key in first:
+            sums[key] += coeff
+        else:
+            first[key] = t
+            sums[key] = 0j + coeff
+    keys = sorted(first)
+    rows = [first[k] for k in keys]
+    return np.array([sums[k] for k in keys], dtype=np.complex128), x[rows], ident[rows]
 
 
 @lru_cache(maxsize=64)
@@ -402,49 +386,20 @@ def _fuzzy_merge(c: np.ndarray, x: np.ndarray) -> np.ndarray:
     return alive
 
 
-def _merge_windowed(c: np.ndarray, x: np.ndarray, ident: np.ndarray):
-    """Exact merge and float twins of many terms: the signature sort,
-    then the projection window of ``_fuzzy_merge``.  Returns the merged
-    (c, x, ident) in signature order and the mask of survivors."""
-    first, inverse = _signature_sort(x, ident)
-    merged = np.zeros(len(first), dtype=np.complex128)
-    np.add.at(merged, inverse, c)
-    x = x[first]
-    return merged, x, ident[first], _fuzzy_merge(merged, x)
-
-
-def _merge_few(c: np.ndarray, x: np.ndarray, ident: np.ndarray):
-    """``_merge_windowed`` for a few terms, without sort or window.
-
-    A leg's key is b"I" for an identity factor, else its A then B bytes:
-    the order ``_signature_sort`` encodes.  A dict of keys gives the
-    exact merge, summing in term order from zero as ``np.add.at`` does;
+def _pairwise_twins(c: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``_fuzzy_merge`` for a few terms, without the projection window:
     one T x T array of entrywise distances, held against the later
-    term's tolerance, gives the float twins by ``_fuzzy_merge``'s rule.
-    """
-    first: dict[tuple, int] = {}
-    sums: dict[tuple, complex] = {}
-    for t, (coeff, flags, row) in enumerate(zip(c.tolist(), ident.tolist(), x)):
-        key = tuple(b"I" if i else f.tobytes() for i, f in zip(flags, row))
-        if key in first:
-            sums[key] += coeff
-        else:
-            first[key] = t
-            sums[key] = 0j + coeff
-    keys = sorted(first)
-    rows = [first[k] for k in keys]
-    c, x = [sums[k] for k in keys], x[rows]
+    term's tolerance, gives the same twins by the same rule."""
+    tol = FACTOR_MERGE_TOL * (1.0 + np.abs(x).max(axis=2))  # (T, L)
+    # close[r][t]: on every leg, r's entries within t's tolerance of t's
+    close = (np.abs(x[:, None] - x[None]).max(axis=3) <= tol).all(axis=2).tolist()
     alive = [True] * len(c)
-    if len(c) > 1:
-        tol = FACTOR_MERGE_TOL * (1.0 + np.abs(x).max(axis=2))  # (T, L)
-        # close[r][t]: on every leg, r's entries within t's tolerance of t's
-        close = (np.abs(x[:, None] - x[None]).max(axis=3) <= tol).all(axis=2).tolist()
-        for t in range(1, len(c)):
-            r = next((r for r in range(t) if alive[r] and close[r][t]), None)
-            if r is not None:
-                c[r] += c[t]
-                alive[t] = False
-    return np.array(c, dtype=np.complex128), x, ident[rows], np.array(alive)
+    for t in range(1, len(c)):
+        r = next((r for r in range(t) if alive[r] and close[r][t]), None)
+        if r is not None:
+            c[r] += c[t]
+            alive[t] = False
+    return np.array(alive)
 
 
 def _merge(g: _Group, N: int) -> _Group | None:
@@ -453,9 +408,10 @@ def _merge(g: _Group, N: int) -> _Group | None:
     Drops terms with an exactly zero factor, merges equal signatures
     (summing in term order), sorts by signature, folds float twins,
     drops coefficients below MERGE_TOL and flags the legs that are the
-    identity in every remaining term.  Up to FEW_TERMS terms merge by
-    ``_merge_few``, more by ``_merge_windowed``; both give the same
-    group, bit for bit.
+    identity in every remaining term.  Every group takes the one exact
+    merge; the twin search after it is ``_pairwise_twins`` for up to
+    FEW_TERMS distinct terms and ``_fuzzy_merge`` for more, which give
+    the same group, bit for bit.
     """
     if not g.legs:
         total = np.add.accumulate(g.coeffs)[-1:]
@@ -475,7 +431,9 @@ def _merge(g: _Group, N: int) -> _Group | None:
         c, x = c[live], x[live]
     ident = (x == _eye_pair(N)).all(axis=2)  # (T, L)
     if len(c) > 1:
-        c, x, ident, alive = (_merge_few if len(c) <= FEW_TERMS else _merge_windowed)(c, x, ident)
+        c, x, ident = _exact_merge(c, x, ident)
+    if len(c) > 1:  # the exact merge may have left one term
+        alive = (_pairwise_twins if len(c) <= FEW_TERMS else _fuzzy_merge)(c, x)
         keep = (alive & (np.abs(c) >= MERGE_TOL)).tolist()
     else:
         keep = (np.abs(c) >= MERGE_TOL).tolist()
@@ -515,13 +473,12 @@ def _cycle_trace(factors, N: int):
     """tr(A factors multiplied along a cycle) * tr(B factors against it).
 
     ``factors`` lists one (A, B) pair of batched arrays per leg of the
-    cycle, in cycle order, or None for an identity leg.
+    cycle, in cycle order, or (None, None) for an identity leg.
     """
     a = b = None
-    for f in factors:
-        if f is None:
+    for fa, fb in factors:
+        if fa is None:
             continue
-        fa, fb = f
         a = fa if a is None else fa @ a
         b = fb if b is None else b @ fb
     if a is None:
@@ -540,33 +497,20 @@ def _gram(g: _Group, h: _Group, N: int) -> np.ndarray:
     rho = tuple(inv[s] for s in h.sigma)
     gp = {k: i for i, k in enumerate(g.legs)}
     hp = {k: i for i, k in enumerate(h.legs)}
-    Tg, Th = len(g.coeffs), len(h.coeffs)
-    G = np.ones((Tg, Th), dtype=np.complex128)
-    for cycle in _cycles(rho):
-        if len(cycle) == 1:
-            i, j = gp.get(cycle[0]), hp.get(cycle[0])
-            if i is not None and j is not None:
-                # tr(A_i* A_j) tr(B_j B_i*) = <A_i, A_j> <B_i, B_j> entrywise.
-                # einsum makes these small products without BLAS: on a
-                # 2-CPU machine OpenBLAS's threaded zgemm took 15-20 ms per
-                # call at T = 64, N = 8, and einsum under 1 ms.
-                G *= np.einsum("iab,jab->ij", g.A[:, i].conj(), h.A[:, j])
-                G *= np.einsum("iab,jab->ij", g.B[:, i].conj(), h.B[:, j])
-            elif i is not None:
-                G *= np.conj(np.trace(g.A[:, i], axis1=1, axis2=2)
-                             * np.trace(g.B[:, i], axis1=1, axis2=2))[:, None]
-            elif j is not None:
-                G *= (np.trace(h.A[:, j], axis1=1, axis2=2)
-                      * np.trace(h.B[:, j], axis1=1, axis2=2))[None, :]
-            else:
-                G *= N * N
+    G = np.ones((len(g.coeffs), len(h.coeffs)), dtype=np.complex128)
+    for cycle in permutation_cycles(rho):
+        if len(cycle) == 1 and cycle[0] in gp and cycle[0] in hp:
+            i, j = gp[cycle[0]], hp[cycle[0]]
+            # tr(A_i* A_j) tr(B_j B_i*) = <A_i, A_j> <B_i, B_j> entrywise.
+            # einsum makes these small products without BLAS: on a
+            # 2-CPU machine OpenBLAS's threaded zgemm took 15-20 ms per
+            # call at T = 64, N = 8, and einsum under 1 ms.
+            G *= np.einsum("iab,jab->ij", g.A[:, i].conj(), h.A[:, j])
+            G *= np.einsum("iab,jab->ij", g.B[:, i].conj(), h.B[:, j])
             continue
         factors = []
         for k in cycle:
             i, j = gp.get(rho[k]), hp.get(k)
-            if i is None and j is None:
-                factors.append(None)
-                continue
             ga = gb = ha = hb = None
             if i is not None:
                 ga = g.A[:, i].conj().swapaxes(1, 2)[:, None]
@@ -853,24 +797,18 @@ class StructuredOperator:
     # -- analysis ------------------------------------------------------
 
     def normalized_trace(self) -> complex:
-        """Exact normalized trace via the cycle factorization.
+        """Exact normalized trace: the identity's row of the Gram matrix.
 
-        Each cycle of the permutation part contributes the trace of the
-        A-factors multiplied along the cycle times the trace of the
-        B-factors multiplied against it; the product over cycles is
-        divided by N^(2m).
+        Tr(1* T_j) is the trace of T_j, which factors over the cycles of
+        its permutation: each contributes the trace of the A-factors
+        multiplied along the cycle times the trace of the B-factors
+        multiplied against it.  The sum is divided by N^(2m).
         """
         N = self.space.N
+        one = _pure(tuple(range(self.space.m)), np.ones(1, dtype=np.complex128), N)
         total = 0.0 + 0.0j
         for g in self._groups:
-            pos = {k: i for i, k in enumerate(g.legs)}
-            vals = np.ones(len(g.coeffs), dtype=np.complex128)
-            for cycle in _cycles(g.sigma):
-                factors = [
-                    (g.A[:, pos[k]], g.B[:, pos[k]]) if k in pos else None for k in cycle
-                ]
-                vals = vals * _cycle_trace(factors, N)
-            total += g.coeffs @ vals
+            total += g.coeffs @ _gram(one, g, N)[0]
         return complex(total / self.space.dim)
 
     def hs_norm(self) -> float:
@@ -996,7 +934,7 @@ def permuted_product_trace(
         raise ValueError("sigma is not a permutation of the matrix list")
     total = 1.0 + 0.0j
     n = matrices[0].shape[0]
-    for cycle in _cycles(tuple(sigma)):
+    for cycle in permutation_cycles(tuple(sigma)):
         prod = np.eye(n, dtype=np.complex128)
         for k in cycle:
             prod = matrices[k] @ prod

@@ -25,6 +25,8 @@ character
     Irreducible character value via Murnaghan-Nakayama.
 conjugacy_classes
     Cycle types with class sizes.
+permutation_cycles
+    Cycles of an explicit permutation, each from its smallest point.
 cycle_type_of_permutation
     Cycle type of an explicit permutation, as a CycleType.
 """
@@ -189,21 +191,26 @@ def conjugacy_classes(p: int) -> list[tuple[CycleType, int]]:
     return out
 
 
-def cycle_type_of_permutation(perm: tuple[int, ...]) -> CycleType:
-    """Cycle type of a permutation given in one-line form on 0..m-1."""
+@lru_cache(maxsize=1024)
+def permutation_cycles(perm: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Cycles of a permutation in one-line form on 0..m-1, each from its
+    smallest point: (k, perm(k), perm(perm(k)), ...)."""
     seen = [False] * len(perm)
-    lengths = []
+    out = []
     for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        k = start
+        k, cycle = start, []
         while not seen[k]:
             seen[k] = True
+            cycle.append(k)
             k = perm[k]
-            length += 1
-        lengths.append(length)
-    return CycleType(tuple(sorted(lengths, reverse=True)))
+        if cycle:
+            out.append(tuple(cycle))
+    return tuple(out)
+
+
+def cycle_type_of_permutation(perm: tuple[int, ...]) -> CycleType:
+    """Cycle type of a permutation given in one-line form on 0..m-1."""
+    return CycleType(tuple(sorted((len(c) for c in permutation_cycles(tuple(perm))), reverse=True)))
 
 
 @dataclass(frozen=True)

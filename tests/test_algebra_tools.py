@@ -8,6 +8,7 @@ cyclic loop it replaced, and ``block_structure`` against
 """
 
 import math
+import tracemalloc
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -32,6 +33,7 @@ from duallab.algebra_tools import (
     span_closure,
     span_growth_check,
 )
+from duallab.crossed import group_elements, leg_unitary
 from duallab.duality_core import haar_unitary, t_plus
 from duallab.legops import (
     CapExceededError,
@@ -208,6 +210,22 @@ class TestCommutant:
         d = COMMUTANT_DIM_CAP + 1
         with pytest.raises(CapExceededError):
             commutant_basis([np.eye(d)])
+
+    def test_leg_unitaries_solve_without_the_square_factor(self):
+        # d = 16, two generators: the stacked system is 1024 x 256 complex,
+        # 4 MiB; a full SVD's unread 1024 x 1024 U adds 16 MiB more
+        space = ModelSpace(2, 2, 0)
+        legs = [leg_unitary(space, g) for g in group_elements(space.p, space.q)]
+        commutant_basis(legs)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            basis = commutant_basis(legs)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20
+        assert basis.dim == 136  # the symmetric and antisymmetric blocks: 10^2 + 6^2
 
 
 class TestBlockStructure:

@@ -182,6 +182,16 @@ class TestDenseAgreement:
         want = np.linalg.norm(x.to_dense().matrix) / np.sqrt(space.dim)
         assert abs(x.hs_norm() - want) < 1e-10
 
+    def test_trace_and_norm_over_one_sided_fixed_legs(self):
+        # against P(0,2,1) the group of a on leg 0 has a fixed leg 0 that
+        # only it carries; against P(1,0,2), a fixed leg 2 that no group carries
+        sp = ModelSpace(2, 2, 1)
+        x = (left_mult(sp, rand_mat(2), 0) + permutation_op(sp, (0, 2, 1)) * (0.5 - 1j)
+             + permutation_op(sp, (1, 0, 2)) * 2j)
+        X = oracle_dense(x)
+        assert abs(x.normalized_trace() - np.trace(X) / sp.dim) < 1e-12
+        assert abs(x.hs_norm() - np.linalg.norm(X) / np.sqrt(sp.dim)) < 1e-12
+
     def test_linear_combinations(self):
         sp = ModelSpace(2, 1, 1)
         x, y = rand_op(sp), rand_op(sp)
@@ -882,7 +892,7 @@ class TestOneLeg:
             assert x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
-# -- the two merge paths --------------------------------------------------------
+# -- the two twin searches ------------------------------------------------------
 
 
 def factor_tol(x):
@@ -979,8 +989,8 @@ def assert_same_group(got, want):
 
 class TestMergePaths:
     """_merge makes the same canonical group, bit for bit, whether the
-    terms go through _merge_few or _merge_windowed, on either side of
-    FEW_TERMS."""
+    float twins are found by _pairwise_twins or by _fuzzy_merge's
+    projection window, on either side of FEW_TERMS."""
 
     SIDES = {
         "few_terms": st.integers(1, FEW_TERMS),
@@ -1000,7 +1010,7 @@ class TestMergePaths:
         assert_same_group(few, windowed)
         assert_same_group(_merge(g, N), windowed)
 
-    @pytest.mark.parametrize("T, path", [(FEW_TERMS, "_merge_few"), (FEW_TERMS + 1, "_merge_windowed")])
+    @pytest.mark.parametrize("T, path", [(FEW_TERMS, "_pairwise_twins"), (FEW_TERMS + 1, "_fuzzy_merge")])
     def test_threshold_selects_path(self, monkeypatch, T, path):
         taken = []
 
@@ -1012,7 +1022,7 @@ class TestMergePaths:
                 return real(*args)
             return call
 
-        for name in ("_merge_few", "_merge_windowed"):
+        for name in ("_pairwise_twins", "_fuzzy_merge"):
             monkeypatch.setattr(legops, name, spy(name))
         A = np.stack([rand_mat(2)[None] for _ in range(T)])
         _merge(_Group((0,), np.ones(T, dtype=np.complex128), (0,), A, np.ones_like(A)), 2)
