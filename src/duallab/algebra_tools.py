@@ -35,8 +35,7 @@ from .legops import (
     ModelSpace,
     NumericError,
     StructuredOperator,
-    left_mult,
-    right_mult,
+    _Group,
 )
 
 # Relative cut of every rank decision here: a singular value or residual
@@ -260,7 +259,7 @@ def block_structure(
         vals, vecs = np.linalg.eigh(h)
         span = max(float(vals[-1] - vals[0]), 1.0)
         # clusters are contiguous: starts[c] is the first index of cluster c
-        starts = np.flatnonzero(np.diff(vals, prepend=-np.inf) > 1e-8 * span)
+        starts = np.flatnonzero(np.diff(vals, prepend=-np.inf) > RANK_TOL * span)
         sizes = np.diff(starts, append=d)
         nclust = len(starts)
         # reach[u, v]: clusters u and v coupled by some generator word
@@ -269,7 +268,7 @@ def block_structure(
             gv = np.abs(vecs.conj().T @ g @ vecs)
             scale = max(float(gv.max()), 1.0)
             blockmax = np.maximum.reduceat(np.maximum.reduceat(gv, starts, axis=0), starts, axis=1)
-            reach |= blockmax > 1e-8 * scale
+            reach |= blockmax > RANK_TOL * scale
         reach |= reach.T
         # transitive closure by squaring: reachability within 2^k steps
         while True:
@@ -427,19 +426,15 @@ def fixed_point_dimension(p: int, N: int) -> int:
     return math.comb(N * N + p - 1, p)
 
 
-def _orbit_words(p: int, N: int) -> list[tuple[tuple[int, int], ...]]:
-    letters = [(i, j) for i in range(N) for j in range(N)]
-    return list(combinations_with_replacement(letters, p))
-
-
 def fixed_point_basis(p: int, N: int, side: str = "left") -> AlgebraBasis:
     """Basis of leg-permutation-invariant multiplication operators.
 
     Each element is the model-space lift of a symmetrized matrix-unit
     word: the orbit sum over leg permutations of e_{i1 j1} x ... x
-    e_{ip jp}, acting by left (or right) multiplication on each leg.
-    Orbit sums over distinct multisets are orthogonal by construction,
-    so orthonormalization is a per-element rescaling.
+    e_{ip jp}, acting by left (or right) multiplication on each leg,
+    built as one group with a term per distinct arrangement of the
+    word.  Orbit sums over distinct multisets are orthogonal by
+    construction, so orthonormalization is a per-element rescaling.
 
     Dense elements are materialized only while the model dimension
     stays small; beyond that the basis carries the dimension alone.
@@ -452,27 +447,15 @@ def fixed_point_basis(p: int, N: int, side: str = "left") -> AlgebraBasis:
     dim = fixed_point_dimension(p, N)
     if space.dim > 256:
         return AlgebraBasis(space, (), dimension=dim)
-    mult = left_mult if side == "left" else right_mult
-
-    def unit(i: int, j: int) -> np.ndarray:
-        e = np.zeros((N, N))
-        e[i, j] = 1.0
-        return e
-
+    units = np.eye(N * N, dtype=np.complex128).reshape(N * N, N, N)  # e_ij at i * N + j
+    legs = tuple(range(p))
     elements = []
-    for word in _orbit_words(p, N):
-        terms = []
-        seen = set()
-        for perm in permutations(range(p)):
-            arranged = tuple(word[perm[k]] for k in range(p))
-            if arranged in seen:
-                continue
-            seen.add(arranged)
-            term = StructuredOperator.identity(space)
-            for k, (i, j) in enumerate(arranged):
-                term = term.compose(mult(space, unit(i, j), k))
-            terms.append(term)
-        mat = StructuredOperator.sum(terms).to_dense().matrix
+    for word in combinations_with_replacement(range(N * N), p):
+        factors = units[list(dict.fromkeys(permutations(word)))]  # (T, p, N, N)
+        eye = np.broadcast_to(np.eye(N, dtype=np.complex128), factors.shape)
+        A, B = (factors, eye) if side == "left" else (eye, factors)
+        group = _Group(legs, np.ones(len(factors), dtype=np.complex128), legs, A, B)
+        mat = StructuredOperator._from_raw(space, [group]).to_dense().matrix
         nrm = math.sqrt(abs(hs_inner(mat, mat)))
         elements.append(mat / nrm)
     assert len(elements) == dim

@@ -10,7 +10,9 @@ matrix.
 
 The exact averages really are exact: they return structured operators
 whose coefficients are rational in 1/N, so downstream identities can be
-tested at 1e-12 rather than at Monte Carlo resolution.
+tested at 1e-12 rather than at Monte Carlo resolution.  Like legops'
+own builders, the pair averages and Young projections are built as the
+raw term-group arrays of legops and canonicalized once.
 """
 
 from __future__ import annotations
@@ -23,11 +25,10 @@ import numpy as np
 
 from .legops import (
     DenseOperator,
-    LegFactor,
     ModelSpace,
-    OperatorTerm,
     StructuredOperator,
-    identity_factor,
+    _Group,
+    _pure,
     left_mult,
     right_mult,
 )
@@ -108,15 +109,14 @@ def young_projection(
     if block == 0:
         return StructuredOperator.identity(space)
     scale = dimension(lam) / math.factorial(block)
-    ident = identity_factor(space.N)
-    terms = []
+    raw = []
     for perm in itertools.permutations(range(block)):
         chi = character(lam, cycle_type_of_permutation(perm))
         if chi == 0:
             continue
         sigma = _embedded_sigma(perm, offset, space.m)
-        terms.append(OperatorTerm(scale * chi, (ident,) * space.m, sigma))
-    return StructuredOperator(space, terms)
+        raw.append(_pure(sigma, np.array([scale * chi], dtype=np.complex128), space.N))
+    return StructuredOperator._from_raw(space, raw)
 
 
 # -- Haar sampling and averaging -----------------------------------------
@@ -204,19 +204,13 @@ def haar_average_mc(f, config: HaarConfig) -> MCAverage:
     return MCAverage(DenseOperator(dense.space, mean), n, config.seed, stderr)
 
 
-def _block_units(N: int, block_dim: int) -> list[list[np.ndarray]]:
-    if N % block_dim:
-        raise ValueError(f"block dimension {block_dim} does not divide N={N}")
-    pad = np.eye(N // block_dim)
-    units = []
-    for r in range(block_dim):
-        row = []
-        for s in range(block_dim):
-            e = np.zeros((block_dim, block_dim))
-            e[r, s] = 1.0
-            row.append(np.kron(e, pad))
-        units.append(row)
-    return units
+def _block_size(N: int, block_dim: int | None) -> int:
+    """The block dimension D of an average over the leading D x D
+    block of M_N (the full group, D = N, by default)."""
+    D = N if block_dim is None else block_dim
+    if D < 1 or N % D:
+        raise ValueError(f"block_dim {D} is not a positive divisor of N={N}")
+    return D
 
 
 def haar_pair_average_exact(
@@ -234,6 +228,8 @@ def haar_pair_average_exact(
     By the second-moment matrix-unit formula each of these equals
     (1/D) * sum over matrix units e_rs placed at leg k and e_sr at leg
     j, in the mode's left/right positions, D being the block dimension.
+    The D^2 terms are built as one group: the units e_rs x 1 stacked in
+    a (D^2, N, N) array and their transposes by a swap of r and s.
     """
     space.check_leg(k)
     space.check_leg(j)
@@ -241,26 +237,18 @@ def haar_pair_average_exact(
         raise ValueError("pair average needs two distinct legs")
     if mode not in ("ll", "rr", "lr"):
         raise ValueError(f"mode must be 'll', 'rr' or 'lr', got {mode!r}")
-    D = space.N if block_dim is None else block_dim
-    units = _block_units(space.N, D)
-    eye = np.eye(space.N)
-    ident = identity_factor(space.N)
-    terms = []
-    for r in range(D):
-        for s in range(D):
-            factors = [ident] * space.m
-            if mode[0] == "l":
-                factors[k] = LegFactor(units[r][s], eye)
-            else:
-                factors[k] = LegFactor(eye, units[r][s])
-            if mode[1] == "l":
-                factors[j] = LegFactor(units[s][r], eye)
-            else:
-                factors[j] = LegFactor(eye, units[s][r])
-            terms.append(
-                OperatorTerm(1.0 / D, tuple(factors), tuple(range(space.m)))
-            )
-    return StructuredOperator(space, terms)
+    N = space.N
+    D = _block_size(N, block_dim)
+    units = np.kron(np.eye(D * D, dtype=np.complex128).reshape(D * D, D, D), np.eye(N // D))
+    swapped = units.reshape(D, D, N, N).swapaxes(0, 1).reshape(D * D, N, N)
+    eye = np.broadcast_to(np.eye(N, dtype=np.complex128), units.shape)
+    # a group's carried legs ascend, and k > j occurs
+    placed = sorted([(k, mode[0], units), (j, mode[1], swapped)], key=lambda t: t[0])
+    legs = tuple(leg for leg, _, _ in placed)
+    A = np.stack([e if side == "l" else eye for _, side, e in placed], axis=1)
+    B = np.stack([eye if side == "l" else e for _, side, e in placed], axis=1)
+    coeffs = np.full(D * D, 1.0 / D, dtype=np.complex128)
+    return StructuredOperator._from_raw(space, [_Group(tuple(range(space.m)), coeffs, legs, A, B)])
 
 
 # -- conditional expectation tower ---------------------------------------
@@ -312,13 +300,13 @@ def conditional_expectation(
     return _block_expectation(a, 2**level)
 
 
-def _block_expectation(a: np.ndarray, D: int) -> np.ndarray:
+def _block_expectation(a: np.ndarray, block_dim: int | None) -> np.ndarray:
     """Average of u a u* over the unitaries of the leading D x D tensor
     factor of M_N: the normalized partial trace over that factor,
-    re-tensored with its identity.  D = N gives tr(a)/N times I."""
+    re-tensored with its identity.  D = N, the default, gives tr(a)/N
+    times I."""
     N = a.shape[0]
-    if N % D:
-        raise ValueError(f"block dimension {D} does not divide N={N}")
+    D = _block_size(N, block_dim)
     K = N // D
     partial = np.einsum("ijil->jl", a.reshape(D, K, D, K)) / D
     return np.kron(np.eye(D), partial)
@@ -413,7 +401,7 @@ def product_average_exact(
     expectation of a, and the cross terms to the averaged remainder.
     """
     a = np.asarray(a, dtype=np.complex128)
-    expected = _block_expectation(a, space.N if block_dim is None else block_dim)
+    expected = _block_expectation(a, block_dim)
     return StructuredOperator.sum([
         t_plus(space, a),
         t_minus(space, expected),
@@ -461,16 +449,18 @@ def limit_formula_check(
     conditional expectation of that level.
     """
     a = np.asarray(a, dtype=np.complex128)
+    if a.shape != (space.N, space.N):
+        raise ValueError(f"expected {space.N}x{space.N}, got {a.shape}")
+    block_dim = None
     if tower is not None:
         if level is None:
             raise ValueError("a tower level is required with a tower")
         if tower.N != space.N:
             raise ValueError("tower leg size does not match the space")
+        if not 1 <= level <= tower.levels:
+            raise ValueError(f"level {level} outside 1..{tower.levels}")
         block_dim = 2**level
-        expected = conditional_expectation(tower, level, a)
-    else:
-        block_dim = None
-        expected = _block_expectation(a, space.N)
+    expected = _block_expectation(a, block_dim)
     averaged = product_average_exact(space, a, block_dim)
     stated = t_plus(space, a) - t_minus(space, expected)
     residual = averaged - stated

@@ -9,7 +9,7 @@ cyclic loop it replaced, and ``block_structure`` against
 
 import math
 import tracemalloc
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, permutations
 
 import numpy as np
 import pytest
@@ -305,7 +305,41 @@ class TestGeneratedDim:
             generated_algebra_dim([])
 
 
+def reference_fixed_point_elements(p, N, side):
+    """The normalized orbit sums of ``fixed_point_basis``, each term a
+    chain of p one-leg products from the identity: the differential
+    oracle for its array-built groups."""
+    space = ModelSpace(N, p, 0) if side == "left" else ModelSpace(N, 0, p)
+    mult = left_mult if side == "left" else right_mult
+    letters = [(i, j) for i in range(N) for j in range(N)]
+    elements = []
+    for word in combinations_with_replacement(letters, p):
+        terms = []
+        seen = set()
+        for perm in permutations(range(p)):
+            arranged = tuple(word[perm[k]] for k in range(p))
+            if arranged in seen:
+                continue
+            seen.add(arranged)
+            term = StructuredOperator.identity(space)
+            for k, (i, j) in enumerate(arranged):
+                term = term.compose(mult(space, unit(N, i, j), k))
+            terms.append(term)
+        mat = StructuredOperator.sum(terms).to_dense().matrix
+        elements.append(mat / math.sqrt(abs(hs_inner(mat, mat))))
+    return elements
+
+
 class TestFixedPoints:
+    @pytest.mark.parametrize("p,N", [(1, 2), (2, 2), (3, 2), (4, 2), (1, 3), (2, 3), (1, 4), (2, 4)])
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_matches_compose_chain_oracle(self, p, N, side):
+        got = fixed_point_basis(p, N, side).elements
+        want = reference_fixed_point_elements(p, N, side)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+
     def test_dimension_is_multiset_count(self):
         for p, N in [(1, 2), (2, 2), (3, 2), (2, 3)]:
             want = len(list(combinations_with_replacement(range(N * N), p)))

@@ -6,6 +6,7 @@ from the independently tested character values, conditional
 expectations from an elementwise partial trace.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -29,7 +30,15 @@ from duallab.duality_core import (
     t_plus,
     young_projection,
 )
-from duallab.legops import ModelSpace, StructuredOperator, left_mult, right_mult
+from duallab.legops import (
+    LegFactor,
+    ModelSpace,
+    OperatorTerm,
+    StructuredOperator,
+    identity_factor,
+    left_mult,
+    right_mult,
+)
 from duallab.symcomb import (
     character,
     cycle_type_of_permutation,
@@ -68,6 +77,17 @@ def all_perms(m):
     return [tuple(s) for s in permutations(range(m))]
 
 
+def assert_same_groups(got, want):
+    """Byte-equal canonical groups: permutations, carried legs,
+    coefficients and factors."""
+    assert len(got._groups) == len(want._groups)
+    for g, h in zip(got._groups, want._groups):
+        assert (g.sigma, g.legs) == (h.sigma, h.legs)
+        assert g.coeffs.tobytes() == h.coeffs.tobytes()
+        assert g.A.tobytes() == h.A.tobytes()
+        assert g.B.tobytes() == h.B.tobytes()
+
+
 # -- multiplication sums ------------------------------------------------------
 
 
@@ -102,6 +122,23 @@ class TestMultiplicationSums:
 
 
 # -- Young projections ---------------------------------------------------------
+
+
+def reference_young_projection(space, lam, side):
+    """The Young projection as a list of OperatorTerm, one per
+    permutation with a nonzero character: the differential oracle for
+    ``young_projection``'s array-built groups."""
+    block, offset = (space.p, 0) if side == "left" else (space.q, space.p)
+    scale = dimension(lam) / math.factorial(block)
+    ident = identity_factor(space.N)
+    terms = []
+    for perm in all_perms(block):
+        chi = character(lam, cycle_type_of_permutation(perm))
+        if chi:
+            sigma = tuple(range(offset)) + tuple(offset + t for t in perm)
+            sigma += tuple(range(offset + block, space.m))
+            terms.append(OperatorTerm(scale * chi, (ident,) * space.m, sigma))
+    return StructuredOperator(space, terms)
 
 
 class TestYoungProjection:
@@ -144,6 +181,14 @@ class TestYoungProjection:
         sp = ModelSpace(2, 2, 0)
         with pytest.raises(ValueError):
             young_projection(sp, enumerate_partitions(2)[0], side="middle")
+
+    @pytest.mark.parametrize("block", [3, 5])
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_matches_term_list_oracle(self, block, side):
+        sp = ModelSpace(2, block, 1) if side == "left" else ModelSpace(2, 1, block)
+        for lam in enumerate_partitions(block):
+            want = reference_young_projection(sp, lam, side)
+            assert_same_groups(young_projection(sp, lam, side), want)
 
 
 # -- Haar sampling and averages -------------------------------------------------
@@ -243,6 +288,27 @@ class TestHaarAverageMC:
             HaarConfig(samples=0, seed=1, N=2)
 
 
+def reference_pair_average(space, k, j, mode, block_dim=None):
+    """The pair average as D^2 OperatorTerms of LegFactors, built from
+    the D x D list of units e_rs x 1: the differential oracle for
+    ``haar_pair_average_exact``'s array-built group."""
+    N = space.N
+    D = N if block_dim is None else block_dim
+    if N % D:
+        raise ValueError(f"block dimension {D} does not divide N={N}")
+    units = [[np.kron(np.outer(np.eye(D)[r], np.eye(D)[s]), np.eye(N // D)) for s in range(D)]
+             for r in range(D)]
+    eye = np.eye(N)
+    terms = []
+    for r in range(D):
+        for s in range(D):
+            factors = [identity_factor(N)] * space.m
+            for leg, side, e in ((k, mode[0], units[r][s]), (j, mode[1], units[s][r])):
+                factors[leg] = LegFactor(e, eye) if side == "l" else LegFactor(eye, e)
+            terms.append(OperatorTerm(1.0 / D, tuple(factors), tuple(range(space.m))))
+    return StructuredOperator(space, terms)
+
+
 class TestPairAverageExact:
     def test_ll_square_identity(self):
         for N in (2, 3):
@@ -284,6 +350,26 @@ class TestPairAverageExact:
             haar_pair_average_exact(sp, 0, 1, "xy")
         with pytest.raises(ValueError):
             haar_pair_average_exact(sp, 0, 1, "ll", block_dim=3)
+        sp = ModelSpace(4, 1, 1)
+        for bad in (0, -2):
+            with pytest.raises(ValueError, match="block_dim"):
+                haar_pair_average_exact(sp, 0, 1, "lr", bad)
+            with pytest.raises(ValueError, match="block_dim"):
+                product_average_exact(sp, np.eye(4), bad)
+
+    @pytest.mark.parametrize("N", [2, 3, 4, 6, 8])
+    @pytest.mark.parametrize("p,q", [(1, 1), (2, 1), (1, 2), (2, 2)])
+    def test_matches_term_list_oracle(self, N, p, q):
+        sp = ModelSpace(N, p, q)
+        for k, j in itertools.permutations(range(sp.m), 2):
+            for mode in ("ll", "rr", "lr"):
+                for block_dim in (None, 2):
+                    if N % 2 and block_dim == 2:
+                        with pytest.raises(ValueError):
+                            haar_pair_average_exact(sp, k, j, mode, block_dim)
+                        continue
+                    got = haar_pair_average_exact(sp, k, j, mode, block_dim)
+                    assert_same_groups(got, reference_pair_average(sp, k, j, mode, block_dim))
 
 
 # -- conditional expectation ------------------------------------------------------
@@ -423,6 +509,15 @@ class TestLimitFormula:
         sp = ModelSpace(4, 1, 1)
         with pytest.raises(ValueError):
             limit_formula_check(sp, np.eye(4), tower=SubfactorTower.for_leg_size(4))
+
+    def test_tower_level_and_shape_validation(self):
+        sp = ModelSpace(4, 1, 1)
+        tower = SubfactorTower.for_leg_size(4)
+        for level in (0, 3):
+            with pytest.raises(ValueError, match="level"):
+                limit_formula_check(sp, np.eye(4), tower=tower, level=level)
+        with pytest.raises(ValueError, match="expected 4x4"):
+            limit_formula_check(sp, np.eye(2), tower=tower, level=1)
 
     def test_closed_forms_against_dense_oracle(self):
         # p = q = 1, full group, t = tau(a), s = tau(a^2).  The averages are
