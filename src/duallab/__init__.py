@@ -44,6 +44,7 @@ from .duality_core import (
     conditional_expectation,
     haar_average_mc,
     haar_pair_average_exact,
+    haar_pair_average_mc,
     haar_unitary,
     limit_formula_check,
     product_average_exact,

@@ -3,7 +3,7 @@
 This module builds the operators that drive the duality experiments:
 the mixed one-sided multiplication sums, Young projections acting on a
 chosen side of the legs, exact second-moment Haar averages through the
-matrix-unit (Peter-Weyl) formula, a seeded Monte Carlo integrator for
+matrix-unit (Peter-Weyl) formula, seeded Monte Carlo integrators for
 cross-checking them, the conditional-expectation tower onto dyadic
 block subalgebras, and the epsilon-mesh spectral binning of a Hermitian
 matrix.
@@ -11,8 +11,13 @@ matrix.
 The exact averages really are exact: they return structured operators
 whose coefficients are rational in 1/N, so downstream identities can be
 tested at 1e-12 rather than at Monte Carlo resolution.  Like legops'
-own builders, the pair averages and Young projections are built as the
-raw term-group arrays of legops and canonicalized once.
+own builders, t_mixed, the pair averages and Young projections are
+built as the raw term-group arrays of legops and canonicalized once.
+
+Monte Carlo comes in two forms over the same draws.  haar_average_mc
+densifies an opaque integrand per sample; haar_pair_average_mc samples
+a pair product through the second moments u* (x) u, N^4 entries per
+sample, and densifies its mean once.
 """
 
 from __future__ import annotations
@@ -27,8 +32,10 @@ from .legops import (
     DenseOperator,
     ModelSpace,
     StructuredOperator,
+    _eye,
     _Group,
     _pure,
+    _sanitize,
     left_mult,
     right_mult,
 )
@@ -44,6 +51,7 @@ __all__ = [
     "MCAverage",
     "haar_average_mc",
     "haar_pair_average_exact",
+    "haar_pair_average_mc",
     "SubfactorTower",
     "conditional_expectation",
     "sigma_residual",
@@ -75,8 +83,23 @@ def t_minus(space: ModelSpace, a: np.ndarray) -> StructuredOperator:
 
 
 def t_mixed(space: ModelSpace, a: np.ndarray) -> StructuredOperator:
-    """Left-multiplication sum minus right-multiplication sum."""
-    return t_plus(space, a) - t_minus(space, a)
+    """Left-multiplication sum minus right-multiplication sum.
+
+    Built as one group of m terms, canonicalized once: +1 with ``a`` on
+    the left of each left leg, -1 with ``a`` on the right of each right
+    leg, the identity elsewhere.
+    """
+    N, p, m = space.N, space.p, space.m
+    a = _sanitize(a, N)
+    A = np.empty((m, m, N, N), dtype=np.complex128)
+    A[...] = _eye(N)
+    B = A.copy()
+    t = np.arange(m)  # term t carries a on leg t
+    A[t[:p], t[:p]] = a
+    B[t[p:], t[p:]] = a
+    coeffs = np.where(t < p, 1.0, -1.0).astype(np.complex128)
+    legs = tuple(range(m))
+    return StructuredOperator._from_raw(space, [_Group(legs, coeffs, legs, A, B)])
 
 
 # -- Young projections ---------------------------------------------------
@@ -135,9 +158,9 @@ def haar_unitary(N: int, rng: np.random.Generator) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-# Child seed streams haar_average_mc splits its samples over, run one
-# after another.  The split is part of the determinism contract, not
-# parallelism: another count draws other unitaries.
+# Child seed streams a Monte Carlo average splits its samples over, run
+# one after another.  The split is part of the determinism contract,
+# not parallelism: another count draws other unitaries.
 MC_STREAMS = 4
 
 
@@ -169,38 +192,46 @@ class MCAverage:
     stderr: float
 
 
+def _haar_draws(config: HaarConfig):
+    """The unitaries of a Monte Carlo average, in sample order: the
+    budget split over ``MC_STREAMS`` child seed streams, run in stream
+    order, one ``haar_unitary`` call per sample."""
+    streams = np.random.SeedSequence(config.seed).spawn(MC_STREAMS)
+    base, extra = divmod(config.samples, MC_STREAMS)
+    for w, stream in enumerate(streams):
+        rng = np.random.default_rng(stream)
+        for _ in range(base + (w < extra)):
+            yield haar_unitary(config.N, rng)
+
+
+def _stderr(sumsq: float, meansq: float, n: int) -> float:
+    """Frobenius standard error of a mean of n samples, from the sum of
+    their squared norms and the squared norm of their mean."""
+    if n == 1:
+        return float("inf")
+    return math.sqrt(max(sumsq - n * meansq, 0.0) / ((n - 1) * n))
+
+
 def haar_average_mc(f, config: HaarConfig) -> MCAverage:
     """Empirical Haar average of ``f(u)`` densified per sample.
 
-    The sample budget is split across ``MC_STREAMS`` independent child
-    seed streams; the reduction is a sum in stream order, so the result
-    is reproducible for a fixed seed.  The sums accumulate in place, so
-    past the first sample a sample allocates only its dense matrix.
+    The samples are the unitaries of ``_haar_draws``; the reduction is
+    a sum in sample order, so the result is reproducible for a fixed
+    seed.  The sum accumulates in place, with one scalar for the
+    squared Frobenius norms, so past the first sample a sample
+    allocates only its dense matrix.
     """
-    streams = np.random.SeedSequence(config.seed).spawn(MC_STREAMS)
-    base, extra = divmod(config.samples, MC_STREAMS)
-    counts = [base + (1 if w < extra else 0) for w in range(MC_STREAMS)]
     total = None
-    for stream, count in zip(streams, counts):
-        rng = np.random.default_rng(stream)
-        for _ in range(count):
-            u = haar_unitary(config.N, rng)
-            dense = f(u).to_dense()
-            if total is None:
-                total = np.zeros_like(dense.matrix)
-                totalsq = np.zeros(dense.matrix.shape)
-                buf = np.empty(dense.matrix.shape)
-            total += dense.matrix
-            totalsq += np.square(np.abs(dense.matrix, out=buf), out=buf)
+    sumsq = 0.0
+    for u in _haar_draws(config):
+        dense = f(u).to_dense()
+        if total is None:
+            total = np.zeros_like(dense.matrix)
+        total += dense.matrix
+        sumsq += np.vdot(dense.matrix, dense.matrix).real
     n = config.samples
     mean = np.divide(total, n, out=total)
-    if n > 1:
-        # entry variances max(totalsq - n |mean|^2, 0) / (n - 1), in totalsq
-        totalsq -= np.multiply(np.square(np.abs(mean, out=buf), out=buf), n, out=buf)
-        entry_var = np.divide(np.maximum(totalsq, 0.0, out=totalsq), n - 1, out=totalsq)
-        stderr = float(np.sqrt(entry_var.sum() / n))
-    else:
-        stderr = float("inf")
+    stderr = _stderr(sumsq, np.vdot(mean, mean).real, n)
     return MCAverage(DenseOperator(dense.space, mean), n, config.seed, stderr)
 
 
@@ -211,6 +242,27 @@ def _block_size(N: int, block_dim: int | None) -> int:
     if D < 1 or N % D:
         raise ValueError(f"block_dim {D} is not a positive divisor of N={N}")
     return D
+
+
+def _check_pair(space: ModelSpace, k: int, j: int, mode: str) -> None:
+    space.check_leg(k)
+    space.check_leg(j)
+    if k == j:
+        raise ValueError("pair average needs two distinct legs")
+    if mode not in ("ll", "rr", "lr"):
+        raise ValueError(f"mode must be 'll', 'rr' or 'lr', got {mode!r}")
+
+
+def _pair_group(space: ModelSpace, k: int, j: int, mode: str, at_k, at_j, coeffs) -> _Group:
+    """The raw group of the terms X(at_k[t])_k Y(at_j[t])_j, with X and Y
+    the mode's left or right multiplications."""
+    eye = np.broadcast_to(_eye(space.N), at_k.shape)
+    # a group's carried legs ascend, and k > j occurs
+    placed = sorted([(k, mode[0], at_k), (j, mode[1], at_j)], key=lambda t: t[0])
+    legs = tuple(leg for leg, _, _ in placed)
+    A = np.stack([e if side == "l" else eye for _, side, e in placed], axis=1)
+    B = np.stack([eye if side == "l" else e for _, side, e in placed], axis=1)
+    return _Group(tuple(range(space.m)), coeffs, legs, A, B)
 
 
 def haar_pair_average_exact(
@@ -231,24 +283,51 @@ def haar_pair_average_exact(
     The D^2 terms are built as one group: the units e_rs x 1 stacked in
     a (D^2, N, N) array and their transposes by a swap of r and s.
     """
-    space.check_leg(k)
-    space.check_leg(j)
-    if k == j:
-        raise ValueError("pair average needs two distinct legs")
-    if mode not in ("ll", "rr", "lr"):
-        raise ValueError(f"mode must be 'll', 'rr' or 'lr', got {mode!r}")
+    _check_pair(space, k, j, mode)
     N = space.N
     D = _block_size(N, block_dim)
     units = np.kron(np.eye(D * D, dtype=np.complex128).reshape(D * D, D, D), np.eye(N // D))
     swapped = units.reshape(D, D, N, N).swapaxes(0, 1).reshape(D * D, N, N)
-    eye = np.broadcast_to(np.eye(N, dtype=np.complex128), units.shape)
-    # a group's carried legs ascend, and k > j occurs
-    placed = sorted([(k, mode[0], units), (j, mode[1], swapped)], key=lambda t: t[0])
-    legs = tuple(leg for leg, _, _ in placed)
-    A = np.stack([e if side == "l" else eye for _, side, e in placed], axis=1)
-    B = np.stack([eye if side == "l" else e for _, side, e in placed], axis=1)
     coeffs = np.full(D * D, 1.0 / D, dtype=np.complex128)
-    return StructuredOperator._from_raw(space, [_Group(tuple(range(space.m)), coeffs, legs, A, B)])
+    group = _pair_group(space, k, j, mode, units, swapped, coeffs)
+    return StructuredOperator._from_raw(space, [group])
+
+
+def haar_pair_average_mc(
+    space: ModelSpace, k: int, j: int, mode: str, config: HaarConfig
+) -> MCAverage:
+    """Monte Carlo twin of :func:`haar_pair_average_exact` (full group):
+    the empirical average of X(u*)_k Y(u)_j over the unitaries that
+    :func:`haar_average_mc` draws for ``config``.
+
+    Expanding u* in matrix units, the integrand is the sum over a, b of
+    X(e_ab)_k Y((u*)_ab u)_j, linear in the second moments u* (x) u.  So
+    a sample adds its N^4 moment entries to W in place of densifying a
+    d x d matrix, and the mean is that group with the sampled mean W_ab
+    of (u*)_ab u at leg j, densified once; the exact average has e_ba/N
+    there.  Each moment entry fills N^(2m-2) dense entries, which scales
+    the squared norms of the Frobenius standard error.
+    """
+    _check_pair(space, k, j, mode)
+    N = space.N
+    if config.N != N:
+        raise ValueError(f"config draws {config.N}x{config.N} unitaries, the space has N={N}")
+    W = np.zeros((N * N, N * N), dtype=np.complex128)
+    v = np.empty_like(W)
+    sumsq = 0.0
+    for u in _haar_draws(config):
+        # a one-term GEMM, so each entry is the product to_dense forms
+        np.matmul(u.conj().T.reshape(N * N, 1), u.reshape(1, N * N), out=v)
+        W += v
+        sumsq += np.vdot(v, v).real
+    n = config.samples
+    W /= n
+    units = np.eye(N * N, dtype=np.complex128).reshape(N * N, N, N)
+    ones = np.ones(N * N, dtype=np.complex128)
+    group = _pair_group(space, k, j, mode, units, W.reshape(N * N, N, N), ones)
+    mean = StructuredOperator._from_raw(space, [group]).to_dense()
+    reps = N ** (2 * space.m - 2)
+    return MCAverage(mean, n, config.seed, _stderr(reps * sumsq, reps * np.vdot(W, W).real, n))
 
 
 # -- conditional expectation tower ---------------------------------------
@@ -400,7 +479,7 @@ def product_average_exact(
     contributions average to t_plus(a) plus t_minus of the block
     expectation of a, and the cross terms to the averaged remainder.
     """
-    a = np.asarray(a, dtype=np.complex128)
+    a = _sanitize(a, space.N)
     expected = _block_expectation(a, block_dim)
     return StructuredOperator.sum([
         t_plus(space, a),

@@ -49,6 +49,7 @@ from .duality_core import (
     conditional_expectation,
     haar_average_mc,
     haar_pair_average_exact,
+    haar_pair_average_mc,
     haar_unitary,
     limit_formula_check,
     product_average_exact,
@@ -58,7 +59,7 @@ from .duality_core import (
     t_plus,
     young_projection,
 )
-from .legops import ModelSpace, StructuredOperator, left_mult, right_mult
+from .legops import ModelSpace, StructuredOperator
 from .reporting import (
     CheckResult,
     ExperimentConfig,
@@ -191,13 +192,11 @@ def _haar_relations(cfg, rng, out_dir) -> list[CheckResult]:
     # Monte Carlo cross-validation of the closed forms at the top size,
     # the ladder's last step
     samples = cfg.samples or 2000
-    mc_ll = haar_average_mc(
-        lambda u: left_mult(sp, u.conj().T, 0) @ left_mult(sp, u, 1),
-        HaarConfig(samples, derive_seed(cfg.seed, "haar-relations:ll"), cfg.N),
+    mc_ll = haar_pair_average_mc(
+        sp, 0, 1, "ll", HaarConfig(samples, derive_seed(cfg.seed, "haar-relations:ll"), cfg.N)
     )
-    mc_lr = haar_average_mc(
-        lambda u: left_mult(sp, u.conj().T, 0) @ right_mult(sp, u, 1),
-        HaarConfig(samples, derive_seed(cfg.seed, "haar-relations:lr"), cfg.N),
+    mc_lr = haar_pair_average_mc(
+        sp, 0, 1, "lr", HaarConfig(samples, derive_seed(cfg.seed, "haar-relations:lr"), cfg.N)
     )
     diff_ll = float(np.linalg.norm(mc_ll.mean.matrix - tll.to_dense().matrix))
     diff_lr = float(np.linalg.norm(mc_lr.mean.matrix - proj.to_dense().matrix))

@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+import duallab.duality_core as duality_core
 from duallab.duality_core import (
     MC_STREAMS,
     HaarConfig,
@@ -19,6 +20,7 @@ from duallab.duality_core import (
     conditional_expectation,
     haar_average_mc,
     haar_pair_average_exact,
+    haar_pair_average_mc,
     haar_unitary,
     limit_formula_check,
     product_average_exact,
@@ -108,6 +110,16 @@ class TestMultiplicationSums:
         sp = ModelSpace(2, 1, 1)
         a = rand_mat(2)
         assert (t_mixed(sp, a) - (t_plus(sp, a) - t_minus(sp, a))).hs_norm() < 1e-12
+
+    @pytest.mark.parametrize("N", [2, 3, 4])
+    @pytest.mark.parametrize("p,q", [(1, 1), (2, 1), (1, 2), (2, 2), (0, 2), (3, 0), (1, 0)])
+    def test_t_mixed_matches_difference_of_sums(self, N, p, q):
+        # the difference of the two sums, t_mixed's former build, is the
+        # byte-for-byte oracle of its one-group build
+        sp = ModelSpace(N, p, q)
+        rng = np.random.default_rng(100 * N + 10 * p + q)
+        for a in (rand_mat(N, rng), np.eye(N), np.zeros((N, N)), np.diag(rng.standard_normal(N))):
+            assert_same_groups(t_mixed(sp, a), t_plus(sp, a) - t_minus(sp, a))
 
     def test_empty_sides_give_zero(self):
         assert t_plus(ModelSpace(2, 0, 2), rand_mat(2)).n_terms == 0
@@ -309,6 +321,58 @@ def reference_pair_average(space, k, j, mode, block_dim=None):
     return StructuredOperator(space, terms)
 
 
+def opaque_pair_integrand(space, k, j, mode):
+    """X(u*)_k Y(u)_j as the per-sample operator haar_average_mc densifies."""
+    X = left_mult if mode[0] == "l" else right_mult
+    Y = left_mult if mode[1] == "l" else right_mult
+    return lambda u: X(space, u.conj().T, k) @ Y(space, u, j)
+
+
+class TestPairAverageMC:
+    @pytest.mark.parametrize("N,p,q", [
+        (2, 1, 1), (2, 2, 1), (2, 1, 2), (3, 1, 1), (3, 2, 1), (3, 1, 2), (4, 1, 1),
+    ])
+    def test_matches_opaque_integrand(self, N, p, q):
+        # the densified side costs d^2 per sample: d <= 729 here, and the
+        # 200-sample runs only up to d = 256
+        sp = ModelSpace(N, p, q)
+        for k, j in itertools.permutations(range(sp.m), 2):
+            for mode in ("ll", "rr", "lr"):
+                for samples in (1, 23, 200) if sp.dim <= 256 else (1, 23):
+                    cfg = HaarConfig(samples=samples, seed=7 * N + samples, N=N)
+                    got = haar_pair_average_mc(sp, k, j, mode, cfg)
+                    want = haar_average_mc(opaque_pair_integrand(sp, k, j, mode), cfg)
+                    assert (got.samples, got.seed) == (samples, cfg.seed)
+                    scale = np.abs(want.mean.matrix).max()
+                    assert np.abs(got.mean.matrix - want.mean.matrix).max() <= 1e-15 * scale
+                    if samples == 1:
+                        assert got.stderr == want.stderr == float("inf")
+                    else:
+                        assert abs(got.stderr - want.stderr) <= 1e-12 * want.stderr
+
+    def test_validation(self):
+        sp = ModelSpace(2, 1, 1)
+        cfg = HaarConfig(samples=4, seed=1, N=2)
+        with pytest.raises(ValueError, match="distinct legs"):
+            haar_pair_average_mc(sp, 0, 0, "ll", cfg)
+        with pytest.raises(ValueError, match="mode"):
+            haar_pair_average_mc(sp, 0, 1, "xy", cfg)
+        with pytest.raises(ValueError, match="N=2"):
+            haar_pair_average_mc(sp, 0, 1, "ll", HaarConfig(samples=4, seed=1, N=3))
+
+    def test_draws_one_unitary_per_sample(self, monkeypatch):
+        calls = []
+        draw = duality_core.haar_unitary
+
+        def counted(N, rng):
+            calls.append(N)
+            return draw(N, rng)
+
+        monkeypatch.setattr(duality_core, "haar_unitary", counted)
+        haar_pair_average_mc(ModelSpace(3, 1, 1), 0, 1, "lr", HaarConfig(samples=37, seed=5, N=3))
+        assert calls == [3] * 37
+
+
 class TestPairAverageExact:
     def test_ll_square_identity(self):
         for N in (2, 3):
@@ -356,6 +420,12 @@ class TestPairAverageExact:
                 haar_pair_average_exact(sp, 0, 1, "lr", bad)
             with pytest.raises(ValueError, match="block_dim"):
                 product_average_exact(sp, np.eye(4), bad)
+
+    def test_product_average_checks_shape_before_block(self):
+        sp = ModelSpace(4, 1, 1)
+        for block_dim in (None, 2):
+            with pytest.raises(ValueError, match="expected a 4x4 matrix"):
+                product_average_exact(sp, np.eye(3), block_dim)
 
     @pytest.mark.parametrize("N", [2, 3, 4, 6, 8])
     @pytest.mark.parametrize("p,q", [(1, 1), (2, 1), (1, 2), (2, 2)])
