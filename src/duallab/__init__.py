@@ -48,6 +48,7 @@ from .duality_core import (
     haar_unitary,
     limit_formula_check,
     product_average_exact,
+    product_average_mc,
     sigma_average_exact,
     sigma_residual,
     spectral_binning,

@@ -14,10 +14,13 @@ tested at 1e-12 rather than at Monte Carlo resolution.  Like legops'
 own builders, t_mixed, the pair averages and Young projections are
 built as the raw term-group arrays of legops and canonicalized once.
 
-Monte Carlo comes in two forms over the same draws.  haar_average_mc
-densifies an opaque integrand per sample; haar_pair_average_mc samples
-a pair product through the second moments u* (x) u, N^4 entries per
-sample, and densifies its mean once.
+Monte Carlo comes in three forms over the same draws.  haar_average_mc
+densifies an opaque integrand per sample.  haar_pair_average_mc and
+product_average_mc, the twins of the exact pair and product averages,
+run on one moment kernel: their integrands are linear in the second
+moments u* (x) u, so a sample adds its N^4 moment entries to a sum and
+its squared norm through the Gram matrix of the moment basis, and the
+mean is densified once.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from .legops import (
     StructuredOperator,
     _eye,
     _Group,
+    _gram,
     _pure,
     _sanitize,
     left_mult,
@@ -52,6 +56,7 @@ __all__ = [
     "haar_average_mc",
     "haar_pair_average_exact",
     "haar_pair_average_mc",
+    "product_average_mc",
     "SubfactorTower",
     "conditional_expectation",
     "sigma_residual",
@@ -253,12 +258,12 @@ def _check_pair(space: ModelSpace, k: int, j: int, mode: str) -> None:
         raise ValueError(f"mode must be 'll', 'rr' or 'lr', got {mode!r}")
 
 
-def _pair_group(space: ModelSpace, k: int, j: int, mode: str, at_k, at_j, coeffs) -> _Group:
-    """The raw group of the terms X(at_k[t])_k Y(at_j[t])_j, with X and Y
-    the mode's left or right multiplications."""
-    eye = np.broadcast_to(_eye(space.N), at_k.shape)
-    # a group's carried legs ascend, and k > j occurs
-    placed = sorted([(k, mode[0], at_k), (j, mode[1], at_j)], key=lambda t: t[0])
+def _placed_group(space: ModelSpace, placed, coeffs) -> _Group:
+    """The raw group of the terms coeffs[t] times the product over
+    (leg, side, at) in ``placed`` of the multiplication by at[t] on that
+    side ('l' or 'r') of that leg; the legs are distinct."""
+    eye = np.broadcast_to(_eye(space.N), placed[0][2].shape)
+    placed = sorted(placed, key=lambda t: t[0])  # a group's carried legs ascend
     legs = tuple(leg for leg, _, _ in placed)
     A = np.stack([e if side == "l" else eye for _, side, e in placed], axis=1)
     B = np.stack([eye if side == "l" else e for _, side, e in placed], axis=1)
@@ -289,8 +294,55 @@ def haar_pair_average_exact(
     units = np.kron(np.eye(D * D, dtype=np.complex128).reshape(D * D, D, D), np.eye(N // D))
     swapped = units.reshape(D, D, N, N).swapaxes(0, 1).reshape(D * D, N, N)
     coeffs = np.full(D * D, 1.0 / D, dtype=np.complex128)
-    group = _pair_group(space, k, j, mode, units, swapped, coeffs)
+    group = _placed_group(space, [(k, mode[0], units), (j, mode[1], swapped)], coeffs)
     return StructuredOperator._from_raw(space, [group])
+
+
+# Samples whose second moments one GEMM of the moment kernel takes: a
+# (128, N^4) block, 512 KiB at N = 4.  Fixed, so the sums of the
+# standard error run in one order for a given sample count.
+_MOMENT_BATCH = 128
+
+
+def _moment_average(space: ModelSpace, config: HaarConfig, build) -> MCAverage:
+    """Monte Carlo average of an integrand linear in the second moments
+    u* (x) u: the sum over a, b, c, d of (u*)_ab u_cd F_(ab,cd).
+
+    ``build(x, y)`` returns raw groups whose sum is linear in each of the
+    stacks x and y of N x N matrices, so that F_(ab,cd) is build(e_ab,
+    e_cd) and the mean is build(e_ab, W_ab) summed over a, b, with W_ab
+    the sampled mean of (u*)_ab u.  A sample adds its N^4 moment entries
+    V to W; every _MOMENT_BATCH samples add V* G V for each V as one
+    GEMM, G the Gram matrix Tr(F_a* F_b) of the moment basis, which
+    legops' Gram kernel builds one pair of build's groups at a time.
+    The squared Frobenius norm of a sample is V* G V, so the stderr
+    needs no dense sample.
+    """
+    N = space.N
+    if config.N != N:
+        raise ValueError(f"config draws {config.N}x{config.N} unitaries, the space has N={N}")
+    n2 = N * N
+    units = np.eye(n2, dtype=np.complex128).reshape(n2, N, N)
+    basis = build(np.repeat(units, n2, axis=0), np.tile(units, (n2, 1, 1)))
+    G = sum(g.coeffs.conj()[:, None] * _gram(g, h, N) * h.coeffs for g in basis for h in basis)
+    n = config.samples
+    W = np.zeros((n2, n2), dtype=np.complex128)
+    batch = np.empty((_MOMENT_BATCH, n2 * n2), dtype=np.complex128)
+    sumsq = 0.0
+    for i, u in enumerate(_haar_draws(config)):
+        row = i % _MOMENT_BATCH
+        v = batch[row].reshape(n2, n2)
+        # a one-term GEMM, so each entry is the product to_dense forms
+        np.matmul(u.conj().T.reshape(n2, 1), u.reshape(1, n2), out=v)
+        W += v
+        if row == _MOMENT_BATCH - 1 or i == n - 1:
+            rows = batch[: row + 1]
+            sumsq += np.vdot(rows, rows @ G.T).real
+    W /= n
+    w = W.reshape(-1)
+    stderr = _stderr(sumsq, np.vdot(w, G @ w).real, n)
+    mean = StructuredOperator._from_raw(space, build(units, W.reshape(n2, N, N))).to_dense()
+    return MCAverage(mean, n, config.seed, stderr)
 
 
 def haar_pair_average_mc(
@@ -302,32 +354,52 @@ def haar_pair_average_mc(
 
     Expanding u* in matrix units, the integrand is the sum over a, b of
     X(e_ab)_k Y((u*)_ab u)_j, linear in the second moments u* (x) u.  So
-    a sample adds its N^4 moment entries to W in place of densifying a
-    d x d matrix, and the mean is that group with the sampled mean W_ab
-    of (u*)_ab u at leg j, densified once; the exact average has e_ba/N
-    there.  Each moment entry fills N^(2m-2) dense entries, which scales
-    the squared norms of the Frobenius standard error.
+    it runs on the moment kernel, and the mean is that group with the
+    sampled mean W_ab of (u*)_ab u at leg j, densified once; the exact
+    average has e_ba/N there.
     """
     _check_pair(space, k, j, mode)
-    N = space.N
-    if config.N != N:
-        raise ValueError(f"config draws {config.N}x{config.N} unitaries, the space has N={N}")
-    W = np.zeros((N * N, N * N), dtype=np.complex128)
-    v = np.empty_like(W)
-    sumsq = 0.0
-    for u in _haar_draws(config):
-        # a one-term GEMM, so each entry is the product to_dense forms
-        np.matmul(u.conj().T.reshape(N * N, 1), u.reshape(1, N * N), out=v)
-        W += v
-        sumsq += np.vdot(v, v).real
-    n = config.samples
-    W /= n
-    units = np.eye(N * N, dtype=np.complex128).reshape(N * N, N, N)
-    ones = np.ones(N * N, dtype=np.complex128)
-    group = _pair_group(space, k, j, mode, units, W.reshape(N * N, N, N), ones)
-    mean = StructuredOperator._from_raw(space, [group]).to_dense()
-    reps = N ** (2 * space.m - 2)
-    return MCAverage(mean, n, config.seed, _stderr(reps * sumsq, reps * np.vdot(W, W).real, n))
+
+    def build(x, y):
+        ones = np.ones(len(x), dtype=np.complex128)
+        return [_placed_group(space, [(k, mode[0], x), (j, mode[1], y)], ones)]
+
+    return _moment_average(space, config, build)
+
+
+def _product_blocks(space: ModelSpace, a: np.ndarray, x, y) -> list[_Group]:
+    """The raw groups of the sum over i of t_mixed(a x_i) o t_mixed(y_i),
+    one per pair (s, t) of t_mixed's terms: a x_i multiplies leg s and
+    y_i leg t, on the side and with the sign t_mixed gives each leg, and
+    on one leg (s = t) the two make one factor."""
+    p, m = space.p, space.m
+    ax = a @ x
+    blocks = []
+    for s, t in itertools.product(range(m), repeat=2):
+        side_s, side_t = "lr"[s >= p], "lr"[t >= p]
+        if s == t:
+            # L(ax) L(y) = L(ax y), R(ax) R(y) = R(y ax)
+            placed = [(s, side_s, ax @ y if s < p else y @ ax)]
+        else:
+            placed = [(s, side_s, ax), (t, side_t, y)]
+        sign = 1.0 if (s < p) == (t < p) else -1.0
+        blocks.append(_placed_group(space, placed, np.full(len(x), sign, dtype=np.complex128)))
+    return blocks
+
+
+def product_average_mc(space: ModelSpace, a: np.ndarray, config: HaarConfig) -> MCAverage:
+    """Monte Carlo twin of :func:`product_average_exact` (full group):
+    the empirical average of t_mixed(a u*) o t_mixed(u) over the
+    unitaries that :func:`haar_average_mc` draws for ``config``.
+
+    With a u* the sum over a, b of (u*)_ab a e_ab, the integrand is the
+    sum of t_mixed(a e_ab) o t_mixed((u*)_ab u), linear in the second
+    moments u* (x) u.  So it runs on the moment kernel, and the mean is
+    that sum with the sampled mean W_ab of (u*)_ab u in place of
+    (u*)_ab u: one raw group of N^2 m^2 terms, densified once.
+    """
+    a = _sanitize(a, space.N)
+    return _moment_average(space, config, lambda x, y: _product_blocks(space, a, x, y))
 
 
 # -- conditional expectation tower ---------------------------------------
@@ -590,9 +662,11 @@ def spectral_binning(
     projections of the bins and sum to the identity, and the operator
     norm of A - A_eps is strictly below eps.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be positive and finite, got {eps!r}")
     A = np.asarray(A, dtype=np.complex128)
+    if not np.isfinite(A).all():
+        raise ValueError("matrix has non-finite entries")
     scale = max(1.0, float(np.linalg.norm(A)))
     if np.linalg.norm(A - A.conj().T) > 1e-10 * scale:
         raise ValueError("matrix is not Hermitian within 1e-10")
@@ -605,16 +679,18 @@ def spectral_binning(
     bin_of = np.minimum(
         np.floor((eigvals - lower) / width).astype(int), nbins - 1
     )
-    reps = np.empty(nbins)
-    for i in range(nbins):
+    # most bins of a fine mesh are empty: they keep the cut midpoint and
+    # a zero projection, and only the occupied bins are visited
+    reps = (cuts[:-1] + cuts[1:]) / 2
+    n = len(eigvals)
+    projections = [np.zeros((n, n), dtype=np.complex128) for _ in range(nbins)]
+    for i in np.unique(bin_of).tolist():
         mask = bin_of == i
-        reps[i] = eigvals[mask].mean() if mask.any() else (cuts[i] + cuts[i + 1]) / 2
+        reps[i] = eigvals[mask].mean()
+        cols = eigvecs[:, mask]
+        projections[i] = cols @ cols.conj().T
     binned_vals = reps[bin_of]
     a_eps = (eigvecs * binned_vals) @ eigvecs.conj().T
     a_eps = (a_eps + a_eps.conj().T) / 2
-    projections = []
-    for i in range(nbins):
-        cols = eigvecs[:, bin_of == i]
-        projections.append(cols @ cols.conj().T)
     grid = SpectralGrid(lower, upper, cuts, reps)
     return a_eps, grid, projections

@@ -8,6 +8,7 @@ expectations from an elementwise partial trace.
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ import duallab.duality_core as duality_core
 from duallab.duality_core import (
     MC_STREAMS,
     HaarConfig,
+    SpectralGrid,
     SubfactorTower,
     conditional_expectation,
     haar_average_mc,
@@ -24,6 +26,7 @@ from duallab.duality_core import (
     haar_unitary,
     limit_formula_check,
     product_average_exact,
+    product_average_mc,
     sigma_average_exact,
     sigma_residual,
     spectral_binning,
@@ -373,6 +376,66 @@ class TestPairAverageMC:
         assert calls == [3] * 37
 
 
+def opaque_product_integrand(space, a):
+    """t_mixed(a u*) o t_mixed(u) as the per-sample operator
+    haar_average_mc densifies."""
+    return lambda u: t_mixed(space, a @ u.conj().T) @ t_mixed(space, u)
+
+
+class TestProductAverageMC:
+    @pytest.mark.parametrize("N,p,q", [
+        (2, 1, 1), (2, 2, 1), (2, 1, 2), (3, 1, 1), (3, 2, 1), (3, 1, 2), (4, 1, 1),
+    ])
+    def test_matches_opaque_integrand(self, N, p, q):
+        # as for the pair averages: d <= 729, and the 200-sample runs
+        # only up to d = 256
+        sp = ModelSpace(N, p, q)
+        a = rand_mat(N, np.random.default_rng(40 + N))
+        for samples in (1, 23, 200) if sp.dim <= 256 else (1, 23):
+            cfg = HaarConfig(samples=samples, seed=11 * N + samples, N=N)
+            got = product_average_mc(sp, a, cfg)
+            want = haar_average_mc(opaque_product_integrand(sp, a), cfg)
+            assert (got.samples, got.seed) == (samples, cfg.seed)
+            # the two paths sum the same products in different orders
+            scale = np.abs(want.mean.matrix).max()
+            assert np.abs(got.mean.matrix - want.mean.matrix).max() <= 1e-14 * scale
+            if samples == 1:
+                assert got.stderr == want.stderr == float("inf")
+            else:
+                assert abs(got.stderr - want.stderr) <= 1e-12 * want.stderr
+
+    def test_hermitian_a_and_identity(self):
+        sp = ModelSpace(3, 1, 1)
+        for a in (rand_herm(3, np.random.default_rng(5)), np.eye(3)):
+            cfg = HaarConfig(samples=40, seed=3, N=3)
+            got = product_average_mc(sp, a, cfg)
+            want = haar_average_mc(opaque_product_integrand(sp, a), cfg)
+            scale = np.abs(want.mean.matrix).max()
+            assert np.abs(got.mean.matrix - want.mean.matrix).max() <= 1e-14 * scale
+            assert abs(got.stderr - want.stderr) <= 1e-12 * want.stderr
+
+    def test_validation(self):
+        sp = ModelSpace(2, 1, 1)
+        with pytest.raises(ValueError, match="N=2"):
+            product_average_mc(sp, np.eye(2), HaarConfig(samples=4, seed=1, N=3))
+        with pytest.raises(ValueError, match="expected a 2x2 matrix"):
+            product_average_mc(sp, np.eye(3), HaarConfig(samples=4, seed=1, N=2))
+
+    def test_draws_one_unitary_per_sample(self, monkeypatch):
+        calls = []
+        draw = duality_core.haar_unitary
+
+        def counted(N, rng):
+            calls.append(N)
+            return draw(N, rng)
+
+        monkeypatch.setattr(duality_core, "haar_unitary", counted)
+        # more samples than one GEMM batch, and not a multiple of it
+        samples = duality_core._MOMENT_BATCH + 37
+        product_average_mc(ModelSpace(2, 1, 1), np.eye(2), HaarConfig(samples, seed=5, N=2))
+        assert calls == [2] * samples
+
+
 class TestPairAverageExact:
     def test_ll_square_identity(self):
         for N in (2, 3):
@@ -632,6 +695,32 @@ class TestLimitFormula:
 # -- spectral binning ----------------------------------------------------------------
 
 
+def reference_spectral_binning(A, eps):
+    """The binning loop over every bin, empty ones included: the
+    byte-for-byte oracle for spectral_binning, which visits only the
+    occupied bins."""
+    A = np.asarray(A, dtype=np.complex128)
+    eigvals, eigvecs = np.linalg.eigh((A + A.conj().T) / 2)
+    lower = float(eigvals[0])
+    upper = float(eigvals[-1])
+    width = 0.99 * eps
+    nbins = int(np.floor((upper - lower) / width)) + 1
+    cuts = lower + width * np.arange(nbins + 1)
+    bin_of = np.minimum(np.floor((eigvals - lower) / width).astype(int), nbins - 1)
+    reps = np.empty(nbins)
+    for i in range(nbins):
+        mask = bin_of == i
+        reps[i] = eigvals[mask].mean() if mask.any() else (cuts[i] + cuts[i + 1]) / 2
+    binned_vals = reps[bin_of]
+    a_eps = (eigvecs * binned_vals) @ eigvecs.conj().T
+    a_eps = (a_eps + a_eps.conj().T) / 2
+    projections = []
+    for i in range(nbins):
+        cols = eigvecs[:, bin_of == i]
+        projections.append(cols @ cols.conj().T)
+    return a_eps, SpectralGrid(lower, upper, cuts, reps), projections
+
+
 class TestSpectralBinning:
     def test_norm_strictly_below_eps(self):
         rng = np.random.default_rng(8)
@@ -675,3 +764,32 @@ class TestSpectralBinning:
             spectral_binning(np.eye(2), 0.0)
         with pytest.raises(ValueError):
             spectral_binning(np.array([[0.0, 1.0], [0.0, 0.0]]), 0.1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_matrix(self, bad):
+        A = np.eye(3)
+        A[1, 1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite"):
+                spectral_binning(A, 0.1)
+
+    @pytest.mark.parametrize("eps", [np.nan, np.inf])
+    def test_rejects_non_finite_eps(self, eps):
+        with pytest.raises(ValueError, match="eps"):
+            spectral_binning(np.eye(2), eps)
+
+    def test_matches_reference_loop_bytewise(self):
+        rng = np.random.default_rng(0xB1)
+        for n in range(4, 17):
+            A = rand_herm(n, rng) * rng.uniform(0.5, 3.0)
+            for eps in (0.3, 0.1, 0.03):
+                a_eps, grid, projs = spectral_binning(A, eps)
+                want_eps, want_grid, want_projs = reference_spectral_binning(A, eps)
+                assert a_eps.tobytes() == want_eps.tobytes()
+                for name in ("cuts", "representatives"):
+                    assert getattr(grid, name).tobytes() == getattr(want_grid, name).tobytes()
+                assert (grid.lower, grid.upper) == (want_grid.lower, want_grid.upper)
+                assert len(projs) == len(want_projs)
+                for P, Q in zip(projs, want_projs):
+                    assert P.dtype == Q.dtype and P.tobytes() == Q.tobytes()
