@@ -17,10 +17,10 @@ built as the raw term-group arrays of legops and canonicalized once.
 Monte Carlo comes in three forms over the same draws.  haar_average_mc
 densifies an opaque integrand per sample.  haar_pair_average_mc and
 product_average_mc, the twins of the exact pair and product averages,
-run on one moment kernel: their integrands are linear in the second
-moments u* (x) u, so a sample adds its N^4 moment entries to a sum and
-its squared norm through the Gram matrix of the moment basis, and the
-mean is densified once.
+have integrands linear in the second moments u* (x) u: a sample adds
+its N^4 moment entries to a sum, and the mean is densified once.  The
+pair's squared norms are those of the moment entries, scaled; the
+product's are the traces of its sampled term groups.
 """
 
 from __future__ import annotations
@@ -298,53 +298,6 @@ def haar_pair_average_exact(
     return StructuredOperator._from_raw(space, [group])
 
 
-# Samples whose second moments one GEMM of the moment kernel takes: a
-# (128, N^4) block, 512 KiB at N = 4.  Fixed, so the sums of the
-# standard error run in one order for a given sample count.
-_MOMENT_BATCH = 128
-
-
-def _moment_average(space: ModelSpace, config: HaarConfig, build) -> MCAverage:
-    """Monte Carlo average of an integrand linear in the second moments
-    u* (x) u: the sum over a, b, c, d of (u*)_ab u_cd F_(ab,cd).
-
-    ``build(x, y)`` returns raw groups whose sum is linear in each of the
-    stacks x and y of N x N matrices, so that F_(ab,cd) is build(e_ab,
-    e_cd) and the mean is build(e_ab, W_ab) summed over a, b, with W_ab
-    the sampled mean of (u*)_ab u.  A sample adds its N^4 moment entries
-    V to W; every _MOMENT_BATCH samples add V* G V for each V as one
-    GEMM, G the Gram matrix Tr(F_a* F_b) of the moment basis, which
-    legops' Gram kernel builds one pair of build's groups at a time.
-    The squared Frobenius norm of a sample is V* G V, so the stderr
-    needs no dense sample.
-    """
-    N = space.N
-    if config.N != N:
-        raise ValueError(f"config draws {config.N}x{config.N} unitaries, the space has N={N}")
-    n2 = N * N
-    units = np.eye(n2, dtype=np.complex128).reshape(n2, N, N)
-    basis = build(np.repeat(units, n2, axis=0), np.tile(units, (n2, 1, 1)))
-    G = sum(g.coeffs.conj()[:, None] * _gram(g, h, N) * h.coeffs for g in basis for h in basis)
-    n = config.samples
-    W = np.zeros((n2, n2), dtype=np.complex128)
-    batch = np.empty((_MOMENT_BATCH, n2 * n2), dtype=np.complex128)
-    sumsq = 0.0
-    for i, u in enumerate(_haar_draws(config)):
-        row = i % _MOMENT_BATCH
-        v = batch[row].reshape(n2, n2)
-        # a one-term GEMM, so each entry is the product to_dense forms
-        np.matmul(u.conj().T.reshape(n2, 1), u.reshape(1, n2), out=v)
-        W += v
-        if row == _MOMENT_BATCH - 1 or i == n - 1:
-            rows = batch[: row + 1]
-            sumsq += np.vdot(rows, rows @ G.T).real
-    W /= n
-    w = W.reshape(-1)
-    stderr = _stderr(sumsq, np.vdot(w, G @ w).real, n)
-    mean = StructuredOperator._from_raw(space, build(units, W.reshape(n2, N, N))).to_dense()
-    return MCAverage(mean, n, config.seed, stderr)
-
-
 def haar_pair_average_mc(
     space: ModelSpace, k: int, j: int, mode: str, config: HaarConfig
 ) -> MCAverage:
@@ -354,17 +307,43 @@ def haar_pair_average_mc(
 
     Expanding u* in matrix units, the integrand is the sum over a, b of
     X(e_ab)_k Y((u*)_ab u)_j, linear in the second moments u* (x) u.  So
-    it runs on the moment kernel, and the mean is that group with the
-    sampled mean W_ab of (u*)_ab u at leg j, densified once; the exact
-    average has e_ba/N there.
+    a sample adds its N^4 moment entries to W in place of densifying a
+    d x d matrix, and the mean is that group with the sampled mean W_ab
+    of (u*)_ab u at leg j, densified once; the exact average has e_ba/N
+    there.  Each moment entry fills N^(2m-2) dense entries, which scales
+    the squared norms of the Frobenius standard error.
     """
     _check_pair(space, k, j, mode)
+    N = space.N
+    _check_draws(space, config)
+    W = np.zeros((N * N, N * N), dtype=np.complex128)
+    v = np.empty_like(W)
+    sumsq = 0.0
+    for u in _haar_draws(config):
+        _add_moments(W, u, v)
+        sumsq += np.vdot(v, v).real
+    n = config.samples
+    W /= n
+    units = np.eye(N * N, dtype=np.complex128).reshape(N * N, N, N)
+    ones = np.ones(N * N, dtype=np.complex128)
+    group = _placed_group(space, [(k, mode[0], units), (j, mode[1], W.reshape(N * N, N, N))], ones)
+    mean = StructuredOperator._from_raw(space, [group]).to_dense()
+    reps = N ** (2 * space.m - 2)
+    return MCAverage(mean, n, config.seed, _stderr(reps * sumsq, reps * np.vdot(W, W).real, n))
 
-    def build(x, y):
-        ones = np.ones(len(x), dtype=np.complex128)
-        return [_placed_group(space, [(k, mode[0], x), (j, mode[1], y)], ones)]
 
-    return _moment_average(space, config, build)
+def _check_draws(space: ModelSpace, config: HaarConfig) -> None:
+    if config.N != space.N:
+        raise ValueError(f"config draws {config.N}x{config.N} unitaries, the space has N={space.N}")
+
+
+def _add_moments(W: np.ndarray, u: np.ndarray, v: np.ndarray) -> None:
+    """Add the N^4 entries of u* (x) u, (u*)_ab u_cd at [aN+b, cN+d], to
+    W, through the buffer v."""
+    n2 = len(W)
+    # a one-term GEMM, so each entry is the product to_dense forms
+    np.matmul(u.conj().T.reshape(n2, 1), u.reshape(1, n2), out=v)
+    W += v
 
 
 def _product_blocks(space: ModelSpace, a: np.ndarray, x, y) -> list[_Group]:
@@ -387,6 +366,13 @@ def _product_blocks(space: ModelSpace, a: np.ndarray, x, y) -> list[_Group]:
     return blocks
 
 
+# Samples whose squared norms product_average_mc takes together: their
+# m^2 term groups hold at most 4 m^2 N^2 entries per sample, 512 KiB
+# at N = 4, m = 2.  Fixed, so the standard error sums in one order for a
+# given sample count.
+_NORM_BATCH = 128
+
+
 def product_average_mc(space: ModelSpace, a: np.ndarray, config: HaarConfig) -> MCAverage:
     """Monte Carlo twin of :func:`product_average_exact` (full group):
     the empirical average of t_mixed(a u*) o t_mixed(u) over the
@@ -394,12 +380,37 @@ def product_average_mc(space: ModelSpace, a: np.ndarray, config: HaarConfig) -> 
 
     With a u* the sum over a, b of (u*)_ab a e_ab, the integrand is the
     sum of t_mixed(a e_ab) o t_mixed((u*)_ab u), linear in the second
-    moments u* (x) u.  So it runs on the moment kernel, and the mean is
-    that sum with the sampled mean W_ab of (u*)_ab u in place of
-    (u*)_ab u: one raw group of N^2 m^2 terms, densified once.
+    moments u* (x) u.  So a sample adds its N^4 moment entries to W, and
+    the mean is that sum with the sampled mean W_ab of (u*)_ab u in
+    place of (u*)_ab u: m^2 raw groups of N^2 terms, canonicalized and
+    densified once.  The squared norms of the standard error come from
+    the sampled integrands themselves, m^2 groups with one term per
+    sample, through the paired traces of legops' Gram kernel, a batch
+    of samples at a time.
     """
-    a = _sanitize(a, space.N)
-    return _moment_average(space, config, lambda x, y: _product_blocks(space, a, x, y))
+    N = space.N
+    a = _sanitize(a, N)
+    _check_draws(space, config)
+    n = config.samples
+    W = np.zeros((N * N, N * N), dtype=np.complex128)
+    v = np.empty_like(W)
+    us = np.empty((min(n, _NORM_BATCH), N, N), dtype=np.complex128)
+    sumsq = 0.0
+    for i, u in enumerate(_haar_draws(config)):
+        _add_moments(W, u, v)
+        row = i % _NORM_BATCH
+        us[row] = u
+        if row == _NORM_BATCH - 1 or i == n - 1:
+            batch = us[: row + 1]
+            groups = _product_blocks(space, a, batch.conj().swapaxes(1, 2), batch)
+            sumsq += sum(np.vdot(g.coeffs, _gram(g, h, N, paired=True) * h.coeffs)
+                         for g in groups for h in groups).real
+    W /= n
+    units = np.eye(N * N, dtype=np.complex128).reshape(N * N, N, N)
+    blocks = _product_blocks(space, a, units, W.reshape(N * N, N, N))
+    mean = StructuredOperator._from_raw(space, blocks).to_dense()
+    stderr = _stderr(sumsq, np.vdot(mean.matrix, mean.matrix).real, n)
+    return MCAverage(mean, n, config.seed, stderr)
 
 
 # -- conditional expectation tower ---------------------------------------

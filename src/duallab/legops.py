@@ -486,8 +486,10 @@ def _cycle_trace(factors, N: int):
     return np.trace(a, axis1=-2, axis2=-1) * np.trace(b, axis1=-2, axis2=-1)
 
 
-def _gram(g: _Group, h: _Group, N: int) -> np.ndarray:
-    """Unnormalized traces Tr(T_i* T_j), i in g, j in h.
+def _gram(g: _Group, h: _Group, N: int, paired: bool = False) -> np.ndarray:
+    """Unnormalized traces Tr(T_i* T_j), i in g, j in h; with ``paired``,
+    g and h hold equally many terms and only the vector of the traces
+    with j = i is formed.
 
     T_i* T_j has permutation rho = sigma_g^-1 sigma_h and, at leg k, the
     sandwich (A_i[rho k]* A_j[k], B_j[k] B_i[rho k]*); its trace factors
@@ -497,7 +499,12 @@ def _gram(g: _Group, h: _Group, N: int) -> np.ndarray:
     rho = tuple(inv[s] for s in h.sigma)
     gp = {k: i for i, k in enumerate(g.legs)}
     hp = {k: i for i, k in enumerate(h.legs)}
-    G = np.ones((len(g.coeffs), len(h.coeffs)), dtype=np.complex128)
+    # g's terms run along axis 0 and h's along axis 1, or both along axis 0
+    shape, spec = (len(g.coeffs), len(h.coeffs)), "iab,jab->ij"
+    gx, hx = (slice(None), None), (None,)
+    if paired:
+        shape, spec, gx, hx = len(g.coeffs), "iab,iab->i", (), ()
+    G = np.ones(shape, dtype=np.complex128)
     for cycle in permutation_cycles(rho):
         if len(cycle) == 1 and cycle[0] in gp and cycle[0] in hp:
             i, j = gp[cycle[0]], hp[cycle[0]]
@@ -505,18 +512,18 @@ def _gram(g: _Group, h: _Group, N: int) -> np.ndarray:
             # einsum makes these small products without BLAS: on a
             # 2-CPU machine OpenBLAS's threaded zgemm took 15-20 ms per
             # call at T = 64, N = 8, and einsum under 1 ms.
-            G *= np.einsum("iab,jab->ij", g.A[:, i].conj(), h.A[:, j])
-            G *= np.einsum("iab,jab->ij", g.B[:, i].conj(), h.B[:, j])
+            G *= np.einsum(spec, g.A[:, i].conj(), h.A[:, j])
+            G *= np.einsum(spec, g.B[:, i].conj(), h.B[:, j])
             continue
         factors = []
         for k in cycle:
             i, j = gp.get(rho[k]), hp.get(k)
             ga = gb = ha = hb = None
             if i is not None:
-                ga = g.A[:, i].conj().swapaxes(1, 2)[:, None]
-                gb = g.B[:, i].conj().swapaxes(1, 2)[:, None]
+                ga = g.A[:, i].conj().swapaxes(1, 2)[gx]
+                gb = g.B[:, i].conj().swapaxes(1, 2)[gx]
             if j is not None:
-                ha, hb = h.A[:, j][None], h.B[:, j][None]
+                ha, hb = h.A[:, j][hx], h.B[:, j][hx]
             fa = ha if ga is None else ga if ha is None else ga @ ha
             fb = hb if gb is None else gb if hb is None else hb @ gb
             factors.append((fa, fb))

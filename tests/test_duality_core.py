@@ -8,6 +8,8 @@ expectations from an elementwise partial trace.
 
 import itertools
 import math
+import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -430,10 +432,53 @@ class TestProductAverageMC:
             return draw(N, rng)
 
         monkeypatch.setattr(duality_core, "haar_unitary", counted)
-        # more samples than one GEMM batch, and not a multiple of it
-        samples = duality_core._MOMENT_BATCH + 37
+        # more samples than one norm batch, and not a multiple of it
+        samples = duality_core._NORM_BATCH + 37
         product_average_mc(ModelSpace(2, 1, 1), np.eye(2), HaarConfig(samples, seed=5, N=2))
         assert calls == [2] * samples
+
+
+def _traced_peak(f):
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _seconds(f):
+    start = time.perf_counter()
+    f()
+    return time.perf_counter() - start
+
+
+class TestMomentTwinCost:
+    """At N = 6 (d = 1296, N^8 = 1.7e6) both twins take less time and
+    less traced memory than the opaque path, which densifies every
+    sample, and agree with it.  Neither forms anything of N^8 entries:
+    their peak is about one dense mean, the opaque path's about three
+    dense matrices."""
+
+    @pytest.mark.parametrize("twin", ["pair", "product"])
+    def test_below_opaque_path(self, twin):
+        sp = ModelSpace(6, 1, 1)
+        cfg = HaarConfig(samples=32, seed=13, N=6)
+        if twin == "pair":
+            moment = lambda: haar_pair_average_mc(sp, 0, 1, "lr", cfg)  # noqa: E731
+            opaque = lambda: haar_average_mc(opaque_pair_integrand(sp, 0, 1, "lr"), cfg)  # noqa: E731
+        else:
+            a = rand_mat(6, np.random.default_rng(46))
+            moment = lambda: product_average_mc(sp, a, cfg)  # noqa: E731
+            opaque = lambda: haar_average_mc(opaque_product_integrand(sp, a), cfg)  # noqa: E731
+        got, want = moment(), opaque()
+        scale = np.abs(want.mean.matrix).max()
+        assert np.abs(got.mean.matrix - want.mean.matrix).max() <= 1e-14 * scale
+        assert abs(got.stderr - want.stderr) <= 1e-12 * want.stderr
+        dense_bytes = 16 * sp.dim**2
+        assert _traced_peak(moment) < 2 * dense_bytes < _traced_peak(opaque)
+        # the opaque path takes about five times as long here
+        assert _seconds(moment) < _seconds(opaque)
 
 
 class TestPairAverageExact:

@@ -379,6 +379,25 @@ class TestNorms:
         with mock.patch.object(StructuredOperator, "apply", side_effect=AssertionError):
             assert StructuredOperator.zero(sp).operator_norm() == 0.0
 
+    def test_paired_gram_is_the_diagonal(self):
+        # every branch of the kernel: one-leg cycles carried by both
+        # groups, by one of them or by neither, and longer cycles
+        N, T, rng = 3, 5, np.random.default_rng(17)
+
+        def group(sigma, legs):
+            shape = (T, len(legs), N, N)
+            A, B = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in "AB")
+            return _Group(sigma, rng.standard_normal(T) + 0j, legs, A, B)
+
+        groups = [group((0, 1, 2), (0, 1)), group((1, 0, 2), (1, 2)),
+                  group((0, 2, 1), (0,)), group((2, 0, 1), ())]
+        for g in groups:
+            for h in groups:
+                full = legops._gram(g, h, N)
+                paired = legops._gram(g, h, N, paired=True)
+                assert paired.shape == (T,)
+                assert np.abs(paired - np.diagonal(full)).max() <= 1e-13 * np.abs(full).max()
+
     def test_identity_norms(self):
         sp = ModelSpace(3, 1, 1)
         ident = StructuredOperator.identity(sp)
