@@ -48,9 +48,9 @@ RANK_TOL = 1e-8
 # (about 1e-12 * lambda_max for n in the thousands), two decades below;
 # a sigma cut at RANK_TOL would square to 1e-16, inside that floor.
 GRAM_EIG_TOL = 1e-10
-# Largest d that commutant_basis solves literally: its stacked system has
-# 2 d^2 rows per generator and d^2 columns, 512 MiB of rows per generator
-# at d = 64 and 128 GiB at the next model dimension, 256.
+# Largest d that commutant_basis solves: its Gram matrix holds d^4
+# entries, 1 MiB at d = 16, 256 MiB at d = 64 and 64 GiB at the next
+# model dimension, 256.
 COMMUTANT_DIM_CAP = 64
 # Round limit of span_closure; a closure still open after it raises.
 CLOSURE_ROUNDS = 24
@@ -178,35 +178,42 @@ def left_average_generators(p: int, N: int) -> list[np.ndarray]:
     return mats
 
 
+def _commutant_gram(mats: list[np.ndarray], d: int) -> np.ndarray:
+    """Sum of K*K over K = I x h^T - h x I, h = g and g*, which maps the
+    row-major vec(X) to vec(X h - h X): in closed form, (g*g + gg*) x I
+    - 2 (g* x g^T + g x conj(g)) + I x conj(g*g + gg*) per generator."""
+    acts = np.array([h for g in mats for h in (g.conj().T, g)]).reshape(-1, d * d)
+    sq = sum(g.conj().T @ g + g @ g.conj().T for g in mats)
+    # the cross terms as one rank-2n product, indexed (i, k), (j, l)
+    cross = (acts.T @ acts.conj()).reshape(d, d, d, d).transpose(0, 2, 1, 3)
+    gram = np.multiply(cross, -2.0, out=np.empty((d, d, d, d), dtype=np.complex128))
+    for j in range(d):
+        gram[:, j, :, j] += sq
+        gram[j, :, j, :] += sq.conj()
+    return gram.reshape(d * d, d * d)
+
+
 def commutant_basis(generators: Sequence) -> AlgebraBasis:
     """Orthonormal basis of the commutant of a generator set.
 
-    Solves the stacked linear system X g = g X, X g* = g* X for all
-    generators g by a null-space SVD on d^2 unknowns.  Including the
-    adjoint constraints makes the result a *-algebra.  This is the
-    literal solver; it is capped at d <= COMMUTANT_DIM_CAP because the
-    stacked system has d^2 columns.
+    The solutions X of X g = g X and X g* = g* X (the adjoints make it
+    a *-algebra) are the null space of the d^2 x d^2 Gram matrix of
+    those constraints, by ``eigh`` cut at ``GRAM_EIG_TOL`` times the
+    larger of the top eigenvalue and the squared generator scale.
     """
     mats, d = _gather(generators)
     if d > COMMUTANT_DIM_CAP:
         raise CapExceededError(
             f"commutant solve needs d <= {COMMUTANT_DIM_CAP}, got {d}"
         )
-    eye = np.eye(d)
-    rows = []
-    for g in mats:
-        for h in (g, g.conj().T):
-            rows.append(np.kron(eye, h) - np.kron(h.T, eye))
-    stacked = np.vstack(rows)
-    _, sv, vh = np.linalg.svd(stacked, full_matrices=False)
+    vals, vecs = np.linalg.eigh(_commutant_gram(mats, d))
     # floor the cutoff at the generator scale: a constraint matrix that
     # is numerically zero (generators commuting with everything) must
     # yield the full null space, not a noise-rank one
     gscale = max(float(np.abs(m).max()) for m in mats)
-    cut = RANK_TOL * max(float(sv[0]) if sv.size else 0.0, gscale)
-    rank = int((sv > cut).sum())
-    null = vh[rank:].conj()
-    elements = [null[i].reshape(d, d) * math.sqrt(d) for i in range(null.shape[0])]
+    cut = GRAM_EIG_TOL * max(float(vals[-1]), gscale * gscale)
+    null = vecs[:, vals <= cut].T
+    elements = [row.reshape(d, d) * math.sqrt(d) for row in null]
     space = getattr(generators[0], "space", None)
     return AlgebraBasis(space, tuple(elements))
 

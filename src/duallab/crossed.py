@@ -9,11 +9,11 @@ l2(G, H) backs every algebraic identity with an independent oracle,
 gated by the dimension cap.
 
 At finite N the permutation action is inner, so the crossed product
-has nontrivial center; its exact dimension is the number of conjugacy
-classes of G, and center_basis returns the class-sum witnesses.  The
-trace tau_hat reads off the identity block; the complementary trace on
-the commutant side is computed through its delta-at-identity values on
-the shift unitaries.
+has nontrivial center; its dimension is the number of conjugacy classes
+of G, and center_basis returns the class-sum witnesses, checked central
+in block form.  The trace tau_hat reads off the identity block; the
+complementary trace on the commutant side is computed through its
+delta-at-identity values on the shift unitaries.
 """
 
 from __future__ import annotations
@@ -27,7 +27,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra_tools import COMMUTANT_DIM_CAP, AlgebraBasis, orthonormalize
+from .algebra_tools import (
+    COMMUTANT_DIM_CAP, AlgebraBasis, block_structure, commutant_basis, orthonormalize, span_closure,
+)
 from .legops import (
     DENSE_CAP,
     CapExceededError,
@@ -87,9 +89,7 @@ class ProductGroupElement:
         )
 
     def compose(self, other: "ProductGroupElement") -> "ProductGroupElement":
-        return ProductGroupElement(
-            _compose(self.s, other.s), _compose(self.t, other.t)
-        )
+        return ProductGroupElement(_compose(self.s, other.s), _compose(self.t, other.t))
 
     def inverse(self) -> "ProductGroupElement":
         return ProductGroupElement(_invert(self.s), _invert(self.t))
@@ -205,9 +205,7 @@ class CrossedOperator:
     def scale(self, c: complex) -> "CrossedOperator":
         if not cmath.isfinite(c):
             raise NumericError(f"non-finite scale factor {c!r}")
-        return CrossedOperator(
-            self.space, {k: c * v for k, v in self.blocks.items()}
-        )
+        return CrossedOperator(self.space, {k: c * v for k, v in self.blocks.items()})
 
     def __mul__(self, c: complex) -> "CrossedOperator":
         return self.scale(c)
@@ -254,6 +252,11 @@ class CrossedOperator:
             return 0.0
         return max(float(np.linalg.norm(v)) for v in self.blocks.values())
 
+    def max_entry(self) -> float:
+        """Largest entry modulus over blocks, and so of :meth:`to_dense_l2`,
+        whose blocks are theta (entry permutations) of these."""
+        return max((float(np.abs(v).max()) for v in self.blocks.values()), default=0.0)
+
     # -- dense oracle -----------------------------------------------------
 
     def to_dense_l2(self) -> np.ndarray:
@@ -277,17 +280,18 @@ class CrossedOperator:
         return out
 
 
-def l2_probes(space: ModelSpace, rng: np.random.Generator) -> list[np.ndarray]:
-    """Dense generators of the crossed product on l2(G, H): three random
-    fiber elements Pi(z), then every shift lambda_g."""
+def _probes(space: ModelSpace, rng: np.random.Generator) -> list[CrossedOperator]:
+    """Generators of the crossed product: three random fiber elements
+    Pi(z), then every shift lambda_g."""
     d = space.dim
-    probes = []
-    for _ in range(3):
-        z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        probes.append(CrossedOperator.embed(space, z).to_dense_l2())
-    for g in group_elements(space.p, space.q):
-        probes.append(CrossedOperator.shift(space, g).to_dense_l2())
-    return probes
+    fibers = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for _ in range(3)]
+    return [CrossedOperator.embed(space, z) for z in fibers] + [
+        CrossedOperator.shift(space, g) for g in group_elements(space.p, space.q)]
+
+
+def l2_probes(space: ModelSpace, rng: np.random.Generator) -> list[np.ndarray]:
+    """The generators of :func:`_probes`, dense on l2(G, H)."""
+    return [pr.to_dense_l2() for pr in _probes(space, rng)]
 
 
 def center_basis(space: ModelSpace) -> tuple[AlgebraBasis, list[CrossedOperator]]:
@@ -299,7 +303,10 @@ def center_basis(space: ModelSpace) -> tuple[AlgebraBasis, list[CrossedOperator]
     picks up exactly the inner implementers); commuting with the shifts
     then forces the scalars to be constant on conjugacy classes.  The
     resulting class sums are returned both as crossed operators and as
-    an orthonormal dense basis on l2(G, H), verified numerically.
+    an orthonormal dense basis on l2(G, H).  Each witness is checked
+    against the generators of :func:`l2_probes` in block form:
+    ``to_dense_l2`` is a *-homomorphism, so the commutator's largest
+    entry is that of the dense one (see :meth:`CrossedOperator.max_entry`).
     """
     elems = group_elements(space.p, space.q)
     if len(elems) * space.dim > DENSE_CAP:
@@ -310,15 +317,13 @@ def center_basis(space: ModelSpace) -> tuple[AlgebraBasis, list[CrossedOperator]
     for cls in group_conjugacy_classes(space.p, space.q):
         blocks = {g: leg_unitary(space, g.inverse()) for g in cls}
         witnesses.append(CrossedOperator(space, blocks))
-    dense = [w.to_dense_l2() for w in witnesses]
-    # verify centrality against the generators of the dense algebra
-    probes = l2_probes(space, np.random.default_rng(0xCE17E5))
-    for zmat in dense:
-        scale = max(float(np.abs(zmat).max()), 1.0)
-        for pmat in probes:
-            if np.abs(zmat @ pmat - pmat @ zmat).max() > 1e-10 * scale * np.abs(pmat).max():
+    probes = _probes(space, np.random.default_rng(0xCE17E5))
+    for w in witnesses:
+        scale = max(w.max_entry(), 1.0)
+        for pr in probes:
+            if (w @ pr - pr @ w).max_entry() > 1e-10 * scale * pr.max_entry():
                 raise NumericError("claimed center element fails to commute")
-    basis = AlgebraBasis(None, tuple(orthonormalize(dense)))
+    basis = AlgebraBasis(None, tuple(orthonormalize([w.to_dense_l2() for w in witnesses])))
     if basis.dim != len(witnesses):
         raise NumericError("center witnesses are not independent")
     return basis, witnesses
@@ -356,8 +361,6 @@ def compression_check(space: ModelSpace, samples: int = 12, seed: int = 0xC0DA) 
     points of the group action: the span of averaged samples must match
     the commutant of the leg unitaries.
     """
-    from .algebra_tools import block_structure, commutant_basis, span_closure
-
     elems = group_elements(space.p, space.q)
     n, d = len(elems), space.dim
     if n * d > DENSE_CAP:
@@ -365,15 +368,8 @@ def compression_check(space: ModelSpace, samples: int = 12, seed: int = 0xC0DA) 
     rng = np.random.default_rng(seed)
     lams = [CrossedOperator.shift(space, g).to_dense_l2() for g in elems]
     pmat = sum(lams) / n
-    projection_defect = max(
-        float(np.abs(pmat @ pmat - pmat).max()),
-        float(np.abs(pmat.conj().T - pmat).max()),
-    )
-    shift_defect = 0.0
-    for lam in lams:
-        shift_defect = max(
-            shift_defect, float(np.abs(pmat @ lam @ pmat - pmat).max())
-        )
+    projection_defect = max(float(np.abs(x).max()) for x in (pmat @ pmat - pmat, pmat.conj().T - pmat))
+    shift_defect = max(float(np.abs(pmat @ lam @ pmat - pmat).max()) for lam in lams)
     average_defect = 0.0
     averaged = []
     for _ in range(samples):
@@ -446,11 +442,7 @@ def tau_prime_table(p: int, q: int) -> list[TauPrimeRow]:
     two rows share a class exactly when the unitary-equivalence
     criterion holds for their projections.
     """
-    pairs = [
-        (lam, mu)
-        for lam in enumerate_partitions(p)
-        for mu in enumerate_partitions(q)
-    ]
+    pairs = [(lam, mu) for lam in enumerate_partitions(p) for mu in enumerate_partitions(q)]
     products = sorted({dimension(lam) * dimension(mu) for lam, mu in pairs})
     rows = []
     for lam, mu in pairs:

@@ -197,8 +197,8 @@ def _haar_relations(cfg, rng, out_dir) -> list[CheckResult]:
     mc_lr = haar_pair_average_mc(
         sp, 0, 1, "lr", HaarConfig(samples, derive_seed(cfg.seed, "haar-relations:lr"), cfg.N)
     )
-    diff_ll = float(np.linalg.norm(mc_ll.mean.matrix - tll.to_dense().matrix))
-    diff_lr = float(np.linalg.norm(mc_lr.mean.matrix - proj.to_dense().matrix))
+    diff_ll = mc_ll.distance(tll.to_dense().matrix)
+    diff_lr = mc_lr.distance(proj.to_dense().matrix)
     checks += [
         bound_check("mc_ll_within_3se", diff_ll, 3.0 * mc_ll.stderr),
         bound_check("mc_lr_within_3se", diff_lr, 3.0 * mc_lr.stderr),
@@ -261,7 +261,7 @@ def _limit_formula(cfg, rng, out_dir) -> list[CheckResult]:
     mc = product_average_mc(
         space, a, HaarConfig(samples, derive_seed(cfg.seed, "limit-formula:mc"), cfg.N)
     )
-    diff = float(np.linalg.norm(mc.mean.matrix - exact))
+    diff = mc.distance(exact)
     checks.append(bound_check("mc_product_within_3se", diff, 3.0 * mc.stderr))
 
     traceless = a - (np.trace(a) / cfg.N) * np.eye(cfg.N)

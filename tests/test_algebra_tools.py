@@ -4,7 +4,9 @@ The span-closure kernel is also checked against
 ``reference_span_closure`` and ``reference_cyclic_growth``, the
 survivor-Gram plus modified Gram-Schmidt closure and the per-candidate
 cyclic loop it replaced, and ``block_structure`` against
-``reference_block_structure``, the per-cluster-pair loop it replaced.
+``reference_block_structure``, the per-cluster-pair loop it replaced,
+and ``commutant_basis`` against ``reference_commutant_basis``, the SVD
+of the stacked constraint system it replaced.
 """
 
 import math
@@ -166,6 +168,98 @@ class TestAlgebraBasis:
         assert basis.gram_defect() == 0.0
 
 
+def reference_commutant_basis(mats):
+    """The literal solver: the null space of the stacked system of
+    X h - h X (rows kron(I, h^T) - kron(h, I) on the row-major vec(X))
+    for h = g and g*, by SVD, cut at RANK_TOL times the larger of the top
+    singular value and the generator scale.
+
+    The package solver once stacked kron(I, h) - kron(h^T, I), which
+    solves X h^T = h^T X: the commutant of the conjugate generators,
+    the same subspace only for real generators."""
+    d = mats[0].shape[0]
+    eye = np.eye(d)
+    stacked = np.vstack([np.kron(eye, h.T) - np.kron(h, eye) for g in mats for h in (g, g.conj().T)])
+    _, sv, vh = np.linalg.svd(stacked, full_matrices=False)
+    gscale = max(float(np.abs(m).max()) for m in mats)
+    rank = int((sv > RANK_TOL * max(float(sv[0]), gscale)).sum())
+    return [row.reshape(d, d) * math.sqrt(d) for row in vh[rank:].conj()]
+
+
+def _projector(elements):
+    flat = np.array(elements).reshape(len(elements), -1)
+    return flat.T @ flat.conj() / elements[0].shape[0]
+
+
+def _tensor_squares(N, seed):
+    rng = np.random.default_rng(seed)
+    return [np.kron(u, u) for u in (haar_unitary(N, rng) for _ in range(4))]
+
+
+def _legs(N, p, q):
+    space = ModelSpace(N, p, q)
+    return [leg_unitary(space, g) for g in group_elements(p, q)]
+
+
+def _normal_with_repeated_eigenvalue(seed):
+    u = haar_unitary(3, np.random.default_rng(seed))
+    return u @ np.diag([1.0, 1.0, 2.0]) @ u.conj().T
+
+
+def _hermitian(n, seed):
+    h = rand_mat(n, np.random.default_rng(seed))
+    return h + h.conj().T
+
+
+def _swap():
+    swap = np.zeros((4, 4))
+    for i in range(2):
+        for j in range(2):
+            swap[j * 2 + i, i * 2 + j] = 1.0
+    return swap
+
+
+GRAM_CASES = {
+    "generic_pair": lambda: [rand_mat(3, np.random.default_rng(1)), rand_mat(3, np.random.default_rng(2))],
+    "hermitian": lambda: [_hermitian(4, 3)],
+    "identity": lambda: [np.eye(3)],
+    "swap": lambda: [_swap()],
+    "generic_single": lambda: [rand_mat(3, np.random.default_rng(4))],
+    "near_identity_dust": lambda: [np.eye(3) + 1e-16 * rand_mat(3, np.random.default_rng(5))],
+    "normal_repeated_eigenvalue": lambda: [_normal_with_repeated_eigenvalue(6)],
+    "tensor_square_N2": lambda: _tensor_squares(2, 7),
+    "tensor_square_N3": lambda: _tensor_squares(3, 8),
+    "tensor_square_N4": lambda: _tensor_squares(4, 9),
+    "legs_220": lambda: _legs(2, 2, 0),
+    "legs_211": lambda: _legs(2, 1, 1),
+}
+
+
+class TestCommutantGram:
+    @pytest.mark.parametrize("case", sorted(GRAM_CASES))
+    def test_matches_reference_solver(self, case):
+        mats = GRAM_CASES[case]()
+        basis = commutant_basis(mats)
+        ref = reference_commutant_basis(mats)
+        assert basis.dim == len(ref)
+        assert np.abs(_projector(basis.elements) - _projector(ref)).max() <= 1e-10
+        # the cut sits in a wide gap of the Gram spectrum
+        d = mats[0].shape[0]
+        vals = np.linalg.eigvalsh(algebra_tools._commutant_gram(mats, d))
+        gscale = max(float(np.abs(m).max()) for m in mats)
+        cut = algebra_tools.GRAM_EIG_TOL * max(float(vals[-1]), gscale * gscale)
+        assert int((vals <= cut).sum()) == basis.dim
+        if basis.dim < d * d:
+            assert vals[basis.dim] >= 1e-3 * vals[-1]
+
+    def test_gram_is_the_stacked_product(self):
+        mats = [rand_mat(5, np.random.default_rng(10)) for _ in range(2)]
+        eye = np.eye(5)
+        stacked = np.vstack([np.kron(eye, h.T) - np.kron(h, eye) for g in mats for h in (g, g.conj().T)])
+        gram = algebra_tools._commutant_gram(mats, 5)
+        assert np.abs(gram - stacked.conj().T @ stacked).max() <= 1e-12 * np.abs(gram).max()
+
+
 class TestCommutant:
     def test_scalar_commutant_of_generic_pair(self):
         gens = [rand_mat(3), rand_mat(3)]
@@ -199,6 +293,15 @@ class TestCommutant:
         for b in basis.elements:
             assert np.abs(b @ g - g @ b).max() < 1e-7
 
+    def test_elements_commute_with_a_complex_generator_of_large_commutant(self):
+        # a complex normal matrix with a repeated eigenvalue: its commutant
+        # (dimension 2^2 + 1) differs from that of its conjugate
+        g = _normal_with_repeated_eigenvalue(6)
+        basis = commutant_basis([g])
+        assert basis.dim == 5
+        for b in basis.elements:
+            assert np.abs(b @ g - g @ b).max() < 1e-12
+
     def test_near_identity_dust_regression(self):
         # a generator that commutes with everything up to float dust must
         # produce the full commutant, not a noise-rank one
@@ -212,8 +315,9 @@ class TestCommutant:
             commutant_basis([np.eye(d)])
 
     def test_leg_unitaries_solve_without_the_square_factor(self):
-        # d = 16, two generators: the stacked system is 1024 x 256 complex,
-        # 4 MiB; a full SVD's unread 1024 x 1024 U adds 16 MiB more
+        # d = 16, two generators: the Gram matrix is 256 x 256 complex,
+        # 1 MiB; the 1024 x 256 stacked system (4 MiB) and a full SVD's
+        # 1024 x 1024 U (16 MiB more) are never formed
         space = ModelSpace(2, 2, 0)
         legs = [leg_unitary(space, g) for g in group_elements(space.p, space.q)]
         commutant_basis(legs)

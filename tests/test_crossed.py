@@ -9,6 +9,7 @@ placement) break that agreement immediately.
 import numpy as np
 import pytest
 
+from duallab import crossed
 from duallab.crossed import (
     CrossedOperator,
     ProductGroupElement,
@@ -17,6 +18,7 @@ from duallab.crossed import (
     equivalence_criterion,
     group_conjugacy_classes,
     group_elements,
+    l2_probes,
     leg_unitary,
     tau_prime_table,
     theta_apply,
@@ -304,6 +306,45 @@ class TestCenter:
     def test_class_counts_drive_dimension(self):
         basis, _ = center_basis(ModelSpace(2, 2, 1))
         assert basis.dim == len(group_conjugacy_classes(2, 1)) == 2
+
+    def test_three_leg_center(self):
+        basis, witnesses = center_basis(ModelSpace(2, 3, 0))
+        assert basis.dim == len(witnesses) == len(group_conjugacy_classes(3, 0)) == 3
+
+    def test_split_class_is_not_central(self, monkeypatch):
+        # the sum over one transposition of S_3 is not a class sum
+        def split(p, q):
+            out = []
+            for cls in group_conjugacy_classes(p, q):
+                out += [cls[:1], cls[1:]] if len(cls) == 3 else [cls]
+            return out
+
+        monkeypatch.setattr(crossed, "group_conjugacy_classes", split)
+        with pytest.raises(NumericError):
+            center_basis(ModelSpace(2, 3, 0))
+
+    @pytest.mark.parametrize("shape", [(2, 2, 0), (2, 1, 1)])
+    def test_block_commutator_entry_is_the_dense_one(self, shape):
+        # the block-form check of center_basis reads the largest entry of
+        # the dense commutator from its blocks
+        sp = ModelSpace(*shape)
+        rng = np.random.default_rng(41)
+        for _ in range(3):
+            x, y = rand_crossed(sp, rng), rand_crossed(sp, rng)
+            comm = x @ y - y @ x
+            assert comm.max_entry() == np.abs(comm.to_dense_l2()).max()
+            xd, yd = x.to_dense_l2(), y.to_dense_l2()
+            dense = np.abs(xd @ yd - yd @ xd).max()
+            assert comm.max_entry() == pytest.approx(dense, rel=1e-12)
+            assert x.max_entry() == np.abs(xd).max()
+
+    def test_l2_probes_densify_the_block_probes(self):
+        sp = ModelSpace(2, 2, 0)
+        dense = l2_probes(sp, np.random.default_rng(3))
+        blocks = crossed._probes(sp, np.random.default_rng(3))
+        assert len(dense) == len(blocks) == 5
+        for d, b in zip(dense, blocks):
+            assert np.array_equal(d, b.to_dense_l2())
 
     def test_cap(self):
         with pytest.raises(CapExceededError):
