@@ -168,19 +168,23 @@ class TestAlgebraBasis:
         assert basis.gram_defect() == 0.0
 
 
+def _stacked_constraints(mats):
+    """Rows kron(I, h^T) - kron(h, I) for h = g and g*: the maps from the
+    row-major vec(X) to vec(X h - h X)."""
+    eye = np.eye(mats[0].shape[0])
+    return np.vstack([np.kron(eye, h.T) - np.kron(h, eye) for g in mats for h in (g, g.conj().T)])
+
+
 def reference_commutant_basis(mats):
-    """The literal solver: the null space of the stacked system of
-    X h - h X (rows kron(I, h^T) - kron(h, I) on the row-major vec(X))
-    for h = g and g*, by SVD, cut at RANK_TOL times the larger of the top
-    singular value and the generator scale.
+    """The literal solver: the null space of the stacked constraints by
+    SVD, cut at RANK_TOL times the larger of the top singular value and
+    the generator scale.
 
     The package solver once stacked kron(I, h) - kron(h^T, I), which
     solves X h^T = h^T X: the commutant of the conjugate generators,
     the same subspace only for real generators."""
     d = mats[0].shape[0]
-    eye = np.eye(d)
-    stacked = np.vstack([np.kron(eye, h.T) - np.kron(h, eye) for g in mats for h in (g, g.conj().T)])
-    _, sv, vh = np.linalg.svd(stacked, full_matrices=False)
+    _, sv, vh = np.linalg.svd(_stacked_constraints(mats), full_matrices=False)
     gscale = max(float(np.abs(m).max()) for m in mats)
     rank = int((sv > RANK_TOL * max(float(sv[0]), gscale)).sum())
     return [row.reshape(d, d) * math.sqrt(d) for row in vh[rank:].conj()]
@@ -254,8 +258,7 @@ class TestCommutantGram:
 
     def test_gram_is_the_stacked_product(self):
         mats = [rand_mat(5, np.random.default_rng(10)) for _ in range(2)]
-        eye = np.eye(5)
-        stacked = np.vstack([np.kron(eye, h.T) - np.kron(h, eye) for g in mats for h in (g, g.conj().T)])
+        stacked = _stacked_constraints(mats)
         gram = algebra_tools._commutant_gram(mats, 5)
         assert np.abs(gram - stacked.conj().T @ stacked).max() <= 1e-12 * np.abs(gram).max()
 
@@ -281,11 +284,7 @@ class TestCommutant:
 
     def test_swap_commutant_dimension(self):
         # swap on C^2 x C^2 has eigenvalues +1 (mult 3) and -1 (mult 1)
-        swap = np.zeros((4, 4))
-        for i in range(2):
-            for j in range(2):
-                swap[j * 2 + i, i * 2 + j] = 1.0
-        assert commutant_basis([swap]).dim == 10
+        assert commutant_basis([_swap()]).dim == 10
 
     def test_elements_commute_with_generators(self):
         g = rand_mat(3)
