@@ -29,12 +29,12 @@ import numpy as np
 
 from .duality_core import haar_unitary
 from .legops import (
-    DENSE_CAP,
     CapExceededError,
     DenseOperator,
     ModelSpace,
     NumericError,
     StructuredOperator,
+    _check_cap,
     _Group,
 )
 
@@ -98,8 +98,7 @@ def _gather(generators) -> tuple[list[np.ndarray], int]:
     d = mats[0].shape[0]
     if any(m.shape != (d, d) for m in mats):
         raise ValueError("generators must share one dimension")
-    if d > DENSE_CAP:
-        raise CapExceededError(f"acting dimension {d} exceeds cap {DENSE_CAP}")
+    _check_cap(d, "acting dimension")
     return mats, d
 
 
@@ -449,8 +448,7 @@ def fixed_point_basis(p: int, N: int, side: str = "left") -> AlgebraBasis:
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     space = ModelSpace(N, p, 0) if side == "left" else ModelSpace(N, 0, p)
-    if space.dim > DENSE_CAP:
-        raise CapExceededError(f"model dimension {space.dim} exceeds cap {DENSE_CAP}")
+    _check_cap(space.dim, "model dimension")
     dim = fixed_point_dimension(p, N)
     if space.dim > 256:
         return AlgebraBasis(space, (), dimension=dim)
@@ -506,8 +504,7 @@ def relative_gap(
     x .. x conj(u), not their model-space lifts.
     """
     space = ModelSpace(N, p, q)
-    if space.dim > DENSE_CAP:
-        raise CapExceededError(f"model dimension {space.dim} exceeds cap {DENSE_CAP}")
+    _check_cap(space.dim, "model dimension")
     rng = np.random.default_rng(0x6A9 + 1000 * N + 10 * p + q) if rng is None else rng
 
     g, _ = generated_algebra_dim(lambda r: _acting_factor(haar_unitary(N, r), p, q), rng=rng)
@@ -548,8 +545,7 @@ def span_growth_check(p: int, N: int) -> SpanGrowthReport:
     the left, so the cyclic subspace of the identity is the algebra.
     """
     space = ModelSpace(N, p, 0)
-    if space.dim > DENSE_CAP:
-        raise CapExceededError(f"model dimension {space.dim} exceeds cap {DENSE_CAP}")
+    _check_cap(space.dim, "model dimension")
     mats = left_average_generators(p, N)
     # x m.T = (m x^T)^T: right products by the transposes reach the
     # transposed words, a subspace of the same dimension

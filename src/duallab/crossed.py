@@ -31,10 +31,9 @@ from .algebra_tools import (
     COMMUTANT_DIM_CAP, AlgebraBasis, block_structure, commutant_basis, orthonormalize, span_closure,
 )
 from .legops import (
-    DENSE_CAP,
-    CapExceededError,
     ModelSpace,
     NumericError,
+    _check_cap,
     _invert,
     _row_gather,
     permuted_product_trace,
@@ -266,8 +265,7 @@ class CrossedOperator:
         space = self.space
         elems = group_elements(space.p, space.q)
         n, d = len(elems), space.dim
-        if n * d > DENSE_CAP:
-            raise CapExceededError(f"l2 dimension {n * d} exceeds cap {DENSE_CAP}")
+        _check_cap(n * d, "l2 dimension")
         index = {g: i for i, g in enumerate(elems)}
         out = np.zeros((n * d, n * d), dtype=np.complex128)
         for l, a in self.blocks.items():
@@ -309,10 +307,7 @@ def center_basis(space: ModelSpace) -> tuple[AlgebraBasis, list[CrossedOperator]
     entry is that of the dense one (see :meth:`CrossedOperator.max_entry`).
     """
     elems = group_elements(space.p, space.q)
-    if len(elems) * space.dim > DENSE_CAP:
-        raise CapExceededError(
-            f"l2 dimension {len(elems) * space.dim} exceeds cap {DENSE_CAP}"
-        )
+    _check_cap(len(elems) * space.dim, "l2 dimension")
     witnesses = []
     for cls in group_conjugacy_classes(space.p, space.q):
         blocks = {g: leg_unitary(space, g.inverse()) for g in cls}
@@ -363,8 +358,7 @@ def compression_check(space: ModelSpace, samples: int = 12, seed: int = 0xC0DA) 
     """
     elems = group_elements(space.p, space.q)
     n, d = len(elems), space.dim
-    if n * d > DENSE_CAP:
-        raise CapExceededError(f"l2 dimension {n * d} exceeds cap {DENSE_CAP}")
+    _check_cap(n * d, "l2 dimension")
     rng = np.random.default_rng(seed)
     lams = [CrossedOperator.shift(space, g).to_dense_l2() for g in elems]
     pmat = sum(lams) / n

@@ -13,6 +13,9 @@ whose coefficients are rational in 1/N, so downstream identities can be
 tested at 1e-12 rather than at Monte Carlo resolution.  Like legops'
 own builders, t_mixed, the pair averages and Young projections are
 built as the raw term-group arrays of legops and canonicalized once.
+One builder, _product_blocks, holds the sign-and-side rule of the
+product t_mixed(a x) o t_mixed(y): sigma_residual, sigma_average_exact
+and product_average_mc all take their terms from it.
 
 Monte Carlo comes in three forms over the same draws.  haar_average_mc
 densifies an opaque integrand per sample.  haar_pair_average_mc and
@@ -261,6 +264,13 @@ def _block_size(N: int, block_dim: int | None) -> int:
     return D
 
 
+def _block_units(N: int, D: int) -> tuple[np.ndarray, np.ndarray]:
+    """The D^2 units e_rs x 1_K of M_N = M_D x M_K, stacked at r * D + s,
+    and their transposes e_sr x 1_K in the same order."""
+    units = np.kron(np.eye(D * D, dtype=np.complex128).reshape(D * D, D, D), np.eye(N // D))
+    return units, units.reshape(D, D, N, N).swapaxes(0, 1).reshape(D * D, N, N)
+
+
 def _check_pair(space: ModelSpace, k: int, j: int, mode: str) -> None:
     space.check_leg(k)
     space.check_leg(j)
@@ -297,14 +307,11 @@ def haar_pair_average_exact(
     By the second-moment matrix-unit formula each of these equals
     (1/D) * sum over matrix units e_rs placed at leg k and e_sr at leg
     j, in the mode's left/right positions, D being the block dimension.
-    The D^2 terms are built as one group: the units e_rs x 1 stacked in
-    a (D^2, N, N) array and their transposes by a swap of r and s.
+    The D^2 terms are built as one group from :func:`_block_units`.
     """
     _check_pair(space, k, j, mode)
-    N = space.N
-    D = _block_size(N, block_dim)
-    units = np.kron(np.eye(D * D, dtype=np.complex128).reshape(D * D, D, D), np.eye(N // D))
-    swapped = units.reshape(D, D, N, N).swapaxes(0, 1).reshape(D * D, N, N)
+    D = _block_size(space.N, block_dim)
+    units, swapped = _block_units(space.N, D)
     coeffs = np.full(D * D, 1.0 / D, dtype=np.complex128)
     group = _placed_group(space, [(k, mode[0], units), (j, mode[1], swapped)], coeffs)
     return StructuredOperator._from_raw(space, [group])
@@ -336,7 +343,7 @@ def haar_pair_average_mc(
         sumsq += np.vdot(v, v).real
     n = config.samples
     W /= n
-    units = np.eye(N * N, dtype=np.complex128).reshape(N * N, N, N)
+    units, _ = _block_units(N, N)
     ones = np.ones(N * N, dtype=np.complex128)
     group = _placed_group(space, [(k, mode[0], units), (j, mode[1], W.reshape(N * N, N, N))], ones)
     mean = StructuredOperator._from_raw(space, [group]).to_dense()
@@ -358,22 +365,28 @@ def _add_moments(W: np.ndarray, u: np.ndarray, v: np.ndarray) -> None:
     W += v
 
 
-def _product_blocks(space: ModelSpace, a: np.ndarray, x, y) -> list[_Group]:
-    """The raw groups of the sum over i of t_mixed(a x_i) o t_mixed(y_i),
-    one per pair (s, t) of t_mixed's terms: a x_i multiplies leg s and
-    y_i leg t, on the side and with the sign t_mixed gives each leg, and
-    on one leg (s = t) the two make one factor."""
+def _product_blocks(
+    space: ModelSpace, a: np.ndarray, x, y, weight: float = 1.0, same_leg: bool = True
+) -> list[_Group]:
+    """The raw groups of weight times the sum over i of t_mixed(a x_i) o
+    t_mixed(y_i), one per pair (s, t) of t_mixed's terms, s = t only if
+    ``same_leg``.  The one sign-and-side rule of the product: a x_i
+    multiplies leg s and y_i leg t, each on its leg's side, with +weight
+    if the sides agree and -weight if not; on one leg the two make one
+    factor."""
     p, m = space.p, space.m
     ax = a @ x
     blocks = []
     for s, t in itertools.product(range(m), repeat=2):
         side_s, side_t = "lr"[s >= p], "lr"[t >= p]
         if s == t:
+            if not same_leg:
+                continue
             # L(ax) L(y) = L(ax y), R(ax) R(y) = R(y ax)
             placed = [(s, side_s, ax @ y if s < p else y @ ax)]
         else:
             placed = [(s, side_s, ax), (t, side_t, y)]
-        sign = 1.0 if (s < p) == (t < p) else -1.0
+        sign = weight if side_s == side_t else -weight
         blocks.append(_placed_group(space, placed, np.full(len(x), sign, dtype=np.complex128)))
     return blocks
 
@@ -418,7 +431,7 @@ def product_average_mc(space: ModelSpace, a: np.ndarray, config: HaarConfig) -> 
             sumsq += sum(np.vdot(g.coeffs, _gram(g, h, N, paired=True) * h.coeffs)
                          for g in groups for h in groups).real
     W /= n
-    units = np.eye(N * N, dtype=np.complex128).reshape(N * N, N, N)
+    units, _ = _block_units(N, N)
     blocks = _product_blocks(space, a, units, W.reshape(N * N, N, N))
     mean = StructuredOperator._from_raw(space, blocks).to_dense()
     stderr = _stderr(sumsq, _sq_norm(mean.matrix), n)
@@ -498,35 +511,20 @@ def _check_unitary(u: np.ndarray, N: int) -> np.ndarray:
     return u
 
 
-def sigma_residual(
-    space: ModelSpace, a: np.ndarray, u: np.ndarray
-) -> StructuredOperator:
+def sigma_residual(space: ModelSpace, a: np.ndarray, u: np.ndarray) -> StructuredOperator:
     """Cross-leg remainder of the product of two mixed multiplication sums.
 
     The product t_mixed(a u*) o t_mixed(u) splits into same-leg terms,
     which collapse to left mult by a and right mult by u a u*, plus the
-    four cross-leg sums returned here: left-left and right-right pairs
-    enter positively, the two left-right combinations negatively.
+    cross-leg terms returned here: the blocks s != t of
+    :func:`_product_blocks` with x = u* and y = u.  By its
+    sign-and-side rule, left-left and right-right pairs enter
+    positively, left-right pairs negatively.
     """
+    a = _sanitize(a, space.N)
     u = _check_unitary(u, space.N)
-    a = np.asarray(a, dtype=np.complex128)
-    au = a @ u.conj().T
-    parts = []
-    left = range(space.p)
-    right = range(space.p, space.m)
-    for k in left:
-        for j in left:
-            if k != j:
-                parts.append(left_mult(space, au, k).compose(left_mult(space, u, j)))
-    for k in right:
-        for j in right:
-            if k != j:
-                parts.append(right_mult(space, au, k).compose(right_mult(space, u, j)))
-    for k in left:
-        for j in right:
-            parts.append(-left_mult(space, au, k).compose(right_mult(space, u, j)))
-            parts.append(-right_mult(space, au, j).compose(left_mult(space, u, k)))
-    return StructuredOperator.sum(parts, space)
+    blocks = _product_blocks(space, a, u.conj().T[None], u[None], same_leg=False)
+    return StructuredOperator._from_raw(space, blocks)
 
 
 def sigma_average_exact(
@@ -534,35 +532,17 @@ def sigma_average_exact(
 ) -> StructuredOperator:
     """Exact Haar average of the cross-leg remainder.
 
-    Averaging each cross pair through the matrix-unit formula gives
-
-    - left-left pairs:   (left mult by a at k) o pair_average_ll(k, j)
-    - right-right pairs: pair_average_rr(k, j) o (right mult by a at k)
-    - left-right pairs:  minus (left mult by a at k) o pair_average_lr(k, j)
-                         minus pair_average_lr(k, j) o (right mult by a at j)
-
-    using that Haar measure is invariant under u -> u*.
+    The matrix-unit formula averages u* (x) u to (1/D) times the sum of
+    e_rs x 1_K (x) e_sr x 1_K, D the block dimension: so the average is
+    :func:`sigma_residual`'s blocks s != t of :func:`_product_blocks`
+    with x the units of :func:`_block_units`, y their transposes and
+    weight 1/D.
     """
-    a = np.asarray(a, dtype=np.complex128)
-    parts = []
-    left = range(space.p)
-    right = range(space.p, space.m)
-    for k in left:
-        for j in left:
-            if k != j:
-                pair = haar_pair_average_exact(space, k, j, "ll", block_dim)
-                parts.append(left_mult(space, a, k).compose(pair))
-    for k in right:
-        for j in right:
-            if k != j:
-                pair = haar_pair_average_exact(space, k, j, "rr", block_dim)
-                parts.append(pair.compose(right_mult(space, a, k)))
-    for k in left:
-        for j in right:
-            pair = haar_pair_average_exact(space, k, j, "lr", block_dim)
-            parts.append(-left_mult(space, a, k).compose(pair))
-            parts.append(-pair.compose(right_mult(space, a, j)))
-    return StructuredOperator.sum(parts, space)
+    a = _sanitize(a, space.N)
+    D = _block_size(space.N, block_dim)
+    units, swapped = _block_units(space.N, D)
+    blocks = _product_blocks(space, a, units, swapped, 1.0 / D, same_leg=False)
+    return StructuredOperator._from_raw(space, blocks)
 
 
 def product_average_exact(

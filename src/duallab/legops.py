@@ -125,6 +125,12 @@ class CapExceededError(RuntimeError):
     """A dense materialization would exceed the configured cap."""
 
 
+def _check_cap(dim: int, what: str) -> None:
+    """Raise :class:`CapExceededError` if ``dim`` exceeds ``DENSE_CAP``."""
+    if dim > DENSE_CAP:
+        raise CapExceededError(f"{what} {dim} exceeds cap {DENSE_CAP}")
+
+
 class NumericError(RuntimeError):
     """A numerical routine could not certify its result."""
 
@@ -854,8 +860,7 @@ class StructuredOperator:
     def to_dense(self) -> "DenseOperator":
         """Explicit matrix; guarded by ``DENSE_CAP``."""
         space = self.space
-        if space.dim > DENSE_CAP:
-            raise CapExceededError(f"dense dimension {space.dim} exceeds cap {DENSE_CAP}")
+        _check_cap(space.dim, "dense dimension")
         N, m, d = space.N, space.m, space.dim
         n2, h = N * N, (m + 1) // 2
         cols = (n2**h, n2 ** (m - h))

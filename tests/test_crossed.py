@@ -9,7 +9,7 @@ placement) break that agreement immediately.
 import numpy as np
 import pytest
 
-from duallab import crossed
+from duallab import algebra_tools, crossed, legops
 from duallab.crossed import (
     CrossedOperator,
     ProductGroupElement,
@@ -26,7 +26,7 @@ from duallab.crossed import (
     trace_tau_prime,
 )
 from duallab.duality_core import haar_unitary
-from duallab.legops import CapExceededError, ModelSpace, NumericError
+from duallab.legops import CapExceededError, ModelSpace, NumericError, StructuredOperator
 from duallab.symcomb import Partition, enumerate_partitions
 
 from fractions import Fraction
@@ -450,3 +450,29 @@ class TestTraceInequality:
         s = ProductGroupElement((1, 0), ())
         with pytest.raises(ValueError):
             trace_inequality_check(s, [[np.eye(2)]], 2)
+
+
+# -- the one dense cap ------------------------------------------------------------
+
+
+SMALL_SPACE = ModelSpace(2, 1, 1)  # dimension 16, and 16 on l2(G, H): |G| = 1
+CAP_ENTRY_POINTS = {
+    "to_dense": (lambda: StructuredOperator.identity(SMALL_SPACE).to_dense(), "dense"),
+    "span_closure": (lambda: algebra_tools.span_closure([np.eye(16)]), "acting"),
+    "fixed_point_basis": (lambda: algebra_tools.fixed_point_basis(2, 2), "model"),
+    "relative_gap": (lambda: algebra_tools.relative_gap(1, 1, 2), "model"),
+    "span_growth_check": (lambda: algebra_tools.span_growth_check(2, 2), "model"),
+    "to_dense_l2": (
+        lambda: CrossedOperator.embed(SMALL_SPACE, np.eye(16)).to_dense_l2(), "l2"),
+    "center_basis": (lambda: center_basis(SMALL_SPACE), "l2"),
+    "compression_check": (lambda: compression_check(SMALL_SPACE), "l2"),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(CAP_ENTRY_POINTS))
+def test_every_dense_entry_point_obeys_the_cap(entry, monkeypatch):
+    call, what = CAP_ENTRY_POINTS[entry]
+    call()  # runs under the default cap
+    monkeypatch.setattr(legops, "DENSE_CAP", 8)
+    with pytest.raises(CapExceededError, match=f"^{what} dimension 16 exceeds cap 8$"):
+        call()

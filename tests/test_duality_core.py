@@ -605,7 +605,83 @@ class TestConditionalExpectation:
 # -- cross-leg remainder ------------------------------------------------------------
 
 
+def reference_sigma_residual(space, a, u):
+    """The four cross-leg pair sums, each term built by compose: the
+    byte-for-byte oracle for sigma_residual, which takes the cross-leg
+    blocks of the product's term-group builder."""
+    u = duality_core._check_unitary(u, space.N)
+    a = np.asarray(a, dtype=np.complex128)
+    au = a @ u.conj().T
+    parts = []
+    left = range(space.p)
+    right = range(space.p, space.m)
+    for k in left:
+        for j in left:
+            if k != j:
+                parts.append(left_mult(space, au, k).compose(left_mult(space, u, j)))
+    for k in right:
+        for j in right:
+            if k != j:
+                parts.append(right_mult(space, au, k).compose(right_mult(space, u, j)))
+    for k in left:
+        for j in right:
+            parts.append(-left_mult(space, au, k).compose(right_mult(space, u, j)))
+            parts.append(-right_mult(space, au, j).compose(left_mult(space, u, k)))
+    return StructuredOperator.sum(parts, space)
+
+
+def reference_sigma_average_exact(space, a, block_dim=None):
+    """The cross-leg pairs composed with the exact pair averages: the
+    byte-for-byte oracle for sigma_average_exact."""
+    a = np.asarray(a, dtype=np.complex128)
+    parts = []
+    left = range(space.p)
+    right = range(space.p, space.m)
+    for k in left:
+        for j in left:
+            if k != j:
+                pair = haar_pair_average_exact(space, k, j, "ll", block_dim)
+                parts.append(left_mult(space, a, k).compose(pair))
+    for k in right:
+        for j in right:
+            if k != j:
+                pair = haar_pair_average_exact(space, k, j, "rr", block_dim)
+                parts.append(pair.compose(right_mult(space, a, k)))
+    for k in left:
+        for j in right:
+            pair = haar_pair_average_exact(space, k, j, "lr", block_dim)
+            parts.append(-left_mult(space, a, k).compose(pair))
+            parts.append(-pair.compose(right_mult(space, a, j)))
+    return StructuredOperator.sum(parts, space)
+
+
+SIGMA_SIDES = [(1, 1), (2, 0), (0, 2), (2, 1), (1, 2), (2, 2), (3, 1), (1, 3), (3, 0)]
+
+
 class TestSigmaResidual:
+    @pytest.mark.parametrize("N", [2, 3, 4])
+    @pytest.mark.parametrize("p,q", SIGMA_SIDES)
+    def test_matches_compose_oracle(self, N, p, q):
+        sp = ModelSpace(N, p, q)
+        rng = np.random.default_rng(0x516 + 10 * N + p)
+        u = haar_unitary(N, rng)
+        for a in (np.eye(N), rand_herm(N, rng)):
+            assert_same_groups(sigma_residual(sp, a, u), reference_sigma_residual(sp, a, u))
+            for block_dim in (None, 2) if N == 4 else (None,):
+                assert_same_groups(
+                    sigma_average_exact(sp, a, block_dim),
+                    reference_sigma_average_exact(sp, a, block_dim),
+                )
+
+    @pytest.mark.parametrize("p,q", [(1, 1), (2, 0), (0, 2), (1, 0), (0, 1)])
+    def test_shape_checked_before_use(self, p, q):
+        sp = ModelSpace(3, p, q)
+        msg = r"expected a 3x3 matrix, got shape \(2, 2\)"
+        with pytest.raises(ValueError, match=msg):
+            sigma_residual(sp, np.eye(2), np.eye(3))
+        with pytest.raises(ValueError, match=msg):
+            sigma_average_exact(sp, np.eye(2))
+
     def test_product_decomposition_per_sample(self):
         # t_mixed(a u*) t_mixed(u) = t_plus(a) + t_minus(u a u*) + remainder
         for (N, p, q) in [(2, 1, 1), (2, 2, 1), (3, 1, 1)]:
