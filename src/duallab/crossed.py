@@ -27,9 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra_tools import (
-    COMMUTANT_DIM_CAP, AlgebraBasis, block_structure, commutant_basis, orthonormalize, span_closure,
-)
+from .algebra_tools import AlgebraBasis, block_structure, orthonormalize, span_closure
 from .legops import (
     ModelSpace,
     NumericError,
@@ -354,7 +352,8 @@ def compression_check(space: ModelSpace, samples: int = 12, seed: int = 0xC0DA) 
     of P), and that P Pi(a) P = Pi(abar) P with abar the group average
     of a.  The compressed fiber algebra is compared against the fixed
     points of the group action: the span of averaged samples must match
-    the commutant of the leg unitaries.
+    the commutant of the leg unitaries, whose dimension
+    :func:`block_structure` gives at every d.
     """
     elems = group_elements(space.p, space.q)
     n, d = len(elems), space.dim
@@ -375,10 +374,7 @@ def compression_check(space: ModelSpace, samples: int = 12, seed: int = 0xC0DA) 
         average_defect = max(average_defect, float(np.abs(lhs - rhs).max()))
     span, _ = span_closure(averaged + [np.eye(d)])
     legs = [leg_unitary(space, g) for g in elems]
-    if d <= COMMUTANT_DIM_CAP:
-        fixed_dim = commutant_basis(legs).dim
-    else:
-        _, _, fixed_dim = block_structure(legs)
+    _, _, fixed_dim = block_structure(legs)
     return CompressionReport(
         p=space.p,
         q=space.q,

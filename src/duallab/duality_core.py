@@ -17,13 +17,13 @@ One builder, _product_blocks, holds the sign-and-side rule of the
 product t_mixed(a x) o t_mixed(y): sigma_residual, sigma_average_exact
 and product_average_mc all take their terms from it.
 
-Monte Carlo comes in three forms over the same draws.  haar_average_mc
-densifies an opaque integrand per sample.  haar_pair_average_mc and
-product_average_mc, the twins of the exact pair and product averages,
-have integrands linear in the second moments u* (x) u: a sample adds
-its N^4 moment entries to a sum, and the mean is densified once.  The
-pair's squared norms are those of the moment entries, scaled; the
-product's are the traces of its sampled term groups.
+Monte Carlo comes in two samplers over the same draws.  haar_average_mc
+densifies an opaque integrand per sample.  _moment_mc serves
+haar_pair_average_mc and product_average_mc, the twins of the exact
+pair and product averages, whose integrands are linear in the second
+moments u* (x) u: a sample adds its N^4 moment entries to a sum, the
+mean is densified once, and the squared norms of the standard error
+are the traces of the sampled term groups.
 """
 
 from __future__ import annotations
@@ -43,8 +43,6 @@ from .legops import (
     _gram,
     _pure,
     _sanitize,
-    left_mult,
-    right_mult,
 )
 from .symcomb import Partition, character, cycle_type_of_permutation, dimension
 
@@ -75,28 +73,11 @@ __all__ = [
 # -- one-sided multiplication sums --------------------------------------
 
 
-def t_plus(space: ModelSpace, a: np.ndarray) -> StructuredOperator:
-    """Sum of left multiplications by ``a`` over the left legs.
-
-    An empty left side yields the zero operator.
-    """
-    return StructuredOperator.sum((left_mult(space, a, k) for k in range(space.p)), space)
-
-
-def t_minus(space: ModelSpace, a: np.ndarray) -> StructuredOperator:
-    """Sum of right multiplications by ``a`` over the right legs."""
-    return StructuredOperator.sum(
-        (right_mult(space, a, k) for k in range(space.p, space.m)), space
-    )
-
-
-def t_mixed(space: ModelSpace, a: np.ndarray) -> StructuredOperator:
-    """Left-multiplication sum minus right-multiplication sum.
-
-    Built as one group of m terms, canonicalized once: +1 with ``a`` on
-    the left of each left leg, -1 with ``a`` on the right of each right
-    leg, the identity elsewhere.
-    """
+def _mult_sum(space: ModelSpace, a: np.ndarray, left: float, right: float) -> StructuredOperator:
+    """``left`` times the left multiplications by ``a`` over the left
+    legs plus ``right`` times the right ones over the right legs, as one
+    group of m terms canonicalized once: term t carries ``a`` on its
+    side of leg t, and the terms of a zero coefficient drop."""
     N, p, m = space.N, space.p, space.m
     a = _sanitize(a, N)
     A = np.empty((m, m, N, N), dtype=np.complex128)
@@ -105,9 +86,27 @@ def t_mixed(space: ModelSpace, a: np.ndarray) -> StructuredOperator:
     t = np.arange(m)  # term t carries a on leg t
     A[t[:p], t[:p]] = a
     B[t[p:], t[p:]] = a
-    coeffs = np.where(t < p, 1.0, -1.0).astype(np.complex128)
+    coeffs = np.where(t < p, left, right).astype(np.complex128)
     legs = tuple(range(m))
     return StructuredOperator._from_raw(space, [_Group(legs, coeffs, legs, A, B)])
+
+
+def t_plus(space: ModelSpace, a: np.ndarray) -> StructuredOperator:
+    """Sum of left multiplications by ``a`` over the left legs.
+
+    An empty left side yields the zero operator.
+    """
+    return _mult_sum(space, a, 1.0, 0.0)
+
+
+def t_minus(space: ModelSpace, a: np.ndarray) -> StructuredOperator:
+    """Sum of right multiplications by ``a`` over the right legs."""
+    return _mult_sum(space, a, 0.0, 1.0)
+
+
+def t_mixed(space: ModelSpace, a: np.ndarray) -> StructuredOperator:
+    """Left-multiplication sum minus right-multiplication sum."""
+    return _mult_sum(space, a, 1.0, -1.0)
 
 
 # -- Young projections ---------------------------------------------------
@@ -325,44 +324,13 @@ def haar_pair_average_mc(
     :func:`haar_average_mc` draws for ``config``.
 
     Expanding u* in matrix units, the integrand is the sum over a, b of
-    X(e_ab)_k Y((u*)_ab u)_j, linear in the second moments u* (x) u.  So
-    a sample adds its N^4 moment entries to W in place of densifying a
-    d x d matrix, and the mean is that group with the sampled mean W_ab
-    of (u*)_ab u at leg j, densified once; the exact average has e_ba/N
-    there.  Each moment entry fills N^(2m-2) dense entries, which scales
-    the squared norms of the Frobenius standard error.
+    X(e_ab)_k Y((u*)_ab u)_j, linear in the second moments u* (x) u: one
+    group of :func:`_placed_group`, sampled by :func:`_moment_mc`.  The
+    exact average has e_ba/N where the mean has the sampled mean W_ab.
     """
     _check_pair(space, k, j, mode)
-    N = space.N
-    _check_draws(space, config)
-    W = np.zeros((N * N, N * N), dtype=np.complex128)
-    v = np.empty_like(W)
-    sumsq = 0.0
-    for u in _haar_draws(config):
-        _add_moments(W, u, v)
-        sumsq += np.vdot(v, v).real
-    n = config.samples
-    W /= n
-    units, _ = _block_units(N, N)
-    ones = np.ones(N * N, dtype=np.complex128)
-    group = _placed_group(space, [(k, mode[0], units), (j, mode[1], W.reshape(N * N, N, N))], ones)
-    mean = StructuredOperator._from_raw(space, [group]).to_dense()
-    reps = N ** (2 * space.m - 2)
-    return MCAverage(mean, n, config.seed, _stderr(reps * sumsq, reps * _sq_norm(W), n))
-
-
-def _check_draws(space: ModelSpace, config: HaarConfig) -> None:
-    if config.N != space.N:
-        raise ValueError(f"config draws {config.N}x{config.N} unitaries, the space has N={space.N}")
-
-
-def _add_moments(W: np.ndarray, u: np.ndarray, v: np.ndarray) -> None:
-    """Add the N^4 entries of u* (x) u, (u*)_ab u_cd at [aN+b, cN+d], to
-    W, through the buffer v."""
-    n2 = len(W)
-    # a one-term GEMM, so each entry is the product to_dense forms
-    np.matmul(u.conj().T.reshape(n2, 1), u.reshape(1, n2), out=v)
-    W += v
+    return _moment_mc(space, config, lambda x, y: [_placed_group(
+        space, [(k, mode[0], x), (j, mode[1], y)], np.ones(len(x), dtype=np.complex128))])
 
 
 def _product_blocks(
@@ -391,11 +359,46 @@ def _product_blocks(
     return blocks
 
 
-# Samples whose squared norms product_average_mc takes together: their
+# Samples whose squared norms _moment_mc takes together: the product's
 # m^2 term groups hold at most 4 m^2 N^2 entries per sample, 512 KiB
 # at N = 4, m = 2.  Fixed, so the standard error sums in one order for a
 # given sample count.
 _NORM_BATCH = 128
+
+
+def _moment_mc(space: ModelSpace, config: HaarConfig, blocks) -> MCAverage:
+    """Empirical Haar average of F(u*, u), F linear in each argument:
+    ``blocks(x, y)`` returns the raw groups of the sum over i of F(x_i,
+    y_i).  F(u*, u) is the sum over a, b of F(e_ab, (u*)_ab u), so a
+    sample adds its N^4 second moments to W, and the mean is
+    ``blocks(e_ab, W_ab)``, densified once.  The squared norms of the
+    standard error are the paired traces, by legops' Gram kernel, of
+    ``blocks(u*, u)`` over a batch of samples.
+    """
+    N = space.N
+    if config.N != N:
+        raise ValueError(f"config draws {config.N}x{config.N} unitaries, the space has N={N}")
+    n = config.samples
+    W = np.zeros((N * N, N * N), dtype=np.complex128)
+    v = np.empty_like(W)
+    us = np.empty((min(n, _NORM_BATCH), N, N), dtype=np.complex128)
+    sumsq = 0.0
+    for i, u in enumerate(_haar_draws(config)):
+        # (u*)_ab u_cd at [aN+b, cN+d] by a one-term GEMM, so each entry
+        # is the product to_dense forms
+        np.matmul(u.conj().T.reshape(N * N, 1), u.reshape(1, N * N), out=v)
+        W += v
+        row = i % _NORM_BATCH
+        us[row] = u
+        if row == _NORM_BATCH - 1 or i == n - 1:
+            batch = us[: row + 1]
+            groups = blocks(batch.conj().swapaxes(1, 2), batch)
+            sumsq += sum(np.vdot(g.coeffs, _gram(g, h, N, paired=True) * h.coeffs)
+                         for g in groups for h in groups).real
+    W /= n
+    units, _ = _block_units(N, N)
+    mean = StructuredOperator._from_raw(space, blocks(units, W.reshape(N * N, N, N))).to_dense()
+    return MCAverage(mean, n, config.seed, _stderr(sumsq, _sq_norm(mean.matrix), n))
 
 
 def product_average_mc(space: ModelSpace, a: np.ndarray, config: HaarConfig) -> MCAverage:
@@ -403,39 +406,11 @@ def product_average_mc(space: ModelSpace, a: np.ndarray, config: HaarConfig) -> 
     the empirical average of t_mixed(a u*) o t_mixed(u) over the
     unitaries that :func:`haar_average_mc` draws for ``config``.
 
-    With a u* the sum over a, b of (u*)_ab a e_ab, the integrand is the
-    sum of t_mixed(a e_ab) o t_mixed((u*)_ab u), linear in the second
-    moments u* (x) u.  So a sample adds its N^4 moment entries to W, and
-    the mean is that sum with the sampled mean W_ab of (u*)_ab u in
-    place of (u*)_ab u: m^2 raw groups of N^2 terms, canonicalized and
-    densified once.  The squared norms of the standard error come from
-    the sampled integrands themselves, m^2 groups with one term per
-    sample, through the paired traces of legops' Gram kernel, a batch
-    of samples at a time.
+    The integrand is :func:`_product_blocks` at x = u*, y = u, sampled
+    by :func:`_moment_mc`: m^2 groups of N^2 terms make the mean.
     """
-    N = space.N
-    a = _sanitize(a, N)
-    _check_draws(space, config)
-    n = config.samples
-    W = np.zeros((N * N, N * N), dtype=np.complex128)
-    v = np.empty_like(W)
-    us = np.empty((min(n, _NORM_BATCH), N, N), dtype=np.complex128)
-    sumsq = 0.0
-    for i, u in enumerate(_haar_draws(config)):
-        _add_moments(W, u, v)
-        row = i % _NORM_BATCH
-        us[row] = u
-        if row == _NORM_BATCH - 1 or i == n - 1:
-            batch = us[: row + 1]
-            groups = _product_blocks(space, a, batch.conj().swapaxes(1, 2), batch)
-            sumsq += sum(np.vdot(g.coeffs, _gram(g, h, N, paired=True) * h.coeffs)
-                         for g in groups for h in groups).real
-    W /= n
-    units, _ = _block_units(N, N)
-    blocks = _product_blocks(space, a, units, W.reshape(N * N, N, N))
-    mean = StructuredOperator._from_raw(space, blocks).to_dense()
-    stderr = _stderr(sumsq, _sq_norm(mean.matrix), n)
-    return MCAverage(mean, n, config.seed, stderr)
+    a = _sanitize(a, space.N)
+    return _moment_mc(space, config, lambda x, y: _product_blocks(space, a, x, y))
 
 
 # -- conditional expectation tower ---------------------------------------
@@ -668,6 +643,8 @@ def spectral_binning(
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be positive and finite, got {eps!r}")
     A = np.asarray(A, dtype=np.complex128)
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.size == 0:
+        raise ValueError(f"expected a non-empty square matrix, got shape {A.shape}")
     if not np.isfinite(A).all():
         raise ValueError("matrix has non-finite entries")
     scale = max(1.0, float(np.linalg.norm(A)))

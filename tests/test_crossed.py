@@ -30,7 +30,7 @@ from duallab.legops import CapExceededError, ModelSpace, NumericError, Structure
 from duallab.symcomb import Partition, enumerate_partitions
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 RNG = np.random.default_rng(0xC505)
 
@@ -367,6 +367,16 @@ class TestCompression:
     def test_cap(self):
         with pytest.raises(CapExceededError):
             compression_check(ModelSpace(3, 2, 2))
+
+    @pytest.mark.parametrize("N,p,q", [(2, 1, 0), (2, 2, 0), (2, 1, 1), (2, 2, 1), (2, 3, 0)])
+    def test_leg_commutant_dim_by_block_structure(self, N, p, q):
+        # a leg's operators form C^(N^4), and the operators commuting
+        # with the side permutations are Sym^p (x) Sym^q of it
+        sp = ModelSpace(N, p, q)
+        legs = [leg_unitary(sp, g) for g in group_elements(p, q)]
+        _, _, fixed_dim = algebra_tools.block_structure(legs)
+        D = N**4
+        assert fixed_dim == comb(D + p - 1, p) * comb(D + q - 1, q)
 
 
 # -- complementary trace table ---------------------------------------------------------

@@ -8,6 +8,7 @@ expectations from an elementwise partial trace.
 
 import itertools
 import math
+import re
 import time
 import tracemalloc
 import warnings
@@ -17,8 +18,18 @@ import pytest
 
 import duallab.duality_core as duality_core
 from duallab.duality_core import (
+    _NORM_BATCH,
     MC_STREAMS,
     HaarConfig,
+    MCAverage,
+    _block_units,
+    _check_pair,
+    _haar_draws,
+    _placed_group,
+    _product_blocks,
+    _sanitize,
+    _sq_norm,
+    _stderr,
     SpectralGrid,
     SubfactorTower,
     conditional_expectation,
@@ -42,6 +53,7 @@ from duallab.legops import (
     ModelSpace,
     OperatorTerm,
     StructuredOperator,
+    _gram,
     identity_factor,
     left_mult,
     right_mult,
@@ -98,6 +110,19 @@ def assert_same_groups(got, want):
 # -- multiplication sums ------------------------------------------------------
 
 
+def reference_t_plus(space, a):
+    """t_plus as a sum of one-leg operators, its former build: the
+    byte-for-byte oracle of the one-group builder."""
+    return StructuredOperator.sum((left_mult(space, a, k) for k in range(space.p)), space)
+
+
+def reference_t_minus(space, a):
+    """t_minus as a sum of one-leg operators, as :func:`reference_t_plus`."""
+    return StructuredOperator.sum(
+        (right_mult(space, a, k) for k in range(space.p, space.m)), space
+    )
+
+
 class TestMultiplicationSums:
     def test_t_plus_is_left_leg_sum(self):
         sp = ModelSpace(2, 2, 1)
@@ -117,14 +142,21 @@ class TestMultiplicationSums:
         assert (t_mixed(sp, a) - (t_plus(sp, a) - t_minus(sp, a))).hs_norm() < 1e-12
 
     @pytest.mark.parametrize("N", [2, 3, 4])
-    @pytest.mark.parametrize("p,q", [(1, 1), (2, 1), (1, 2), (2, 2), (0, 2), (3, 0), (1, 0)])
+    @pytest.mark.parametrize(
+        "p,q", [(1, 1), (2, 1), (1, 2), (2, 2), (0, 2), (3, 0), (1, 0), (0, 1), (0, 3)]
+    )
     def test_t_mixed_matches_difference_of_sums(self, N, p, q):
-        # the difference of the two sums, t_mixed's former build, is the
-        # byte-for-byte oracle of its one-group build
+        # the sums of one-leg operators and their difference are the
+        # byte-for-byte oracles of the one builder behind all three
         sp = ModelSpace(N, p, q)
         rng = np.random.default_rng(100 * N + 10 * p + q)
-        for a in (rand_mat(N, rng), np.eye(N), np.zeros((N, N)), np.diag(rng.standard_normal(N))):
-            assert_same_groups(t_mixed(sp, a), t_plus(sp, a) - t_minus(sp, a))
+        z = rng.standard_normal((N, N))
+        for a in (rand_mat(N, rng), np.eye(N), np.zeros((N, N)), np.diag(rng.standard_normal(N)),
+                  z + z.T):
+            plus, minus = reference_t_plus(sp, a), reference_t_minus(sp, a)
+            assert_same_groups(t_plus(sp, a), plus)
+            assert_same_groups(t_minus(sp, a), minus)
+            assert_same_groups(t_mixed(sp, a), plus - minus)
 
     def test_empty_sides_give_zero(self):
         assert t_plus(ModelSpace(2, 0, 2), rand_mat(2)).n_terms == 0
@@ -436,6 +468,110 @@ class TestProductAverageMC:
         samples = duality_core._NORM_BATCH + 37
         product_average_mc(ModelSpace(2, 1, 1), np.eye(2), HaarConfig(samples, seed=5, N=2))
         assert calls == [2] * samples
+
+
+# The two sampler loops that _moment_mc replaced, verbatim: the
+# byte-for-byte oracles of the one sampler both twins call.
+
+
+def _check_draws(space, config):
+    if config.N != space.N:
+        raise ValueError(f"config draws {config.N}x{config.N} unitaries, the space has N={space.N}")
+
+
+def _add_moments(W, u, v):
+    n2 = len(W)
+    # a one-term GEMM, so each entry is the product to_dense forms
+    np.matmul(u.conj().T.reshape(n2, 1), u.reshape(1, n2), out=v)
+    W += v
+
+
+def reference_pair_average_mc(space, k, j, mode, config):
+    _check_pair(space, k, j, mode)
+    N = space.N
+    _check_draws(space, config)
+    W = np.zeros((N * N, N * N), dtype=np.complex128)
+    v = np.empty_like(W)
+    sumsq = 0.0
+    for u in _haar_draws(config):
+        _add_moments(W, u, v)
+        sumsq += np.vdot(v, v).real
+    n = config.samples
+    W /= n
+    units, _ = _block_units(N, N)
+    ones = np.ones(N * N, dtype=np.complex128)
+    group = _placed_group(space, [(k, mode[0], units), (j, mode[1], W.reshape(N * N, N, N))], ones)
+    mean = StructuredOperator._from_raw(space, [group]).to_dense()
+    reps = N ** (2 * space.m - 2)
+    return MCAverage(mean, n, config.seed, _stderr(reps * sumsq, reps * _sq_norm(W), n))
+
+
+def reference_product_average_mc(space, a, config):
+    N = space.N
+    a = _sanitize(a, N)
+    _check_draws(space, config)
+    n = config.samples
+    W = np.zeros((N * N, N * N), dtype=np.complex128)
+    v = np.empty_like(W)
+    us = np.empty((min(n, _NORM_BATCH), N, N), dtype=np.complex128)
+    sumsq = 0.0
+    for i, u in enumerate(_haar_draws(config)):
+        _add_moments(W, u, v)
+        row = i % _NORM_BATCH
+        us[row] = u
+        if row == _NORM_BATCH - 1 or i == n - 1:
+            batch = us[: row + 1]
+            groups = _product_blocks(space, a, batch.conj().swapaxes(1, 2), batch)
+            sumsq += sum(np.vdot(g.coeffs, _gram(g, h, N, paired=True) * h.coeffs)
+                         for g in groups for h in groups).real
+    W /= n
+    units, _ = _block_units(N, N)
+    blocks = _product_blocks(space, a, units, W.reshape(N * N, N, N))
+    mean = StructuredOperator._from_raw(space, blocks).to_dense()
+    stderr = _stderr(sumsq, _sq_norm(mean.matrix), n)
+    return MCAverage(mean, n, config.seed, stderr)
+
+
+MOMENT_SPACES = [
+    (2, 1, 1), (2, 2, 1), (2, 1, 2), (3, 1, 1), (3, 2, 1), (4, 1, 1), (2, 2, 2), (2, 3, 0), (2, 0, 3),
+]
+MOMENT_SAMPLES = [1, 2, 23, 128, 129, 300]
+
+
+class TestMomentSampler:
+    """Both twins sample through one loop: the means equal the former
+    loops' in bytes, and so does the product's standard error; the pair's
+    standard error now comes from the traces of its sampled group, not
+    from the moment entries scaled by N^(2m-2), and moves by rounding."""
+
+    @pytest.mark.parametrize("N,p,q", MOMENT_SPACES)
+    @pytest.mark.parametrize("samples", MOMENT_SAMPLES)
+    def test_pair_matches_former_loop(self, N, p, q, samples):
+        sp = ModelSpace(N, p, q)
+        cfg = HaarConfig(samples=samples, seed=31 * N + samples, N=N)
+        for k, j in itertools.permutations(range(sp.m), 2):
+            for mode in ("ll", "rr", "lr"):
+                got = haar_pair_average_mc(sp, k, j, mode, cfg)
+                want = reference_pair_average_mc(sp, k, j, mode, cfg)
+                assert (got.samples, got.seed) == (want.samples, want.seed)
+                assert got.mean.matrix.tobytes() == want.mean.matrix.tobytes()
+                if samples == 1:
+                    assert got.stderr == want.stderr == float("inf")
+                else:
+                    assert abs(got.stderr - want.stderr) <= 1e-14 * want.stderr
+
+    @pytest.mark.parametrize("N,p,q", MOMENT_SPACES)
+    @pytest.mark.parametrize("samples", MOMENT_SAMPLES)
+    def test_product_matches_former_loop(self, N, p, q, samples):
+        sp = ModelSpace(N, p, q)
+        rng = np.random.default_rng(17 * N + p)
+        cfg = HaarConfig(samples=samples, seed=37 * N + samples, N=N)
+        for a in (rand_mat(N, rng), rand_herm(N, rng), np.eye(N)):
+            got = product_average_mc(sp, a, cfg)
+            want = reference_product_average_mc(sp, a, cfg)
+            assert (got.samples, got.seed) == (want.samples, want.seed)
+            assert got.mean.matrix.tobytes() == want.mean.matrix.tobytes()
+            assert repr(got.stderr) == repr(want.stderr)
 
 
 def _traced_peak(f):
@@ -885,6 +1021,9 @@ class TestSpectralBinning:
             spectral_binning(np.eye(2), 0.0)
         with pytest.raises(ValueError):
             spectral_binning(np.array([[0.0, 1.0], [0.0, 0.0]]), 0.1)
+        for shape in [(0, 0), (2, 3), (3,)]:
+            with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+                spectral_binning(np.zeros(shape), 0.1)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_matrix(self, bad):
