@@ -40,9 +40,12 @@ from .legops import (
     StructuredOperator,
     _eye,
     _Group,
+    _check_finite,
     _gram,
+    _one_leg,
     _pure,
     _sanitize,
+    _sq_norm,
 )
 from .symcomb import Partition, character, cycle_type_of_permutation, dimension
 
@@ -77,18 +80,25 @@ def _mult_sum(space: ModelSpace, a: np.ndarray, left: float, right: float) -> St
     """``left`` times the left multiplications by ``a`` over the left
     legs plus ``right`` times the right ones over the right legs, as one
     group of m terms canonicalized once: term t carries ``a`` on its
-    side of leg t, and the terms of a zero coefficient drop."""
+    side of leg t, and the terms of a zero coefficient drop.  A lone
+    surviving term is built as its canonical group, as the merge would
+    leave it."""
     N, p, m = space.N, space.p, space.m
+    coeffs = [left] * p + [right] * (m - p)
+    live = [k for k, c in enumerate(coeffs) if c]
+    if len(live) == 1:
+        k = live[0]
+        return _one_leg(space, k, a, k < p, coeffs[k])
     a = _sanitize(a, N)
+    t = np.arange(m)  # term t carries a on leg t
     A = np.empty((m, m, N, N), dtype=np.complex128)
     A[...] = _eye(N)
     B = A.copy()
-    t = np.arange(m)  # term t carries a on leg t
     A[t[:p], t[:p]] = a
     B[t[p:], t[p:]] = a
-    coeffs = np.where(t < p, left, right).astype(np.complex128)
     legs = tuple(range(m))
-    return StructuredOperator._from_raw(space, [_Group(legs, coeffs, legs, A, B)])
+    group = _Group(legs, np.array(coeffs, dtype=np.complex128), legs, A, B)
+    return StructuredOperator._from_raw(space, [group])
 
 
 def t_plus(space: ModelSpace, a: np.ndarray) -> StructuredOperator:
@@ -201,13 +211,6 @@ class MCAverage:
     def distance(self, exact: np.ndarray) -> float:
         """Frobenius distance of the mean from a matrix, by :func:`_sq_norm`."""
         return math.sqrt(_sq_norm(self.mean.matrix - exact))
-
-
-def _sq_norm(x: np.ndarray) -> float:
-    """Squared Frobenius norm by einsum on the float64 view: one fixed
-    order, where BLAS dot splits long sums by the thread count."""
-    flat = np.ascontiguousarray(x).reshape(-1).view(np.float64)
-    return float(np.einsum("i,i->", flat, flat))
 
 
 def _haar_draws(config: HaarConfig):
@@ -459,6 +462,7 @@ def conditional_expectation(
     a = np.asarray(a, dtype=np.complex128)
     if a.shape != (N, N):
         raise ValueError(f"expected {N}x{N}, got {a.shape}")
+    _check_finite(a)
     return _block_expectation(a, 2**level)
 
 

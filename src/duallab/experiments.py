@@ -719,7 +719,7 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
             "sigma-decay",
             _sigma_decay,
             {"N": 4, "p": 1, "q": 1},
-            {"N": 8},
+            {"N": 16},
             "cross-leg remainder decay along doubling leg sizes",
         ),
         ExperimentSpec(

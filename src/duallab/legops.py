@@ -40,10 +40,17 @@ Cost model, for groups of T terms with L carried legs:
 - normalized_trace is the identity's row of the same Gram matrix: it
   multiplies factors along the cycles of each group's permutation,
   O(T L N^3);
-- apply costs two batched matmuls per carried leg, O(T L N^(2m+1)), and
-  one axis permutation per group; to_dense one batched matmul per
-  group, O(T N^(4m)), written into the output through a row-permuted
-  view: one d x d allocation for one group, one more per later group.
+- apply splits each group's terms into classes by their active
+  half-legs, the row and column axes whose factor is not the identity.
+  A class of T terms on k axes acts through one N^k x N^k kernel, a
+  tensordot of N^k flops per entry of x, when that costs no more than
+  its terms one by one, O(T k N^(2m+1)), which it otherwise runs; every
+  class adds into the output through one axis permutation, and no
+  array holds a term index and a copy of x together.  The classes and
+  kernels are built on the first apply and kept.  to_dense is one
+  batched matmul per group, O(T N^(4m)), written into the output
+  through a row-permuted view: one d x d allocation for one group, one
+  more per later group.
 
 Traces are evaluated exactly through the cycle factorization of the
 permutation part, operator norms by Lanczos on the matrix-free apply.
@@ -166,12 +173,27 @@ class ModelSpace:
             raise ValueError(f"leg {k} out of range for m={self.m}")
 
 
+def _check_finite(arr: np.ndarray) -> None:
+    """Raise :class:`NumericError` naming the first non-finite entry."""
+    if not np.isfinite(arr).all():
+        at = tuple(int(i) for i in np.argwhere(~np.isfinite(arr))[0])
+        raise NumericError(f"non-finite matrix entry {complex(arr[at])!r} at {at}")
+
+
 def _sanitize(a: np.ndarray, N: int) -> np.ndarray:
     arr = np.ascontiguousarray(np.asarray(a, dtype=np.complex128)) + 0j
     if arr.shape != (N, N):
         raise ValueError(f"expected a {N}x{N} matrix, got shape {arr.shape}")
+    _check_finite(arr)
     arr.setflags(write=False)
     return arr
+
+
+def _sq_norm(x: np.ndarray) -> float:
+    """Squared Frobenius norm by einsum on the float64 view: one fixed
+    order, where BLAS dot splits long sums by the thread count."""
+    flat = np.ascontiguousarray(x).reshape(-1).view(np.float64)
+    return float(np.einsum("i,i->", flat, flat))
 
 
 @lru_cache(maxsize=32)
@@ -540,29 +562,56 @@ def _gram(g: _Group, h: _Group, N: int, paired: bool = False) -> np.ndarray:
 # -- dense and matrix-free action ------------------------------------------
 
 
-def _sandwiched(x: np.ndarray, g: _Group, N: int, m: int):
-    """sum_t c_t (leg sandwiches of term t) applied to x, before the
-    permutation, as a tensor with 2m axes of size N; returns it with the
-    list giving the original axis (2k row, 2k+1 column of leg k) held at
-    each position."""
-    if not g.legs:
-        return g.coeffs[0] * x.reshape((N,) * (2 * m)), list(range(2 * m))
-    w = x.reshape((1,) + (N,) * (2 * m))
-    axes = list(range(2 * m))
-    for li, k in enumerate(g.legs):
-        # row axis: a <- sum_b A[a, b] x[b]; column axis: d <- sum_c x[c] B[c, d];
-        # the coefficients ride on the first matrix, so one sum over the
-        # term axis finishes the group
-        row = g.A[:, li].swapaxes(1, 2)
-        if li == 0:
-            row = row * g.coeffs[:, None, None]
-        for ax, mat in ((2 * k, row), (2 * k + 1, g.B[:, li])):
-            pos = axes.index(ax)
-            w = np.moveaxis(w, 1 + pos, -1)
-            axes.append(axes.pop(pos))
-            shape = (len(mat),) + w.shape[1:]
-            w = np.matmul(w.reshape(w.shape[0], -1, N), mat).reshape(shape)
-    return w.sum(axis=0), axes
+def _kernel(coeffs: np.ndarray, mats: np.ndarray, N: int) -> np.ndarray:
+    """sum_t c_t (x)_j mats[t, j], output axes then input axes; with no
+    factors, the sum of the c_t.  The term index is contracted by one
+    GEMM on the last factor, so the workspace is T N^(2k-2) + N^(2k)
+    entries."""
+    T, k = mats.shape[:2]
+    if not k:
+        return np.array(coeffs.sum())
+    P = coeffs.reshape(T, 1)
+    for j in range(k - 1):
+        P = (P[:, :, None] * mats[:, j].reshape(T, 1, N * N)).reshape(T, -1)
+    K = (P.T @ mats[:, -1].reshape(T, N * N)).reshape((N, N) * k)
+    return np.ascontiguousarray(K.transpose([*range(0, 2 * k, 2), *range(1, 2 * k, 2)]))
+
+
+def _classes(g: _Group, N: int, m: int) -> list[tuple]:
+    """Split a group's terms by their active axes: the row axis of leg k
+    (axis 2k) when the term's A factor there is not the identity, the
+    column axis (2k+1) when its B factor is not.  On a row axis a term
+    acts by A, on a column axis by B^T.  A class of T terms on k axes
+    takes its kernel when that costs no more than the terms one by one:
+    N^k against k T N flops per entry of x, and N^(2k) entries against
+    the T d of all terms at once.
+
+    Returns (axes, kernel, factors, perm) per class: the kernel, or
+    else the (T, k, N, N) factors with the coefficient on the first;
+    perm moves the class's result (for a kernel the active axes first,
+    then the others) to the output legs of the group's permutation.
+    """
+    T, L, d = len(g.coeffs), len(g.legs), N ** (2 * m)
+    mats = np.stack((g.A, g.B.swapaxes(2, 3)), axis=2).reshape(T, 2 * L, N, N)
+    active = (mats != _eye(N)).any(axis=(2, 3))
+    all_axes = [2 * k + e for k in g.legs for e in (0, 1)]
+    inv = _invert(g.sigma)
+    out_axes = [2 * inv[k] + e for k in range(m) for e in (0, 1)]
+    flags, which = np.unique(active, axis=0, return_inverse=True)
+    out = []
+    for c, row in enumerate(flags):
+        terms = np.flatnonzero(which.reshape(-1) == c)
+        axes = tuple(a for a, f in zip(all_axes, row) if f)
+        k, n = len(axes), len(terms)
+        coeffs, class_mats = g.coeffs[terms], mats[terms][:, row]
+        if not k or (N ** (k - 1) <= k * n and N ** (2 * k) <= n * d):
+            order = list(axes) + [a for a in range(2 * m) if a not in axes]
+            perm = tuple(order.index(a) for a in out_axes)
+            out.append((axes, _kernel(coeffs, class_mats, N), None, perm))
+        else:
+            class_mats[:, 0] *= coeffs[:, None, None]
+            out.append((axes, None, class_mats, tuple(out_axes)))
+    return out
 
 
 @lru_cache(maxsize=256)
@@ -604,12 +653,13 @@ class StructuredOperator:
     :class:`OperatorTerm` view on first use.
     """
 
-    __slots__ = ("space", "_groups", "_terms")
+    __slots__ = ("space", "_groups", "_terms", "_classes")
 
     def __init__(self, space: ModelSpace, terms: list[OperatorTerm] | tuple = ()):
         self.space = space
         self._groups = _canonical(space, _groups_from_terms(space, terms))
         self._terms = None
+        self._classes = None
 
     @classmethod
     def _from_raw(cls, space: ModelSpace, raw: Iterable[_Group]) -> "StructuredOperator":
@@ -621,6 +671,7 @@ class StructuredOperator:
         op.space = space
         op._groups = groups
         op._terms = None
+        op._classes = None
         return op
 
     @property
@@ -843,18 +894,33 @@ class StructuredOperator:
         return float(np.sqrt(max(val, 0.0)))
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        """Matrix-free action on a vector of length N^(2m)."""
+        """Matrix-free action on a vector of length N^(2m).
+
+        Each class of a group's terms (see ``_classes``, built on the
+        first call and kept) acts on x seen as a tensor with 2m axes of
+        size N: through its kernel, by one tensordot over its active
+        axes, or term by term, one axis at a time.  The result is added
+        to the output through the group's permutation, so no array holds
+        a term index and a copy of x together.
+        """
         space = self.space
         if v.shape != (space.dim,):
             raise ValueError(f"expected vector of length {space.dim}")
         N, m = space.N, space.m
-        x = np.asarray(v, dtype=np.complex128)
-        out = np.zeros((N,) * (2 * m), dtype=np.complex128)
-        for g in self._groups:
-            w, axes = _sandwiched(x, g, N, m)
-            inv = _invert(g.sigma)
-            # output leg k carries input leg sigma^-1(k)
-            out += w.transpose([axes.index(2 * inv[k] + e) for k in range(m) for e in (0, 1)])
+        if self._classes is None:
+            self._classes = [c for g in self._groups for c in _classes(g, N, m)]
+        x = np.asarray(v, dtype=np.complex128).reshape((N,) * (2 * m))
+        out = np.zeros_like(x)
+        for axes, kernel, factors, perm in self._classes:
+            if kernel is not None:
+                k = len(axes)
+                out += np.tensordot(kernel, x, (range(k, 2 * k), axes)).transpose(perm)
+                continue
+            for mats in factors:
+                y = x
+                for ax, mat in zip(axes, mats):
+                    y = np.moveaxis(np.tensordot(mat, y, (1, ax)), 0, ax)
+                out += y.transpose(perm)
         return out.reshape(space.dim)
 
     def to_dense(self) -> "DenseOperator":
@@ -902,15 +968,17 @@ class StructuredOperator:
         dim = self.space.dim
         rng = np.random.default_rng(0x5EED)
         v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        krylov = (v / np.linalg.norm(v))[None, :]  # grows by one row per step
+        # the sums over the d entries are einsums, as in _sq_norm: BLAS dot
+        # and gemv split them by the thread count from d ~ 10^4 on
+        krylov = (v / math.sqrt(_sq_norm(v)))[None, :]  # grows by one row per step
         alphas, betas = [], []
         for k in range(LANCZOS_STEPS):
             w = adj.apply(self.apply(krylov[-1]))
-            alphas.append(float(np.vdot(krylov[-1], w).real))
+            alphas.append(float(np.einsum("i,i->", krylov[-1].view(np.float64), w.view(np.float64))))
             for _ in range(2):
                 # w -= sum_j <q_j, w> q_j, without a conjugated copy of krylov
-                w -= (krylov @ w.conj()).conj() @ krylov
-            beta = float(np.linalg.norm(w))
+                w -= np.einsum("k,kd->d", np.einsum("kd,d->k", krylov, w.conj()).conj(), krylov)
+            beta = math.sqrt(_sq_norm(w))
             ritz, vecs = np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))
             theta = ritz[-1]
             if beta * abs(vecs[-1, -1]) <= 1e-10 * theta or beta == 0.0 or k + 1 == dim:
@@ -973,21 +1041,25 @@ class DenseOperator:
 # -- builders ----------------------------------------------------------
 
 
-def _one_leg(space: ModelSpace, k: int, a: np.ndarray, left: bool) -> StructuredOperator:
-    """The single term x_k -> a x_k (``left``) or x_k a, built as its
-    canonical group: a zero ``a`` gives the zero operator, the identity
-    the identity."""
+def _one_leg(
+    space: ModelSpace, k: int, a: np.ndarray, left: bool, coeff: complex = 1.0
+) -> StructuredOperator:
+    """The single term x_k -> coeff a x_k (``left``) or coeff x_k a,
+    built as its canonical group: a zero ``a`` gives the zero operator,
+    the identity coeff times the identity."""
     space.check_leg(k)
     N = space.N
     a = _sanitize(a, N)
     eye = _eye(N)
     if not a.any():
         return StructuredOperator.zero(space)
+    sigma, c = tuple(range(space.m)), np.full(1, coeff, dtype=np.complex128)
     if (a == eye).all():
-        return StructuredOperator.identity(space)
-    a, eye = a.reshape(1, 1, N, N), eye.reshape(1, 1, N, N)
-    A, B = (a, eye) if left else (eye, a)
-    group = _Group(tuple(range(space.m)), np.ones(1, dtype=np.complex128), (k,), A, B, merged=True)
+        group = _pure(sigma, c, N)._replace(merged=True)
+    else:
+        a, eye = a.reshape(1, 1, N, N), eye.reshape(1, 1, N, N)
+        A, B = (a, eye) if left else (eye, a)
+        group = _Group(sigma, c, (k,), A, B, merged=True)
     return StructuredOperator._from_canonical(space, (group,))
 
 

@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from duallab import legops
-from duallab.duality_core import sigma_average_exact, young_projection
+from duallab.duality_core import limit_formula_check, sigma_average_exact, young_projection
 from duallab.symcomb import Partition
 
 from duallab.legops import (
@@ -1046,3 +1046,201 @@ class TestMergePaths:
         A = np.stack([rand_mat(2)[None] for _ in range(T)])
         _merge(_Group((0,), np.ones(T, dtype=np.complex128), (0,), A, np.ones_like(A)), 2)
         assert taken == [path]
+
+
+# -- apply by classes of active half-legs ------------------------------------------
+
+
+def _sandwiched(x, g, N, m):
+    """sum_t c_t (leg sandwiches of term t) applied to x, before the
+    permutation, as a tensor with 2m axes of size N; returns it with the
+    list giving the original axis (2k row, 2k+1 column of leg k) held at
+    each position."""
+    if not g.legs:
+        return g.coeffs[0] * x.reshape((N,) * (2 * m)), list(range(2 * m))
+    w = x.reshape((1,) + (N,) * (2 * m))
+    axes = list(range(2 * m))
+    for li, k in enumerate(g.legs):
+        # row axis: a <- sum_b A[a, b] x[b]; column axis: d <- sum_c x[c] B[c, d];
+        # the coefficients ride on the first matrix, so one sum over the
+        # term axis finishes the group
+        row = g.A[:, li].swapaxes(1, 2)
+        if li == 0:
+            row = row * g.coeffs[:, None, None]
+        for ax, mat in ((2 * k, row), (2 * k + 1, g.B[:, li])):
+            pos = axes.index(ax)
+            w = np.moveaxis(w, 1 + pos, -1)
+            axes.append(axes.pop(pos))
+            shape = (len(mat),) + w.shape[1:]
+            w = np.matmul(w.reshape(w.shape[0], -1, N), mat).reshape(shape)
+    return w.sum(axis=0), axes
+
+
+def reference_apply(self, v):
+    """The former ``StructuredOperator.apply``: every group's terms
+    sandwiched into one (T, d) array, then summed and permuted."""
+    space = self.space
+    if v.shape != (space.dim,):
+        raise ValueError(f"expected vector of length {space.dim}")
+    N, m = space.N, space.m
+    x = np.asarray(v, dtype=np.complex128)
+    out = np.zeros((N,) * (2 * m), dtype=np.complex128)
+    for g in self._groups:
+        w, axes = _sandwiched(x, g, N, m)
+        inv = legops._invert(g.sigma)
+        # output leg k carries input leg sigma^-1(k)
+        out += w.transpose([axes.index(2 * inv[k] + e) for k in range(m) for e in (0, 1)])
+    return out.reshape(space.dim)
+
+
+def oracle_apply(op, v):
+    """The definition applied to one vector, term by term."""
+    return sum((oracle_term_action(op.space, t, v) for t in op.terms), np.zeros(op.space.dim, complex))
+
+
+def half_leg_term(space, coefficient, sigma, kinds, rng):
+    """A term whose leg k carries a random A when kinds[k] is "left" or
+    "both" and a random B when it is "right" or "both"."""
+    N, eye = space.N, np.eye(space.N)
+    factors = tuple(
+        LegFactor(rand_mat(N, rng) if kind in ("left", "both") else eye,
+                  rand_mat(N, rng) if kind in ("right", "both") else eye)
+        for kind in kinds
+    )
+    return OperatorTerm(coefficient, factors, sigma)
+
+
+def routes(op):
+    """(k, "kernel" or "terms") of each class ``apply`` ran, per group."""
+    v = np.ones(op.space.dim, dtype=complex)
+    op.apply(v)
+    return [(len(axes), "terms" if kernel is None else "kernel") for axes, kernel, _, _ in op._classes]
+
+
+def assert_apply_agrees(op, rng):
+    v = rng.standard_normal(op.space.dim) + 1j * rng.standard_normal(op.space.dim)
+    got = op.apply(v)
+    for want in (reference_apply(op, v), oracle_apply(op, v)):
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@st.composite
+def class_operators(draw):
+    """Up to three permutation groups, each of up to three classes: T
+    terms sharing one draw of identity, left, right or both per leg, so
+    a class has k = 0 to 2m active axes and, by T, k and N, takes its
+    kernel or runs term by term."""
+    space = draw(st.sampled_from(
+        (ModelSpace(2, 1, 1), ModelSpace(3, 1, 1), ModelSpace(2, 2, 1), ModelSpace(3, 1, 2),
+         ModelSpace(3, 1, 0))
+    ))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = st.sampled_from(("identity", "left", "right", "both"))
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        sigma = tuple(draw(st.permutations(range(space.m))))
+        for _ in range(draw(st.integers(1, 3))):
+            pattern = [draw(kinds) for _ in range(space.m)]
+            for _ in range(draw(st.integers(1, 3))):
+                coeff = complex(rng.standard_normal(), rng.standard_normal())
+                terms.append(half_leg_term(space, coeff, sigma, pattern, rng))
+    return StructuredOperator(space, terms)
+
+
+class TestApplyClasses:
+    """apply runs each class of a group's terms on its active half-legs,
+    through one kernel or term by term; it must agree with the former
+    (T, d) sandwich and with the definition."""
+
+    @DIFF_SETTINGS
+    @given(op=class_operators(), seed=st.integers(0, 2**32 - 1))
+    def test_matches_reference_and_oracle(self, op, seed):
+        assert_apply_agrees(op, np.random.default_rng(seed))
+        assert_apply_agrees(op.adjoint(), np.random.default_rng(seed))
+
+    def test_routes_cover_every_kind(self):
+        sp, rng = ModelSpace(3, 2, 1), np.random.default_rng(7)
+        ident, swap, cycle = (0, 1, 2), (1, 0, 2), (2, 0, 1)
+        spec = [
+            (ident, ("identity",) * 3, 1),  # k = 0 in a carried group
+            (ident, ("left", "identity", "identity"), 2),  # k = 1
+            (ident, ("left", "identity", "right"), 2),  # k = 2, 3 <= 2 * 2: kernel
+            (ident, ("both", "identity", "identity"), 1),  # k = 2, 3 > 2 * 1: term by term
+            (swap, ("identity",) * 3, 1),  # a pure permutation
+            (cycle, ("both",) * 3, 1),  # all six axes
+            (cycle, ("identity", "right", "left"), 3),
+        ]
+        terms = [half_leg_term(sp, complex(rng.standard_normal(), 1.0), sigma, kinds, rng)
+                 for sigma, kinds, n in spec for _ in range(n)]
+        op = StructuredOperator(sp, terms)
+        got = routes(op)
+        assert sorted(set(got)) == [(0, "kernel"), (1, "kernel"), (2, "kernel"), (2, "terms"), (6, "terms")]
+        # the identity group holds four classes, kernels and one term by term
+        assert len(got) == 7
+        assert sorted(got[:4]) == [(0, "kernel"), (1, "kernel"), (2, "kernel"), (2, "terms")]
+        assert_apply_agrees(op, rng)
+
+    def test_classes_are_built_once(self):
+        sig = sigma_average_exact(ModelSpace(4, 1, 1), np.eye(4))
+        real = legops._classes
+        with mock.patch.object(legops, "_classes", side_effect=real) as spy:
+            sig.operator_norm()
+            sig.operator_norm()
+        # one build for the operator and one for each adjoint
+        assert spy.call_count == 3
+
+    def test_one_term_on_every_axis_runs_term_by_term(self):
+        # a kernel would hold N^16 entries; the term goes one axis at a time
+        sp, rng = ModelSpace(4, 2, 2), np.random.default_rng(8)
+        op = StructuredOperator(sp, [half_leg_term(sp, 1.5, (1, 0, 3, 2), ("both",) * 4, rng)])
+        assert routes(op) == [(8, "terms")]
+        v = rng.standard_normal(sp.dim) + 1j * rng.standard_normal(sp.dim)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            got = op.apply(v)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * sp.dim * 16
+        want = reference_apply(op, v)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_sigma_average_norm_has_no_term_by_vector_array(self):
+        # the (T, d) sandwich of the 288 terms alone is 91 MiB at N = 12
+        sig = sigma_average_exact(ModelSpace(12, 1, 1), np.eye(12))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            norm = sig.operator_norm()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert abs(norm - 2.0) <= 1e-12
+        assert peak < 16 * 2**20
+
+    # sigma_average_exact(ModelSpace(16, 1, 1), I).operator_norm() by the
+    # former apply and Lanczos sums, which take seconds and half a GiB
+    # (2 CPUs, default BLAS threads; 2.0000000000000018 on one thread)
+    PARENT_SIGMA_N16 = 1.9999999999999991
+
+    def test_norms_match_the_reference(self):
+        def norms(sigma_ns, limit_ns):
+            out = [sigma_average_exact(ModelSpace(n, 1, 1), np.eye(n)).operator_norm() for n in sigma_ns]
+            for n in limit_ns:
+                rep = limit_formula_check(ModelSpace(n, 1, 1), hermitian_contraction(n))
+                out += [rep.residual_op_norm, rep.sigma_average_op_norm]
+            return out
+
+        got = norms((2, 4, 8, 16), range(2, 9))
+        with mock.patch.object(StructuredOperator, "apply", reference_apply):
+            want = norms((2, 4, 8), range(2, 9))
+        want.insert(3, self.PARENT_SIGMA_N16)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+def hermitian_contraction(n):
+    """A seeded Hermitian matrix of operator norm 1."""
+    z = rand_mat(n, np.random.default_rng(n))
+    a = (z + z.conj().T) / 2
+    return a / np.linalg.norm(a, 2)

@@ -237,7 +237,7 @@ class TestRegistry:
 
     def test_full_overrides_apply(self):
         cfgs = {c.experiment: c for c in suite_configs("full")}
-        assert cfgs["sigma-decay"].N == 8
+        assert cfgs["sigma-decay"].N == 16
 
 
 class TestRunExperiment:
