@@ -42,7 +42,6 @@ from .legops import (
     _Group,
     _check_finite,
     _gram,
-    _one_leg,
     _pure,
     _sanitize,
     _sq_norm,
@@ -80,25 +79,18 @@ def _mult_sum(space: ModelSpace, a: np.ndarray, left: float, right: float) -> St
     """``left`` times the left multiplications by ``a`` over the left
     legs plus ``right`` times the right ones over the right legs, as one
     group of m terms canonicalized once: term t carries ``a`` on its
-    side of leg t, and the terms of a zero coefficient drop.  A lone
-    surviving term is built as its canonical group, as the merge would
-    leave it."""
+    side of leg t, and the terms of a zero coefficient drop."""
     N, p, m = space.N, space.p, space.m
-    coeffs = [left] * p + [right] * (m - p)
-    live = [k for k, c in enumerate(coeffs) if c]
-    if len(live) == 1:
-        k = live[0]
-        return _one_leg(space, k, a, k < p, coeffs[k])
     a = _sanitize(a, N)
-    t = np.arange(m)  # term t carries a on leg t
     A = np.empty((m, m, N, N), dtype=np.complex128)
     A[...] = _eye(N)
     B = A.copy()
+    t = np.arange(m)  # term t carries a on leg t
     A[t[:p], t[:p]] = a
     B[t[p:], t[p:]] = a
+    coeffs = np.where(t < p, left, right).astype(np.complex128)
     legs = tuple(range(m))
-    group = _Group(legs, np.array(coeffs, dtype=np.complex128), legs, A, B)
-    return StructuredOperator._from_raw(space, [group])
+    return StructuredOperator._from_raw(space, [_Group(legs, coeffs, legs, A, B)])
 
 
 def t_plus(space: ModelSpace, a: np.ndarray) -> StructuredOperator:

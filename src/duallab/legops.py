@@ -46,11 +46,11 @@ Cost model, for groups of T terms with L carried legs:
   tensordot of N^k flops per entry of x, when that costs no more than
   its terms one by one, O(T k N^(2m+1)), which it otherwise runs; every
   class adds into the output through one axis permutation, and no
-  array holds a term index and a copy of x together.  The classes and
-  kernels are built on the first apply and kept.  to_dense is one
-  batched matmul per group, O(T N^(4m)), written into the output
-  through a row-permuted view: one d x d allocation for one group, one
-  more per later group.
+  array holds a term index and a copy of x together.  operator_norm
+  builds the classes and kernels of X and X* once per call.  to_dense
+  is one batched matmul per group, O(T N^(4m)), written into the
+  output through a row-permuted view: one d x d allocation for one
+  group, one more per later group.
 
 Traces are evaluated exactly through the cycle factorization of the
 permutation part, operator norms by Lanczos on the matrix-free apply.
@@ -614,6 +614,23 @@ def _classes(g: _Group, N: int, m: int) -> list[tuple]:
     return out
 
 
+def _apply_classes(classes: list[tuple], v: np.ndarray, N: int, m: int) -> np.ndarray:
+    """The sum of the classes' actions on the vector v of length N^(2m)."""
+    x = np.asarray(v, dtype=np.complex128).reshape((N,) * (2 * m))
+    out = np.zeros_like(x)
+    for axes, kernel, factors, perm in classes:
+        if kernel is not None:
+            k = len(axes)
+            out += np.tensordot(kernel, x, (range(k, 2 * k), axes)).transpose(perm)
+            continue
+        for mats in factors:
+            y = x
+            for ax, mat in zip(axes, mats):
+                y = np.moveaxis(np.tensordot(mat, y, (1, ax)), 0, ax)
+            out += y.transpose(perm)
+    return out.reshape(-1)
+
+
 @lru_cache(maxsize=256)
 def _row_gather(inv: tuple[int, ...], N: int) -> np.ndarray:
     """Row index of P(sigma): output leg k reads input leg inv[k]."""
@@ -653,13 +670,12 @@ class StructuredOperator:
     :class:`OperatorTerm` view on first use.
     """
 
-    __slots__ = ("space", "_groups", "_terms", "_classes")
+    __slots__ = ("space", "_groups", "_terms")
 
     def __init__(self, space: ModelSpace, terms: list[OperatorTerm] | tuple = ()):
         self.space = space
         self._groups = _canonical(space, _groups_from_terms(space, terms))
         self._terms = None
-        self._classes = None
 
     @classmethod
     def _from_raw(cls, space: ModelSpace, raw: Iterable[_Group]) -> "StructuredOperator":
@@ -671,7 +687,6 @@ class StructuredOperator:
         op.space = space
         op._groups = groups
         op._terms = None
-        op._classes = None
         return op
 
     @property
@@ -896,32 +911,22 @@ class StructuredOperator:
     def apply(self, v: np.ndarray) -> np.ndarray:
         """Matrix-free action on a vector of length N^(2m).
 
-        Each class of a group's terms (see ``_classes``, built on the
-        first call and kept) acts on x seen as a tensor with 2m axes of
-        size N: through its kernel, by one tensordot over its active
-        axes, or term by term, one axis at a time.  The result is added
-        to the output through the group's permutation, so no array holds
-        a term index and a copy of x together.
+        Each class of a group's terms (see ``_classes``) acts on x seen
+        as a tensor with 2m axes of size N: through its kernel, by one
+        tensordot over its active axes, or term by term, one axis at a
+        time.  The result is added to the output through the group's
+        permutation, so no array holds a term index and a copy of x
+        together.
         """
         space = self.space
         if v.shape != (space.dim,):
             raise ValueError(f"expected vector of length {space.dim}")
-        N, m = space.N, space.m
-        if self._classes is None:
-            self._classes = [c for g in self._groups for c in _classes(g, N, m)]
-        x = np.asarray(v, dtype=np.complex128).reshape((N,) * (2 * m))
-        out = np.zeros_like(x)
-        for axes, kernel, factors, perm in self._classes:
-            if kernel is not None:
-                k = len(axes)
-                out += np.tensordot(kernel, x, (range(k, 2 * k), axes)).transpose(perm)
-                continue
-            for mats in factors:
-                y = x
-                for ax, mat in zip(axes, mats):
-                    y = np.moveaxis(np.tensordot(mat, y, (1, ax)), 0, ax)
-                out += y.transpose(perm)
-        return out.reshape(space.dim)
+        return _apply_classes(self._split(), v, space.N, space.m)
+
+    def _split(self) -> list[tuple]:
+        """The classes of every group, as ``_classes`` builds them."""
+        N, m = self.space.N, self.space.m
+        return [c for g in self._groups for c in _classes(g, N, m)]
 
     def to_dense(self) -> "DenseOperator":
         """Explicit matrix; guarded by ``DENSE_CAP``."""
@@ -964,8 +969,9 @@ class StructuredOperator:
         """
         if not self._groups:
             return 0.0
-        adj = self.adjoint()
-        dim = self.space.dim
+        N, m, dim = self.space.N, self.space.m, self.space.dim
+        # every step applies X and X*: split each into classes once
+        fwd, back = self._split(), self.adjoint()._split()
         rng = np.random.default_rng(0x5EED)
         v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         # the sums over the d entries are einsums, as in _sq_norm: BLAS dot
@@ -973,7 +979,7 @@ class StructuredOperator:
         krylov = (v / math.sqrt(_sq_norm(v)))[None, :]  # grows by one row per step
         alphas, betas = [], []
         for k in range(LANCZOS_STEPS):
-            w = adj.apply(self.apply(krylov[-1]))
+            w = _apply_classes(back, _apply_classes(fwd, krylov[-1], N, m), N, m)
             alphas.append(float(np.einsum("i,i->", krylov[-1].view(np.float64), w.view(np.float64))))
             for _ in range(2):
                 # w -= sum_j <q_j, w> q_j, without a conjugated copy of krylov
@@ -1041,25 +1047,21 @@ class DenseOperator:
 # -- builders ----------------------------------------------------------
 
 
-def _one_leg(
-    space: ModelSpace, k: int, a: np.ndarray, left: bool, coeff: complex = 1.0
-) -> StructuredOperator:
-    """The single term x_k -> coeff a x_k (``left``) or coeff x_k a,
-    built as its canonical group: a zero ``a`` gives the zero operator,
-    the identity coeff times the identity."""
+def _one_leg(space: ModelSpace, k: int, a: np.ndarray, left: bool) -> StructuredOperator:
+    """The single term x_k -> a x_k (``left``) or x_k a, built as its
+    canonical group: a zero ``a`` gives the zero operator, the identity
+    the identity."""
     space.check_leg(k)
     N = space.N
     a = _sanitize(a, N)
     eye = _eye(N)
     if not a.any():
         return StructuredOperator.zero(space)
-    sigma, c = tuple(range(space.m)), np.full(1, coeff, dtype=np.complex128)
     if (a == eye).all():
-        group = _pure(sigma, c, N)._replace(merged=True)
-    else:
-        a, eye = a.reshape(1, 1, N, N), eye.reshape(1, 1, N, N)
-        A, B = (a, eye) if left else (eye, a)
-        group = _Group(sigma, c, (k,), A, B, merged=True)
+        return StructuredOperator.identity(space)
+    a, eye = a.reshape(1, 1, N, N), eye.reshape(1, 1, N, N)
+    A, B = (a, eye) if left else (eye, a)
+    group = _Group(tuple(range(space.m)), np.ones(1, dtype=np.complex128), (k,), A, B, merged=True)
     return StructuredOperator._from_canonical(space, (group,))
 
 

@@ -12,7 +12,6 @@ import re
 import time
 import tracemalloc
 import warnings
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -55,7 +54,6 @@ from duallab.legops import (
     NumericError,
     OperatorTerm,
     StructuredOperator,
-    _Group,
     _gram,
     identity_factor,
     left_mult,
@@ -113,23 +111,6 @@ def assert_same_groups(got, want):
 # -- multiplication sums ------------------------------------------------------
 
 
-def merge_route_mult_sum(space, a, left, right):
-    """_mult_sum's group of m terms, term t carrying ``a`` on its side of
-    leg t, canonicalized by the merge: the byte-for-byte oracle of the
-    direct build of a lone surviving term."""
-    N, p, m = space.N, space.p, space.m
-    a = _sanitize(a, N)
-    A = np.empty((m, m, N, N), dtype=np.complex128)
-    A[...] = np.eye(N)
-    B = A.copy()
-    t = np.arange(m)
-    A[t[:p], t[:p]] = a
-    B[t[p:], t[p:]] = a
-    coeffs = np.where(t < p, left, right).astype(np.complex128)
-    legs = tuple(range(m))
-    return StructuredOperator._from_raw(space, [_Group(legs, coeffs, legs, A, B)])
-
-
 def reference_t_plus(space, a):
     """t_plus as a sum of one-leg operators, its former build: the
     byte-for-byte oracle of the one-group builder."""
@@ -177,25 +158,6 @@ class TestMultiplicationSums:
             assert_same_groups(t_plus(sp, a), plus)
             assert_same_groups(t_minus(sp, a), minus)
             assert_same_groups(t_mixed(sp, a), plus - minus)
-
-    @pytest.mark.parametrize("N", [2, 3, 4])
-    @pytest.mark.parametrize(
-        "p,q", [(1, 1), (2, 1), (1, 2), (2, 2), (0, 2), (3, 0), (1, 0), (0, 1), (0, 3)]
-    )
-    def test_lone_term_built_as_the_merge_leaves_it(self, N, p, q):
-        # t_plus at p = 1, t_minus at q = 1 and t_mixed on one leg build
-        # their one surviving term directly; the m-term group through the
-        # merge is the byte-for-byte oracle
-        sp = ModelSpace(N, p, q)
-        builders = {t_plus: (1.0, 0.0), t_minus: (0.0, 1.0), t_mixed: (1.0, -1.0)}
-        lone = sum(([left] * p + [right] * q).count(0.0) == sp.m - 1 for left, right in builders.values())
-        with mock.patch.object(duality_core, "_one_leg", wraps=duality_core._one_leg) as direct:
-            for a in (np.zeros((N, N)), np.eye(N), rand_mat(N, np.random.default_rng(N))):
-                for build, (left, right) in builders.items():
-                    got, want = build(sp, a), merge_route_mult_sum(sp, a, left, right)
-                    assert_same_groups(got, want)
-                    assert [g.merged for g in got._groups] == [g.merged for g in want._groups]
-        assert direct.call_count == 3 * lone
 
     def test_empty_sides_give_zero(self):
         assert t_plus(ModelSpace(2, 0, 2), rand_mat(2)).n_terms == 0

@@ -1111,10 +1111,8 @@ def half_leg_term(space, coefficient, sigma, kinds, rng):
 
 
 def routes(op):
-    """(k, "kernel" or "terms") of each class ``apply`` ran, per group."""
-    v = np.ones(op.space.dim, dtype=complex)
-    op.apply(v)
-    return [(len(axes), "terms" if kernel is None else "kernel") for axes, kernel, _, _ in op._classes]
+    """(k, "kernel" or "terms") of each class ``apply`` runs, per group."""
+    return [(len(axes), "terms" if kernel is None else "kernel") for axes, kernel, _, _ in op._split()]
 
 
 def assert_apply_agrees(op, rng):
@@ -1180,14 +1178,14 @@ class TestApplyClasses:
         assert sorted(got[:4]) == [(0, "kernel"), (1, "kernel"), (2, "kernel"), (2, "terms")]
         assert_apply_agrees(op, rng)
 
-    def test_classes_are_built_once(self):
+    def test_operator_norm_splits_each_operator_once(self):
         sig = sigma_average_exact(ModelSpace(4, 1, 1), np.eye(4))
-        real = legops._classes
-        with mock.patch.object(legops, "_classes", side_effect=real) as spy:
+        with mock.patch.object(legops, "_classes", side_effect=legops._classes) as split, \
+                mock.patch.object(legops, "_apply_classes", side_effect=legops._apply_classes) as runs:
             sig.operator_norm()
-            sig.operator_norm()
-        # one build for the operator and one for each adjoint
-        assert spy.call_count == 3
+        # one split of X and one of X*, however many Lanczos steps apply them
+        assert split.call_count == 2 * len(sig._groups)
+        assert runs.call_count >= 4
 
     def test_one_term_on_every_axis_runs_term_by_term(self):
         # a kernel would hold N^16 entries; the term goes one axis at a time
