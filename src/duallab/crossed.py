@@ -501,6 +501,8 @@ def trace_inequality_check(
         mats = [np.asarray(u, dtype=np.complex128) for u in tup]
         if len(mats) != m:
             raise ValueError(f"need {m} unitaries per tuple, got {len(mats)}")
+        if any(u.shape != (N, N) for u in mats):
+            raise ValueError(f"expected {N}x{N} unitaries, got shapes {[u.shape for u in mats]}")
         val = abs(permuted_product_trace(sigma, mats)) / N**m
         worst = max(worst, val)
     return TraceInequalityReport(

@@ -41,7 +41,6 @@ from .legops import (
     _eye,
     _Group,
     _check_finite,
-    _gram,
     _pure,
     _sanitize,
     _sq_norm,
@@ -201,7 +200,9 @@ class MCAverage:
     stderr: float
 
     def distance(self, exact: np.ndarray) -> float:
-        """Frobenius distance of the mean from a matrix, by :func:`_sq_norm`."""
+        """Frobenius distance of the mean from a matrix of its shape, by :func:`_sq_norm`."""
+        if np.shape(exact) != self.mean.matrix.shape:
+            raise ValueError(f"exact has shape {np.shape(exact)}, the mean {self.mean.matrix.shape}")
         return math.sqrt(_sq_norm(self.mean.matrix - exact))
 
 
@@ -361,13 +362,33 @@ def _product_blocks(
 _NORM_BATCH = 128
 
 
+def _paired_traces(g: _Group, h: _Group, N: int, m: int) -> np.ndarray:
+    """Tr(T_i* T'_i) of the i-th terms of two groups with the identity
+    permutation and equally many terms: a product over the legs of
+    <A_i, A'_i> <B_i, B'_i>, the identity on a leg a group lacks."""
+    gp, hp = ({k: i for i, k in enumerate(x.legs)} for x in (g, h))
+    G = np.ones(len(g.coeffs), dtype=np.complex128)
+    for k in range(m):
+        i, j = gp.get(k), hp.get(k)
+        if i is not None and j is not None:
+            # entrywise by einsum: a fixed-order sum, without BLAS
+            G *= np.einsum("iab,iab->i", g.A[:, i].conj(), h.A[:, j])
+            G *= np.einsum("iab,iab->i", g.B[:, i].conj(), h.B[:, j])
+        elif i is not None or j is not None:
+            A, B = (g.A[:, i].conj(), g.B[:, i].conj()) if j is None else (h.A[:, j], h.B[:, j])
+            G = G * (np.trace(A, axis1=1, axis2=2) * np.trace(B, axis1=1, axis2=2))
+        else:
+            G = G * (N * N)
+    return G
+
+
 def _moment_mc(space: ModelSpace, config: HaarConfig, blocks) -> MCAverage:
     """Empirical Haar average of F(u*, u), F linear in each argument:
     ``blocks(x, y)`` returns the raw groups of the sum over i of F(x_i,
     y_i).  F(u*, u) is the sum over a, b of F(e_ab, (u*)_ab u), so a
     sample adds its N^4 second moments to W, and the mean is
     ``blocks(e_ab, W_ab)``, densified once.  The squared norms of the
-    standard error are the paired traces, by legops' Gram kernel, of
+    standard error are the paired traces (``_paired_traces``) of
     ``blocks(u*, u)`` over a batch of samples.
     """
     N = space.N
@@ -388,7 +409,7 @@ def _moment_mc(space: ModelSpace, config: HaarConfig, blocks) -> MCAverage:
         if row == _NORM_BATCH - 1 or i == n - 1:
             batch = us[: row + 1]
             groups = blocks(batch.conj().swapaxes(1, 2), batch)
-            sumsq += sum(np.vdot(g.coeffs, _gram(g, h, N, paired=True) * h.coeffs)
+            sumsq += sum(np.vdot(g.coeffs, _paired_traces(g, h, N, space.m) * h.coeffs)
                          for g in groups for h in groups).real
     W /= n
     units, _ = _block_units(N, N)

@@ -33,13 +33,6 @@ Cost model, for groups of T terms with L carried legs:
 - compose is one batched matmul per pair of groups and carried leg,
   O(T_x T_y L N^3); products of pure permutations are index arithmetic
   over all pairs at once;
-- hs_norm is c^H G c for the Gram matrix G of the terms, which factors
-  over the cycles of sigma_g^-1 sigma_h for each pair of groups; a leg
-  fixed by that permutation and carried by both groups costs one
-  (T_g x N^2)(N^2 x T_h) product, and X* X is never formed;
-- normalized_trace is the identity's row of the same Gram matrix: it
-  multiplies factors along the cycles of each group's permutation,
-  O(T L N^3);
 - apply splits each group's terms into classes by their active
   half-legs, the row and column axes whose factor is not the identity.
   A class of T terms on k axes acts through one N^k x N^k kernel, a
@@ -50,12 +43,15 @@ Cost model, for groups of T terms with L carried legs:
   builds the classes and kernels of X and X* once per call.  to_dense
   is one batched matmul per group, O(T N^(4m)), written into the
   output through a row-permuted view: one d x d allocation for one
-  group, one more per later group.
+  group, one more per later group;
+- normalized_trace and hs_norm contract the classes of apply, read as
+  matrices on the 2m half-leg axes: the trace joins a class's outputs
+  to its inputs, the 2-norm two classes' outputs and inputs, once per
+  unordered pair, so X* X is never formed; kernels on k and k' axes
+  take N^(k + k') steps.
 
-Traces are evaluated exactly through the cycle factorization of the
-permutation part, operator norms by Lanczos on the matrix-free apply.
-Dense materialization is capped; the cap guards the commutant solvers
-downstream.
+Operator norms come from Lanczos on the matrix-free apply.  Dense
+materialization is capped; the cap guards the commutant solvers.
 """
 
 from __future__ import annotations
@@ -494,71 +490,6 @@ def _canonical(space: ModelSpace, raw: Iterable[_Group]) -> tuple[_Group, ...]:
     return tuple(out)
 
 
-# -- traces --------------------------------------------------------------
-
-
-def _cycle_trace(factors, N: int):
-    """tr(A factors multiplied along a cycle) * tr(B factors against it).
-
-    ``factors`` lists one (A, B) pair of batched arrays per leg of the
-    cycle, in cycle order, or (None, None) for an identity leg.
-    """
-    a = b = None
-    for fa, fb in factors:
-        if fa is None:
-            continue
-        a = fa if a is None else fa @ a
-        b = fb if b is None else b @ fb
-    if a is None:
-        return N * N
-    return np.trace(a, axis1=-2, axis2=-1) * np.trace(b, axis1=-2, axis2=-1)
-
-
-def _gram(g: _Group, h: _Group, N: int, paired: bool = False) -> np.ndarray:
-    """Unnormalized traces Tr(T_i* T_j), i in g, j in h; with ``paired``,
-    g and h hold equally many terms and only the vector of the traces
-    with j = i is formed.
-
-    T_i* T_j has permutation rho = sigma_g^-1 sigma_h and, at leg k, the
-    sandwich (A_i[rho k]* A_j[k], B_j[k] B_i[rho k]*); its trace factors
-    over the cycles of rho.
-    """
-    inv = _invert(g.sigma)
-    rho = tuple(inv[s] for s in h.sigma)
-    gp = {k: i for i, k in enumerate(g.legs)}
-    hp = {k: i for i, k in enumerate(h.legs)}
-    # g's terms run along axis 0 and h's along axis 1, or both along axis 0
-    shape, spec = (len(g.coeffs), len(h.coeffs)), "iab,jab->ij"
-    gx, hx = (slice(None), None), (None,)
-    if paired:
-        shape, spec, gx, hx = len(g.coeffs), "iab,iab->i", (), ()
-    G = np.ones(shape, dtype=np.complex128)
-    for cycle in permutation_cycles(rho):
-        if len(cycle) == 1 and cycle[0] in gp and cycle[0] in hp:
-            i, j = gp[cycle[0]], hp[cycle[0]]
-            # tr(A_i* A_j) tr(B_j B_i*) = <A_i, A_j> <B_i, B_j> entrywise.
-            # einsum makes these small products without BLAS: on a
-            # 2-CPU machine OpenBLAS's threaded zgemm took 15-20 ms per
-            # call at T = 64, N = 8, and einsum under 1 ms.
-            G *= np.einsum(spec, g.A[:, i].conj(), h.A[:, j])
-            G *= np.einsum(spec, g.B[:, i].conj(), h.B[:, j])
-            continue
-        factors = []
-        for k in cycle:
-            i, j = gp.get(rho[k]), hp.get(k)
-            ga = gb = ha = hb = None
-            if i is not None:
-                ga = g.A[:, i].conj().swapaxes(1, 2)[gx]
-                gb = g.B[:, i].conj().swapaxes(1, 2)[gx]
-            if j is not None:
-                ha, hb = h.A[:, j][hx], h.B[:, j][hx]
-            fa = ha if ga is None else ga if ha is None else ga @ ha
-            fb = hb if gb is None else gb if hb is None else hb @ gb
-            factors.append((fa, fb))
-        G = G * _cycle_trace(factors, N)
-    return G
-
-
 # -- dense and matrix-free action ------------------------------------------
 
 
@@ -588,15 +519,15 @@ def _classes(g: _Group, N: int, m: int) -> list[tuple]:
 
     Returns (axes, kernel, factors, perm) per class: the kernel, or
     else the (T, k, N, N) factors with the coefficient on the first;
-    perm moves the class's result (for a kernel the active axes first,
-    then the others) to the output legs of the group's permutation.
+    output axis j of the class reads its sandwiched axis perm[j], by the
+    group's permutation.
     """
     T, L, d = len(g.coeffs), len(g.legs), N ** (2 * m)
     mats = np.stack((g.A, g.B.swapaxes(2, 3)), axis=2).reshape(T, 2 * L, N, N)
     active = (mats != _eye(N)).any(axis=(2, 3))
     all_axes = [2 * k + e for k in g.legs for e in (0, 1)]
     inv = _invert(g.sigma)
-    out_axes = [2 * inv[k] + e for k in range(m) for e in (0, 1)]
+    perm = tuple(2 * inv[k] + e for k in range(m) for e in (0, 1))
     flags, which = np.unique(active, axis=0, return_inverse=True)
     out = []
     for c, row in enumerate(flags):
@@ -605,12 +536,10 @@ def _classes(g: _Group, N: int, m: int) -> list[tuple]:
         k, n = len(axes), len(terms)
         coeffs, class_mats = g.coeffs[terms], mats[terms][:, row]
         if not k or (N ** (k - 1) <= k * n and N ** (2 * k) <= n * d):
-            order = list(axes) + [a for a in range(2 * m) if a not in axes]
-            perm = tuple(order.index(a) for a in out_axes)
             out.append((axes, _kernel(coeffs, class_mats, N), None, perm))
         else:
             class_mats[:, 0] *= coeffs[:, None, None]
-            out.append((axes, None, class_mats, tuple(out_axes)))
+            out.append((axes, None, class_mats, perm))
     return out
 
 
@@ -621,7 +550,9 @@ def _apply_classes(classes: list[tuple], v: np.ndarray, N: int, m: int) -> np.nd
     for axes, kernel, factors, perm in classes:
         if kernel is not None:
             k = len(axes)
-            out += np.tensordot(kernel, x, (range(k, 2 * k), axes)).transpose(perm)
+            # tensordot puts the active axes first, moveaxis back in place
+            y = np.moveaxis(np.tensordot(kernel, x, (range(k, 2 * k), axes)), range(k), axes)
+            out += y.transpose(perm)
             continue
         for mats in factors:
             y = x
@@ -654,6 +585,52 @@ def _kron_legs(g: _Group, legs, N: int, start: np.ndarray) -> np.ndarray:
              if k in pos else np.eye(n2)[:, :, None])
         out = (out[:, None, :, None] * F[None, :, None]).reshape(out.shape[0] * n2, -1, len(start))
     return out
+
+
+# -- traces --------------------------------------------------------------
+
+
+def _class_matrix(cls: tuple, m: int, tag: int):
+    """A class of ``_classes`` as einsum operands: ((array, labels)
+    pairs, output labels, input labels), every label tagged by ``tag``.
+    Input half-leg a carries (tag, a), the sandwiched content of an
+    active axis a fresh label.  A kernel carries those, then its input
+    labels; a term-by-term class gives each active axis its (T, N, N)
+    factors, joined by one term label."""
+    axes, kernel, factors, perm = cls
+    ins = [(tag, a) for a in range(2 * m)]
+    mid = [(tag, a, "mid") if a in axes else (tag, a) for a in range(2 * m)]
+    if kernel is not None:
+        ops = [(kernel, [mid[a] for a in axes] + [ins[a] for a in axes])]
+    else:
+        ops = [(factors[:, j], [(tag,), mid[a], ins[a]]) for j, a in enumerate(axes)]
+    return ops, [mid[a] for a in perm], ins
+
+
+def _contract(ops: list, joins: list, N: int) -> complex:
+    """Full contraction of (array, labels) operands after joining the
+    label pairs in ``joins``; a joined index no operand carries gives a
+    factor N.  Two kernels on k and k' axes take einsum's own loop, in
+    one fixed order and N^(k + k') steps (each index joins two operand
+    labels); term-by-term factors its optimized pairwise path.  Raises
+    :class:`NumericError` past the 52 indices np.einsum names."""
+    root: dict = {}
+
+    def find(a):
+        while root.get(a, a) != a:
+            a = root[a]
+        return a
+
+    for a, b in joins:
+        root[find(a)] = find(b)
+    index: dict = {}
+    args = []
+    for arr, labels in ops:
+        args += [arr, [index.setdefault(find(label), len(index)) for label in labels]]
+    if len(index) > 52:
+        raise NumericError(f"a contraction over {len(index)} indices exceeds the 52 np.einsum takes")
+    free = len({find(a) for pair in joins for a in pair} - index.keys())
+    return complex(np.einsum(*args, [], optimize=len(ops) > 2)) * N**free
 
 
 class StructuredOperator:
@@ -876,37 +853,37 @@ class StructuredOperator:
     # -- analysis ------------------------------------------------------
 
     def normalized_trace(self) -> complex:
-        """Exact normalized trace: the identity's row of the Gram matrix.
-
-        Tr(1* T_j) is the trace of T_j, which factors over the cycles of
-        its permutation: each contributes the trace of the A-factors
-        multiplied along the cycle times the trace of the B-factors
-        multiplied against it.  The sum is divided by N^(2m).
-        """
-        N = self.space.N
-        one = _pure(tuple(range(self.space.m)), np.ones(1, dtype=np.complex128), N)
+        """Normalized trace: the traces of the classes of ``apply``, each
+        one contraction with the class's outputs joined to its inputs,
+        summed and divided by N^(2m)."""
+        N, m = self.space.N, self.space.m
         total = 0.0 + 0.0j
-        for g in self._groups:
-            total += g.coeffs @ _gram(one, g, N)[0]
+        for ops, outs, ins in (_class_matrix(c, m, 0) for c in self._split()):
+            total += _contract(ops, list(zip(outs, ins)), N)
         return complex(total / self.space.dim)
 
     def hs_norm(self) -> float:
         """Normalized Hilbert-Schmidt norm sqrt(trace(X* X)).
 
-        Computed as c^H G c / N^(2m) with G the Gram matrix of the terms
-        under the unnormalized trace, block by block over pairs of
-        permutation groups.
-        The sum carries cancellation: for a difference X - Y whose terms
-        do not cancel one by one in the merge, the result is accurate
-        only to about sqrt(eps) * |X|, near 1e-8 * |X|.
+        trace(X* X) sums Tr(X_c* X_c') over the classes of ``apply``, one
+        contraction per unordered pair, outputs joined to outputs and
+        inputs to inputs.  A difference that cancels inside a kernel
+        keeps about eps * |X|, one that cancels across the terms of
+        term-by-term classes sqrt(eps) * |X|.  Past np.einsum's 52
+        indices (two such classes on all half-legs of 13 legs) raises
+        :class:`NumericError`.
         """
-        N = self.space.N
-        total = 0.0 + 0.0j
-        for g in self._groups:
-            for h in self._groups:
-                total += g.coeffs.conj() @ _gram(g, h, N) @ h.coeffs
-        val = total.real / self.space.dim
-        return float(np.sqrt(max(val, 0.0)))
+        N, m = self.space.N, self.space.m
+        classes = self._split()
+        right = [_class_matrix(c, m, 1) for c in classes]
+        total = 0.0
+        for i, c in enumerate(classes):
+            ops, outs, ins = _class_matrix(c, m, 0)
+            ops = [(arr.conj(), labels) for arr, labels in ops]
+            for j, (ops_h, outs_h, ins_h) in enumerate(right[i:]):
+                val = _contract(ops + ops_h, list(zip(outs + ins, outs_h + ins_h)), N).real
+                total += 2.0 * val if j else val
+        return math.sqrt(max(total / self.space.dim, 0.0))
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """Matrix-free action on a vector of length N^(2m).
@@ -1012,9 +989,9 @@ def permuted_product_trace(
     """Unnormalized trace of P(sigma) composed with tensor factors.
 
     Returns the product over cycles of sigma of the trace of the
-    matrices multiplied along the cycle.  This is the plain-tensor-leg
-    version of the cycle formula used by ``normalized_trace``; dividing
-    by N^m gives the normalized trace on (C^N)^tensor-m.
+    matrices multiplied along the cycle, the cycle formula on plain
+    tensor legs; dividing by N^m gives the normalized trace on
+    (C^N)^tensor-m.
     """
     if sorted(sigma) != list(range(len(matrices))):
         raise ValueError("sigma is not a permutation of the matrix list")

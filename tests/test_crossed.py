@@ -461,6 +461,14 @@ class TestTraceInequality:
         with pytest.raises(ValueError):
             trace_inequality_check(s, [[np.eye(2)]], 2)
 
+    def test_matrix_size_validated(self):
+        # 3 x 3 identities at N = 2 read as a false violation, 0.75 > 0.5
+        s = ProductGroupElement((1, 0), ())
+        with pytest.raises(ValueError, match="2x2"):
+            trace_inequality_check(s, [[np.eye(3), np.eye(3)]], 2)
+        with pytest.raises(ValueError, match=r"\(2,\)"):
+            trace_inequality_check(s, [[np.eye(2), np.ones(2)]], 2)
+
 
 # -- the one dense cap ------------------------------------------------------------
 

@@ -25,6 +25,7 @@ from duallab.duality_core import (
     _block_units,
     _check_pair,
     _haar_draws,
+    _paired_traces,
     _placed_group,
     _product_blocks,
     _sanitize,
@@ -54,7 +55,7 @@ from duallab.legops import (
     NumericError,
     OperatorTerm,
     StructuredOperator,
-    _gram,
+    _Group,
     identity_factor,
     left_mult,
     right_mult,
@@ -65,6 +66,7 @@ from duallab.symcomb import (
     dimension,
     enumerate_partitions,
 )
+from test_legops import reference_gram
 
 RNG = np.random.default_rng(0xD0C)
 
@@ -337,6 +339,13 @@ class TestHaarAverageMC:
         with pytest.raises(ValueError):
             HaarConfig(samples=0, seed=1, N=2)
 
+    def test_distance_needs_the_shape_of_the_mean(self):
+        mc = haar_pair_average_mc(ModelSpace(2, 1, 1), 0, 1, "ll", HaarConfig(50, 1, 2))
+        assert mc.distance(np.zeros((16, 16))) == math.sqrt(_sq_norm(mc.mean.matrix))
+        for exact in (np.zeros(16), 0.0, np.zeros((1, 16))):
+            with pytest.raises(ValueError, match=r"\(16, 16\)"):
+                mc.distance(exact)
+
 
 def reference_pair_average(space, k, j, mode, block_dim=None):
     """The pair average as D^2 OperatorTerms of LegFactors, built from
@@ -523,7 +532,7 @@ def reference_product_average_mc(space, a, config):
         if row == _NORM_BATCH - 1 or i == n - 1:
             batch = us[: row + 1]
             groups = _product_blocks(space, a, batch.conj().swapaxes(1, 2), batch)
-            sumsq += sum(np.vdot(g.coeffs, _gram(g, h, N, paired=True) * h.coeffs)
+            sumsq += sum(np.vdot(g.coeffs, reference_gram(g, h, N, paired=True) * h.coeffs)
                          for g in groups for h in groups).real
     W /= n
     units, _ = _block_units(N, N)
@@ -574,6 +583,27 @@ class TestMomentSampler:
             assert got.mean.matrix.tobytes() == want.mean.matrix.tobytes()
             assert repr(got.stderr) == repr(want.stderr)
 
+
+
+class TestPairedTraces:
+    def test_match_the_reference_diagonal(self):
+        # identity-permutation groups on four legs: leg 1 carried by both of
+        # (0, 1) and (1, 2), leg 0 by one of them, leg 3 by neither
+        N, T, m, rng = 3, 5, 4, np.random.default_rng(17)
+
+        def group(legs):
+            shape = (T, len(legs), N, N)
+            A, B = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in "AB")
+            return _Group(tuple(range(m)), rng.standard_normal(T) + 0j, legs, A, B)
+
+        groups = [group((0, 1)), group((1, 2)), group((0,)), group(())]
+        for g in groups:
+            for h in groups:
+                got = _paired_traces(g, h, N, m)
+                want = reference_gram(g, h, N, paired=True)
+                assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+                full = reference_gram(g, h, N)
+                assert np.abs(got - np.diagonal(full)).max() <= 1e-13 * np.abs(full).max()
 
 def _traced_peak(f):
     tracemalloc.start()

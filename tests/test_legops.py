@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from duallab import legops
 from duallab.duality_core import limit_formula_check, sigma_average_exact, young_projection
-from duallab.symcomb import Partition
+from duallab.symcomb import Partition, permutation_cycles
 
 from duallab.legops import (
     CapExceededError,
@@ -259,6 +259,32 @@ class TestBuilders:
         with pytest.raises(ValueError):
             permutation_op(ModelSpace(2, 2, 0), (0, 0))
 
+    def test_pure_permutation_sums_compose_on_sixteen_legs(self):
+        # from m = 16 on, m^m overflows int64 and compose ranks the
+        # products by np.unique.  id.id and s.s^-1 merge, as do s.id and
+        # id.s; x.s and x.u differ on the last two legs only; and the
+        # coefficients are exact in binary
+        sp, rng = ModelSpace(2, 16, 0), np.random.default_rng(16)
+        ident = tuple(range(16))
+        s, t = (tuple(rng.permutation(16).tolist()) for _ in range(2))
+        u = s[:14] + (s[15], s[14])
+        x_terms = [(ident, 1.0), (s, 2.0j), (t, -0.5)]
+        y_terms = [(ident, 0.25), (legops._invert(s), -1.5), (s, 0.75), (u, 4.0j)]
+
+        def op(terms):
+            return StructuredOperator.sum([permutation_op(sp, sigma) * c for sigma, c in terms])
+
+        want = {}
+        for sx, cx in x_terms:
+            for sy, cy in y_terms:
+                sigma = tuple(sx[k] for k in sy)
+                want[sigma] = want.get(sigma, 0) + cx * cy
+        got = (op(x_terms) @ op(y_terms))._groups
+        assert len(want) < len(x_terms) * len(y_terms)
+        assert [g.sigma for g in got] == sorted(want)
+        assert all(not g.legs and len(g.coeffs) == 1 for g in got)
+        assert [complex(g.coeffs[0]) for g in got] == [want[sigma] for sigma in sorted(want)]
+
 
 # -- canonical form --------------------------------------------------------------
 
@@ -357,6 +383,95 @@ class TestCanonicalize:
             StructuredOperator(sp, [t, OperatorTerm(c, t.factors, t.sigma)])
 
 
+# -- traces by the former Gram kernel ---------------------------------------------
+
+
+def reference_cycle_trace(factors, N):
+    """The former ``legops._cycle_trace``: tr(A factors multiplied along
+    a cycle) * tr(B factors against it).
+
+    ``factors`` lists one (A, B) pair of batched arrays per leg of the
+    cycle, in cycle order, or (None, None) for an identity leg.
+    """
+    a = b = None
+    for fa, fb in factors:
+        if fa is None:
+            continue
+        a = fa if a is None else fa @ a
+        b = fb if b is None else b @ fb
+    if a is None:
+        return N * N
+    return np.trace(a, axis1=-2, axis2=-1) * np.trace(b, axis1=-2, axis2=-1)
+
+
+def reference_gram(g, h, N, paired=False):
+    """The former ``legops._gram``: unnormalized traces Tr(T_i* T_j), i
+    in g, j in h; with ``paired``, g and h hold equally many terms and
+    only the vector of the traces with j = i is formed.
+
+    T_i* T_j has permutation rho = sigma_g^-1 sigma_h and, at leg k, the
+    sandwich (A_i[rho k]* A_j[k], B_j[k] B_i[rho k]*); its trace factors
+    over the cycles of rho.
+    """
+    inv = legops._invert(g.sigma)
+    rho = tuple(inv[s] for s in h.sigma)
+    gp = {k: i for i, k in enumerate(g.legs)}
+    hp = {k: i for i, k in enumerate(h.legs)}
+    # g's terms run along axis 0 and h's along axis 1, or both along axis 0
+    shape, spec = (len(g.coeffs), len(h.coeffs)), "iab,jab->ij"
+    gx, hx = (slice(None), None), (None,)
+    if paired:
+        shape, spec, gx, hx = len(g.coeffs), "iab,iab->i", (), ()
+    G = np.ones(shape, dtype=np.complex128)
+    for cycle in permutation_cycles(rho):
+        if len(cycle) == 1 and cycle[0] in gp and cycle[0] in hp:
+            i, j = gp[cycle[0]], hp[cycle[0]]
+            # tr(A_i* A_j) tr(B_j B_i*) = <A_i, A_j> <B_i, B_j> entrywise.
+            # einsum makes these small products without BLAS: on a
+            # 2-CPU machine OpenBLAS's threaded zgemm took 15-20 ms per
+            # call at T = 64, N = 8, and einsum under 1 ms.
+            G *= np.einsum(spec, g.A[:, i].conj(), h.A[:, j])
+            G *= np.einsum(spec, g.B[:, i].conj(), h.B[:, j])
+            continue
+        factors = []
+        for k in cycle:
+            i, j = gp.get(rho[k]), hp.get(k)
+            ga = gb = ha = hb = None
+            if i is not None:
+                ga = g.A[:, i].conj().swapaxes(1, 2)[gx]
+                gb = g.B[:, i].conj().swapaxes(1, 2)[gx]
+            if j is not None:
+                ha, hb = h.A[:, j][hx], h.B[:, j][hx]
+            fa = ha if ga is None else ga if ha is None else ga @ ha
+            fb = hb if gb is None else gb if hb is None else hb @ gb
+            factors.append((fa, fb))
+        G = G * reference_cycle_trace(factors, N)
+    return G
+
+
+def reference_trace(self):
+    """The former ``StructuredOperator.normalized_trace``: the identity's
+    row of the Gram matrix, divided by N^(2m)."""
+    N = self.space.N
+    one = legops._pure(tuple(range(self.space.m)), np.ones(1, dtype=np.complex128), N)
+    total = 0.0 + 0.0j
+    for g in self._groups:
+        total += g.coeffs @ reference_gram(one, g, N)[0]
+    return complex(total / self.space.dim)
+
+
+def reference_hs_norm(self):
+    """The former ``StructuredOperator.hs_norm``: c^H G c / N^(2m), G the
+    Gram matrix of the terms, block by block over pairs of groups."""
+    N = self.space.N
+    total = 0.0 + 0.0j
+    for g in self._groups:
+        for h in self._groups:
+            total += g.coeffs.conj() @ reference_gram(g, h, N) @ h.coeffs
+    val = total.real / self.space.dim
+    return float(np.sqrt(max(val, 0.0)))
+
+
 # -- positivity and norms ---------------------------------------------------------
 
 
@@ -378,25 +493,6 @@ class TestNorms:
         sp = ModelSpace(2, 1, 1)
         with mock.patch.object(StructuredOperator, "apply", side_effect=AssertionError):
             assert StructuredOperator.zero(sp).operator_norm() == 0.0
-
-    def test_paired_gram_is_the_diagonal(self):
-        # every branch of the kernel: one-leg cycles carried by both
-        # groups, by one of them or by neither, and longer cycles
-        N, T, rng = 3, 5, np.random.default_rng(17)
-
-        def group(sigma, legs):
-            shape = (T, len(legs), N, N)
-            A, B = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in "AB")
-            return _Group(sigma, rng.standard_normal(T) + 0j, legs, A, B)
-
-        groups = [group((0, 1, 2), (0, 1)), group((1, 0, 2), (1, 2)),
-                  group((0, 2, 1), (0,)), group((2, 0, 1), ())]
-        for g in groups:
-            for h in groups:
-                full = legops._gram(g, h, N)
-                paired = legops._gram(g, h, N, paired=True)
-                assert paired.shape == (T,)
-                assert np.abs(paired - np.diagonal(full)).max() <= 1e-13 * np.abs(full).max()
 
     def test_identity_norms(self):
         sp = ModelSpace(3, 1, 1)
@@ -1145,6 +1241,26 @@ def class_operators(draw):
     return StructuredOperator(space, terms)
 
 
+def every_route_operator(rng):
+    """Three groups on ModelSpace(3, 2, 1) whose classes take every route:
+    the identity group mixes kernels on 0 to 2 axes with a term-by-term
+    class."""
+    sp = ModelSpace(3, 2, 1)
+    ident, swap, cycle = (0, 1, 2), (1, 0, 2), (2, 0, 1)
+    spec = [
+        (ident, ("identity",) * 3, 1),  # k = 0 in a carried group
+        (ident, ("left", "identity", "identity"), 2),  # k = 1
+        (ident, ("left", "identity", "right"), 2),  # k = 2, 3 <= 2 * 2: kernel
+        (ident, ("both", "identity", "identity"), 1),  # k = 2, 3 > 2 * 1: term by term
+        (swap, ("identity",) * 3, 1),  # a pure permutation
+        (cycle, ("both",) * 3, 1),  # all six axes
+        (cycle, ("identity", "right", "left"), 3),
+    ]
+    terms = [half_leg_term(sp, complex(rng.standard_normal(), 1.0), sigma, kinds, rng)
+             for sigma, kinds, n in spec for _ in range(n)]
+    return StructuredOperator(sp, terms)
+
+
 class TestApplyClasses:
     """apply runs each class of a group's terms on its active half-legs,
     through one kernel or term by term; it must agree with the former
@@ -1157,20 +1273,8 @@ class TestApplyClasses:
         assert_apply_agrees(op.adjoint(), np.random.default_rng(seed))
 
     def test_routes_cover_every_kind(self):
-        sp, rng = ModelSpace(3, 2, 1), np.random.default_rng(7)
-        ident, swap, cycle = (0, 1, 2), (1, 0, 2), (2, 0, 1)
-        spec = [
-            (ident, ("identity",) * 3, 1),  # k = 0 in a carried group
-            (ident, ("left", "identity", "identity"), 2),  # k = 1
-            (ident, ("left", "identity", "right"), 2),  # k = 2, 3 <= 2 * 2: kernel
-            (ident, ("both", "identity", "identity"), 1),  # k = 2, 3 > 2 * 1: term by term
-            (swap, ("identity",) * 3, 1),  # a pure permutation
-            (cycle, ("both",) * 3, 1),  # all six axes
-            (cycle, ("identity", "right", "left"), 3),
-        ]
-        terms = [half_leg_term(sp, complex(rng.standard_normal(), 1.0), sigma, kinds, rng)
-                 for sigma, kinds, n in spec for _ in range(n)]
-        op = StructuredOperator(sp, terms)
+        rng = np.random.default_rng(7)
+        op = every_route_operator(rng)
         got = routes(op)
         assert sorted(set(got)) == [(0, "kernel"), (1, "kernel"), (2, "kernel"), (2, "terms"), (6, "terms")]
         # the identity group holds four classes, kernels and one term by term
@@ -1235,6 +1339,76 @@ class TestApplyClasses:
             want = norms((2, 4, 8), range(2, 9))
         want.insert(3, self.PARENT_SIGMA_N16)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+class TestTracesByClasses:
+    """hs_norm and normalized_trace contract the classes ``apply`` runs;
+    they must agree with the former Gram kernel and with the dense
+    matrix."""
+
+    @staticmethod
+    def assert_traces_agree(op, X):
+        d = op.space.dim
+        scale = max(1.0, np.abs(X).max())
+        for want in (reference_trace(op), np.trace(X) / d):
+            assert abs(op.normalized_trace() - want) <= 1e-12 * scale
+        for want in (reference_hs_norm(op), np.linalg.norm(X) / np.sqrt(d)):
+            assert abs(op.hs_norm() - want) <= 1e-10 * scale
+
+    @DIFF_SETTINGS
+    @given(op=class_operators())
+    def test_match_the_references_and_the_dense_matrix(self, op):
+        # to_dense is itself held to the oracle; the oracle is too slow at d = 729
+        self.assert_traces_agree(op, op.to_dense().matrix)
+        self.assert_traces_agree(op.adjoint(), op.to_dense().matrix.conj().T)
+
+    def test_every_route_against_the_oracle(self):
+        op = every_route_operator(np.random.default_rng(7))
+        self.assert_traces_agree(op, oracle_dense(op))
+
+    def test_kernel_class_difference_keeps_its_digits(self):
+        # X has 24 terms, A_t on the row of leg 0 and B_t on the column of
+        # leg 1: one kernel class.  X' scales each A_t by 1 + 1e-9, beyond
+        # FACTOR_MERGE_TOL, so X - X' cancels in the kernel, not in the
+        # merge; the former c^H G c of the Gram matrix lost it below
+        # sqrt(eps) and was off by 6.2 relative.  A_t - (1 + 1e-9) A_t is
+        # exact in floating point, so the operator built from it has the
+        # exact norm.
+        sp, rng = ModelSpace(3, 1, 1), np.random.default_rng(21)
+        coeffs = rng.standard_normal(24) + 1j * rng.standard_normal(24)
+        A = [rand_mat(3, rng) for _ in coeffs]
+        B = [rand_mat(3, rng) for _ in coeffs]
+
+        def op(mats):
+            return StructuredOperator(sp, [
+                OperatorTerm(c, (LegFactor(a, np.eye(3)), LegFactor(np.eye(3), b)), (0, 1))
+                for c, a, b in zip(coeffs, mats, B)
+            ])
+
+        scaled = [(1 + 1e-9) * a for a in A]
+        diff = op(A) - op(scaled)
+        assert routes(diff) == [(2, "kernel")]
+        want = np.linalg.norm(oracle_dense(op([a - s for a, s in zip(A, scaled)]))) / np.sqrt(sp.dim)
+        assert abs(diff.hs_norm() - want) <= 1e-6 * want
+
+    def test_every_half_leg_active_on_twelve_legs_not_thirteen(self):
+        # two terms of random permutations with both factors on every leg:
+        # one term-by-term class each, whose pair contracts over 4m + 2
+        # indices, 50 on 12 legs and past np.einsum's 52 on 13
+        rng = np.random.default_rng(12)
+        for m in (12, 13):
+            sp = ModelSpace(2, m, 0)
+            op = StructuredOperator(sp, [
+                half_leg_term(sp, 1.0 + 0.5j, tuple(rng.permutation(m).tolist()), ("both",) * m, rng)
+                for _ in range(2)
+            ])
+            assert routes(op) == [(2 * m, "terms")] * 2
+            if m == 12:
+                want = reference_hs_norm(op)
+                assert abs(op.hs_norm() - want) <= 1e-12 * want
+            else:
+                with pytest.raises(NumericError, match="52"):
+                    op.hs_norm()
 
 
 def hermitian_contraction(n):
