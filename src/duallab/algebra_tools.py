@@ -35,6 +35,7 @@ from .legops import (
     NumericError,
     StructuredOperator,
     _check_cap,
+    _check_finite,
     _Group,
 )
 
@@ -99,6 +100,8 @@ def _gather(generators) -> tuple[list[np.ndarray], int]:
     if any(m.shape != (d, d) for m in mats):
         raise ValueError("generators must share one dimension")
     _check_cap(d, "acting dimension")
+    for m in mats:
+        _check_finite(m)
     return mats, d
 
 
@@ -297,18 +300,13 @@ def block_structure(
 
 
 def _orthonormal_rows(block: np.ndarray) -> np.ndarray:
-    """Orthonormal rows spanning the rows of ``block`` (n x D).
+    """Orthonormal rows spanning the rows of ``block`` (n x D, n <= D).
 
-    Rank-revealing through the smaller Gram matrix: ``eigh`` of S S^H
-    (n x n) when n <= D, else of S^H S (D x D), keeping eigenvalues
-    above ``GRAM_EIG_TOL`` times the largest.
+    Rank-revealing through the Gram matrix: ``eigh`` of S S^H, keeping
+    eigenvalues above ``GRAM_EIG_TOL`` times the largest.
     """
-    n, width = block.shape
-    gram = block @ block.conj().T if n <= width else block.conj().T @ block
-    vals, vecs = np.linalg.eigh(gram)
+    vals, vecs = np.linalg.eigh(block @ block.conj().T)
     keep = vals > GRAM_EIG_TOL * max(float(vals[-1]), 0.0)
-    if n > width:
-        return vecs[:, keep].conj().T
     return (vecs[:, keep].conj().T / np.sqrt(vals[keep])[:, None]) @ block
 
 
@@ -320,6 +318,14 @@ def _row_norms(block: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->i", flat, flat))
 
 
+def _project_out(rows: np.ndarray, *blocks: np.ndarray) -> np.ndarray:
+    """Subtract from ``rows``, in place, their components along each block
+    of orthonormal rows B, as conj(conj(rows) @ B^T) @ B: B is not copied."""
+    for b in blocks:
+        rows -= (rows.conj() @ b.T).conj() @ b
+    return rows
+
+
 def _closure(
     start: np.ndarray, mults: Sequence[np.ndarray], max_rounds: int
 ) -> tuple[np.ndarray, int]:
@@ -329,37 +335,43 @@ def _closure(
     flattened r x d elements, and the rounds run, the last of which
     admits nothing.  A multiplier equal to the identity or to an earlier
     one adds nothing to the span and is skipped.
+
+    Each round admits one multiplier's block frontier * g at a time
+    against the basis and the rows the round has admitted (block
+    Gram-Schmidt, reorthogonalized), so memory holds one block.
     """
     r, d = start.shape
     distinct: list[np.ndarray] = []
     for g in mults:
         if not np.array_equal(g, np.eye(d)) and not any(np.array_equal(g, h) for h in distinct):
             distinct.append(g)
-    basis = start.reshape(1, -1) / np.linalg.norm(start)
+    basis = start.reshape(1, -1).astype(np.complex128) / np.linalg.norm(start)
     frontier = basis
     for rounds in range(1, max_rounds + 1):
         f = frontier.shape[0]
-        cand = np.empty((len(distinct) * f, r * d), dtype=np.complex128)
-        for gi, g in enumerate(distinct):
-            np.matmul(frontier.reshape(f, r, d), g, out=cand[gi * f:(gi + 1) * f].reshape(f, r, d))
-        scale = float(_row_norms(cand).max(initial=0.0)) or 1.0
-        # one projection sorts the candidates: a residual above
-        # RANK_TOL * scale carries a new direction, the rest is residue
-        bh = basis.conj().T
-        cand -= (cand @ bh) @ basis
-        live = _row_norms(cand) > RANK_TOL * scale
-        if not live.any():
+        flat = frontier.reshape(f * r, d)
+        norms = (float(_row_norms((flat @ g).reshape(f, -1)).max()) for g in distinct)
+        scale = max(norms, default=0.0) or 1.0
+        new = np.empty((0, r * d), dtype=np.complex128)
+        for g in distinct:
+            # one projection sorts the block: a residual above
+            # RANK_TOL * scale carries a new direction, the rest is residue
+            cand = _project_out((flat @ g).reshape(f, -1), basis, new)
+            live = _row_norms(cand) > RANK_TOL * scale
+            if not live.any():
+                continue
+            # polish only the admitted rows: re-project twice, drop those
+            # that fall to the residue level, re-orthonormalize the rest
+            rows = _orthonormal_rows(cand[live])
+            for _ in range(2):
+                _project_out(rows, basis, new)
+            rows = rows[_row_norms(rows) > RANK_TOL * scale]
+            if len(rows):
+                new = np.vstack([new, _orthonormal_rows(rows)])
+        if not len(new):
             return basis, rounds
-        # polish only the admitted rows: re-project twice, drop those
-        # that fall to the residue level, re-orthonormalize the rest
-        frontier = _orthonormal_rows(cand[live])
-        for _ in range(2):
-            frontier -= (frontier @ bh) @ basis
-        frontier = frontier[_row_norms(frontier) > RANK_TOL * scale]
-        if not len(frontier):
-            return basis, rounds
-        frontier = _orthonormal_rows(frontier)
-        basis = np.vstack([basis, frontier])
+        basis = np.vstack([basis, new])
+        frontier = new
     raise NumericError(f"span closure open after {max_rounds} rounds")
 
 
@@ -369,10 +381,11 @@ def span_closure(generators: Sequence) -> tuple[list[np.ndarray], int]:
     Breadth-first closure: start from the identity, right-multiply the
     frontier by every distinct generator and adjoint, and admit the
     directions whose residual after projection on the current basis
-    exceeds ``RANK_TOL`` times the candidate scale, for at most
-    ``CLOSURE_ROUNDS`` rounds.  Admission goes through the smaller Gram
-    matrix of the surviving candidates, so its cost follows the
-    algebra's dimension, not the candidate count.
+    exceeds ``RANK_TOL`` times the round's largest candidate norm, for
+    at most ``CLOSURE_ROUNDS`` rounds.  Admission runs one multiplier
+    at a time, so memory holds the basis and one multiplier's block of
+    candidates, and a small-scale generator's directions are not cut
+    against a larger generator's.
     Returns (basis, rounds); basis elements are orthonormal under
     :func:`hs_inner`.
     """

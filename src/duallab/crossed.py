@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra_tools import AlgebraBasis, block_structure, orthonormalize, span_closure
+from .algebra_tools import AlgebraBasis, block_structure, span_closure
 from .legops import (
     ModelSpace,
     NumericError,
@@ -299,7 +299,8 @@ def center_basis(space: ModelSpace) -> tuple[AlgebraBasis, list[CrossedOperator]
     picks up exactly the inner implementers); commuting with the shifts
     then forces the scalars to be constant on conjugacy classes.  The
     resulting class sums are returned both as crossed operators and as
-    an orthonormal dense basis on l2(G, H).  Each witness is checked
+    an orthonormal dense basis on l2(G, H), whose Gram matrix is read
+    off the blocks.  Each witness is checked
     against the generators of :func:`l2_probes` in block form:
     ``to_dense_l2`` is a *-homomorphism, so the commutator's largest
     entry is that of the dense one (see :meth:`CrossedOperator.max_entry`).
@@ -316,9 +317,16 @@ def center_basis(space: ModelSpace) -> tuple[AlgebraBasis, list[CrossedOperator]
         for pr in probes:
             if (w @ pr - pr @ w).max_entry() > 1e-10 * scale * pr.max_entry():
                 raise NumericError("claimed center element fails to commute")
-    basis = AlgebraBasis(None, tuple(orthonormalize([w.to_dense_l2() for w in witnesses])))
-    if basis.dim != len(witnesses):
-        raise NumericError("center witnesses are not independent")
+    # to_dense_l2 places n entry-permuted copies of every block
+    n = len(elems)
+    gram = np.array([[n * sum(np.vdot(v.blocks[g], a) for g, a in w.blocks.items() if g in v.blocks)
+                      for v in witnesses] for w in witnesses])
+    diag = gram.diagonal().real
+    off = np.abs(gram - np.diag(diag))
+    if not (diag > 0).all() or (off > 1e-12 * np.sqrt(np.outer(diag, diag))).any():
+        raise NumericError("center witnesses are not orthogonal")
+    scales = np.sqrt(n * space.dim / diag)
+    basis = AlgebraBasis(None, tuple(w.to_dense_l2() * c for w, c in zip(witnesses, scales)))
     return basis, witnesses
 
 

@@ -3,10 +3,11 @@
 The span-closure kernel is also checked against
 ``reference_span_closure`` and ``reference_cyclic_growth``, the
 survivor-Gram plus modified Gram-Schmidt closure and the per-candidate
-cyclic loop it replaced, and ``block_structure`` against
-``reference_block_structure``, the per-cluster-pair loop it replaced,
-and ``commutant_basis`` against ``reference_commutant_basis``, the SVD
-of the stacked constraint system it replaced.
+cyclic loop it replaced, and against ``reference_word_closure``, its
+admission rule applied one candidate at a time; ``block_structure``
+against ``reference_block_structure``, the per-cluster-pair loop it
+replaced, and ``commutant_basis`` against ``reference_commutant_basis``,
+the SVD of the stacked constraint system it replaced.
 """
 
 import math
@@ -365,6 +366,18 @@ class TestBlockStructure:
         assert block_structure(gens) == block_structure(gens)
 
 
+class TestNonFiniteGenerators:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize(
+        "solve", [span_closure, block_structure, generated_algebra_dim, commutant_basis]
+    )
+    def test_raises_naming_the_entry(self, solve, bad):
+        # a NaN or inf entry used to give a 1-dimensional closure, an
+        # empty-argmax ValueError or a non-converged eigh
+        with pytest.raises(NumericError, match=r"non-finite matrix entry .* at \(0, 0\)"):
+            solve([np.eye(2), np.array([[bad, 0.0], [0.0, 1.0]])])
+
+
 class TestSpanClosure:
     def test_unit_is_adjoined(self):
         # a single nilpotent matrix unit generates all of M_2 as a
@@ -596,6 +609,39 @@ def reference_span_closure(generators, max_rounds=24, rel_tol=RANK_TOL):
     return [basis[i].reshape(d, d) * math.sqrt(d) for i in range(basis.shape[0])], rounds
 
 
+def reference_word_closure(generators, max_rounds=24):
+    """The admission rule the kernel states, one candidate at a time:
+    each round takes the frontier times every distinct generator and
+    adjoint, multiplier by multiplier and frontier row by row, projects
+    each candidate twice on every direction admitted so far, and admits
+    it iff the residual exceeds RANK_TOL times the round's largest
+    candidate norm.  Returns (dimension, rounds)."""
+    mats = [np.asarray(g, dtype=np.complex128) for g in generators]
+    d = mats[0].shape[0]
+    mults = []
+    for g in mats + [g.conj().T for g in mats]:
+        if not np.array_equal(g, np.eye(d)) and not any(np.array_equal(g, h) for h in mults):
+            mults.append(g)
+    basis = np.zeros((d * d, d * d), dtype=np.complex128)
+    basis[0] = np.eye(d).reshape(-1) / math.sqrt(d)
+    dim, frontier = 1, basis[:1].copy()
+    for rounds in range(1, max_rounds + 1):
+        cands = [(row.reshape(d, d) @ g).reshape(-1) for g in mults for row in frontier]
+        scale = max((float(np.linalg.norm(c)) for c in cands), default=0.0) or 1.0
+        start = dim
+        for c in cands:
+            for _ in range(2):
+                c = c - basis[:dim].T @ (basis[:dim].conj() @ c)
+            nrm = np.linalg.norm(c)
+            if nrm > RANK_TOL * scale:
+                basis[dim] = c / nrm
+                dim += 1
+        if dim == start:
+            return dim, rounds
+        frontier = basis[start:dim].copy()
+    raise NumericError(f"span closure open after {max_rounds} rounds")
+
+
 def reference_cyclic_growth(p, N):
     """The cyclic loop span_growth_check ran before the shared kernel:
     apply every t_plus(e_ij) to every frontier vector and admit the
@@ -638,17 +684,17 @@ def flat_rows(basis):
 
 @st.composite
 def generator_sets(draw):
-    """Generator sets on both sides of the kernel's n <= d^2 choice:
-    many small generators (first-round candidates outnumber d^2) and a
-    few large ones (candidates stay below d^2), plus Hermitian-closed
+    """Generator sets of many small generators (a round's candidates
+    outnumber d^2) and of a few large ones, plus Hermitian-closed
     sets, sets holding the identity, nilpotent matrix units and
     commuting, rank-deficient diagonals.  Random generators get scales
     spread over four decades.
 
     Two kinds sit near the cuts.  In "mixed_scale" a random generator
-    about 1e-6 times smaller than a diagonal one gives survivor Gram
-    eigenvalues near 1e-12 of the largest, under the admission cut, so
-    the cut decides the round in which its directions enter.  In
+    about 1e-6 times smaller than a diagonal one gives Gram eigenvalues
+    near 1e-12 of the diagonal's: a Gram cut over a whole round's
+    candidates held its directions back for rounds, one over each
+    multiplier's block admits them at their word length.  In
     "near_identity" every new direction is about 1e-7 of its candidate,
     so one projection leaves a residue along the basis that only the
     re-projection of the admitted rows removes."""
@@ -690,12 +736,38 @@ class TestClosureKernel:
     @given(generator_sets())
     def test_matches_reference_closure(self, gens):
         got, rounds = span_closure(gens)
-        want, want_rounds = reference_span_closure(gens)
-        assert (len(got), rounds) == (len(want), want_rounds)
+        want, _ = reference_span_closure(gens)
+        assert len(got) == len(want)
+        assert (len(got), rounds) == reference_word_closure(gens)
         b, r = flat_rows(got), flat_rows(want)
         assert np.abs(b @ b.conj().T - np.eye(len(got))).max() < 1e-10
         # orthogonal projectors onto the two spans
         assert np.abs(b.T @ b.conj() - r.T @ r.conj()).max() < 1e-8
+
+    def test_small_scale_generator_is_not_starved(self):
+        # 1e-6 Z is judged against its own block, so its directions enter
+        # in the rounds their word length gives; a cut over the whole
+        # round's candidates left the closure open past CLOSURE_ROUNDS
+        z = rand_mat(8, np.random.default_rng(0))
+        gens = [np.diag(np.arange(1.0, 9.0)), 1e-6 * z]
+        basis, rounds = span_closure(gens)
+        assert (len(basis), rounds) == reference_word_closure(gens)
+        assert len(basis) == 64
+
+    def test_memory_is_one_multiplier_block(self):
+        # 20 random generators of M_16 and I: 40 multipliers, whose round
+        # of candidates together held about 100 MiB
+        rng = np.random.default_rng(16)
+        gens = [rand_mat(16, rng) for _ in range(20)] + [np.eye(16)]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            basis, _ = span_closure(gens)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert len(basis) == 256
+        assert peak < 16 * 2**20
 
     def test_identity_alone(self):
         # the only multiplier is skipped, so the one round sees no candidates

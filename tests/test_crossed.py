@@ -6,6 +6,8 @@ densification, and conventions that drift (twist side, inverse
 placement) break that agreement immediately.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -321,6 +323,27 @@ class TestCenter:
 
         monkeypatch.setattr(crossed, "group_conjugacy_classes", split)
         with pytest.raises(NumericError):
+            center_basis(ModelSpace(2, 3, 0))
+
+    @pytest.mark.parametrize("shape", [(2, 3, 0), (2, 2, 1)])
+    def test_basis_is_the_normalized_class_sums(self, shape):
+        # the Gram matrix read off the blocks scales each dense witness
+        # to unit norm under hs_inner
+        basis, witnesses = center_basis(ModelSpace(*shape))
+        assert basis.gram_defect() < 1e-12
+        for b, w in zip(basis.elements, witnesses):
+            dense = w.to_dense_l2()
+            assert np.abs(b - dense * math.sqrt(b.shape[0] / np.vdot(dense, dense).real)).max() < 1e-14
+
+    def test_duplicate_class_is_not_independent(self, monkeypatch):
+        # a repeated class sum is central but overlaps its twin: the block
+        # Gram matrix has an off-diagonal entry equal to the diagonal ones
+        def doubled(p, q):
+            classes = group_conjugacy_classes(p, q)
+            return classes + classes[-1:]
+
+        monkeypatch.setattr(crossed, "group_conjugacy_classes", doubled)
+        with pytest.raises(NumericError, match="not orthogonal"):
             center_basis(ModelSpace(2, 3, 0))
 
     @pytest.mark.parametrize("shape", [(2, 2, 0), (2, 1, 1)])
