@@ -41,7 +41,7 @@ from .legops import (
     _eye,
     _Group,
     _check_finite,
-    _pure,
+    _pure_groups,
     _sanitize,
     _sq_norm,
 )
@@ -113,13 +113,6 @@ def t_mixed(space: ModelSpace, a: np.ndarray) -> StructuredOperator:
 # -- Young projections ---------------------------------------------------
 
 
-def _embedded_sigma(perm: tuple[int, ...], offset: int, m: int) -> tuple[int, ...]:
-    sigma = list(range(m))
-    for i, t in enumerate(perm):
-        sigma[offset + i] = offset + t
-    return tuple(sigma)
-
-
 def young_projection(
     space: ModelSpace, lam: Partition, side: str = "left"
 ) -> StructuredOperator:
@@ -127,7 +120,8 @@ def young_projection(
 
     (dim lam / b!) * sum over the symmetric group S_b of
     character(lam, class of s) * P(s), with the permutations embedded on
-    the left legs (b = p) or the right legs (b = q).
+    the left legs (b = p) or the right legs (b = q), one array to legops'
+    ``_pure_groups``, where the zero characters drop.
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
@@ -139,15 +133,12 @@ def young_projection(
         )
     if block == 0:
         return StructuredOperator.identity(space)
-    scale = dimension(lam) / math.factorial(block)
-    raw = []
-    for perm in itertools.permutations(range(block)):
-        chi = character(lam, cycle_type_of_permutation(perm))
-        if chi == 0:
-            continue
-        sigma = _embedded_sigma(perm, offset, space.m)
-        raw.append(_pure(sigma, np.array([scale * chi], dtype=np.complex128), space.N))
-    return StructuredOperator._from_raw(space, raw)
+    perms = np.array(list(itertools.permutations(range(block))))
+    chis = np.array([character(lam, cycle_type_of_permutation(perm)) for perm in perms.tolist()])
+    sigmas = np.tile(np.arange(space.m), (len(perms), 1))
+    sigmas[:, offset:offset + block] = offset + perms
+    coeffs = (dimension(lam) / math.factorial(block) * chis).astype(np.complex128)
+    return StructuredOperator._from_canonical(space, tuple(_pure_groups(sigmas, coeffs, space.N)))
 
 
 # -- Haar sampling and averaging -----------------------------------------
@@ -676,16 +667,17 @@ def spectral_binning(
     bin_of = np.minimum(
         np.floor((eigvals - lower) / width).astype(int), nbins - 1
     )
-    # most bins of a fine mesh are empty: they keep the cut midpoint and
-    # a zero projection, and only the occupied bins are visited
+    # most bins of a fine mesh are empty: they keep the cut midpoint and a
+    # zero view of one buffer, and only the occupied bins are visited
     reps = (cuts[:-1] + cuts[1:]) / 2
     n = len(eigvals)
-    projections = [np.zeros((n, n), dtype=np.complex128) for _ in range(nbins)]
+    buffer = np.zeros((nbins, n, n), dtype=np.complex128)
     for i in np.unique(bin_of).tolist():
         mask = bin_of == i
         reps[i] = eigvals[mask].mean()
         cols = eigvecs[:, mask]
-        projections[i] = cols @ cols.conj().T
+        buffer[i] = cols @ cols.conj().T
+    projections = list(buffer)
     binned_vals = reps[bin_of]
     a_eps = (eigvecs * binned_vals) @ eigvecs.conj().T
     a_eps = (a_eps + a_eps.conj().T) / 2

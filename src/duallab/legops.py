@@ -30,9 +30,11 @@ Cost model, for groups of T terms with L carried legs:
   O(T^2 L N^2) in a handful of numpy calls, and among more from
   entrywise comparisons of only the terms whose fixed 1-D projections
   lie within the merge tolerance of each other;
-- compose is one batched matmul per pair of groups and carried leg,
-  O(T_x T_y L N^3); products of pure permutations are index arithmetic
-  over all pairs at once;
+- compose is one batched matmul per carried leg and pair of groups of
+  which one carries a leg, O(T_x T_y L N^3); products of pure
+  permutations are index arithmetic over all pairs at once;
+- sums of pure permutations go through one kernel, _pure_groups: one
+  sort of integer codes and a few numpy calls, O(T log T);
 - apply splits each group's terms into classes by their active
   half-legs, the row and column axes whose factor is not the identity.
   A class of T terms on k axes acts through one N^k x N^k kernel, a
@@ -48,7 +50,7 @@ Cost model, for groups of T terms with L carried legs:
   matrices on the 2m half-leg axes: the trace joins a class's outputs
   to its inputs, the 2-norm two classes' outputs and inputs, once per
   unordered pair, so X* X is never formed; kernels on k and k' axes
-  take N^(k + k') steps.
+  take N^(k + k') steps; classes on no axis pair by cycle counts.
 
 Operator norms come from Lanczos on the matrix-free apply.  Dense
 materialization is capped; the cap guards the commutant solvers.
@@ -437,11 +439,6 @@ def _merge(g: _Group, N: int) -> _Group | None:
     FEW_TERMS distinct terms and ``_fuzzy_merge`` for more, which give
     the same group, bit for bit.
     """
-    if not g.legs:
-        total = np.add.accumulate(g.coeffs)[-1:]
-        if abs(total[0]) < MERGE_TOL:
-            return None
-        return _pure(g.sigma, total, N)._replace(merged=True)
     T, L, n2 = len(g.coeffs), len(g.legs), N * N
     # the A then the B entries of each leg; + 0j turns -0.0 into 0.0, as
     # LegFactor does, so equal factors have equal bytes
@@ -473,20 +470,59 @@ def _merge(g: _Group, N: int) -> _Group | None:
     return _Group(g.sigma, c, legs, x[:, :, 0], x[:, :, 1], merged=True)
 
 
+def _pure_groups(sigmas: np.ndarray, coeffs: np.ndarray, N: int) -> list[_Group]:
+    """Canonical groups of the pure permutations sigmas[t] (a (T, m)
+    array) with coefficients coeffs[t], sharing one read-only empty
+    factor array.  Each permutation's sum runs in the given order, one
+    add at a time as np.add.accumulate does, the runs of one length as
+    one block: O(T) memory, at most sqrt(2 T) blocks."""
+    T, m = sigmas.shape
+    # digits in base m, or ranks where m^m overflows; uint16 sorts by radix
+    if m < 16:
+        codes, bound = sigmas @ m ** np.arange(m - 1, -1, -1), m**m
+    else:
+        codes, bound = np.unique(sigmas, axis=0, return_inverse=True)[1].reshape(-1), T
+    order = np.argsort(codes.astype(np.uint16) if bound <= 1 << 16 else codes, kind="stable")
+    starts = np.flatnonzero(np.diff(codes[order], prepend=-1))
+    vals, lengths = coeffs[order], np.diff(starts, append=T)
+    sums = np.empty(len(starts), dtype=np.complex128)
+    for n in set(lengths.tolist()):
+        at = np.flatnonzero(lengths == n)
+        sums[at] = np.add.accumulate(vals[starts[at, None] + np.arange(n)], axis=1)[:, -1]
+    keep = np.flatnonzero(np.abs(sums) >= MERGE_TOL)
+    empty = np.empty((1, 0, N, N), dtype=np.complex128)
+    empty.setflags(write=False)
+    rows = zip(sigmas[order[starts[keep]]].tolist(), sums[keep].reshape(-1, 1))
+    return [_Group(tuple(sigma), total, (), empty, empty, merged=True) for sigma, total in rows]
+
+
 def _canonical(space: ModelSpace, raw: Iterable[_Group]) -> tuple[_Group, ...]:
+    """Canonical groups in sigma order: a merged group alone with its
+    permutation passes through, the permutations of pure groups only go
+    to ``_pure_groups``, the others to ``_merge`` in raw order."""
+    N = space.N
     by_sigma: dict[tuple, list[_Group]] = {}
+    carried = set()
     for g in raw:
         if len(g.coeffs):
             by_sigma.setdefault(g.sigma, []).append(g)
-    out = []
+            if g.legs:
+                carried.add(g.sigma)
+    out, pure = [], []
     for sigma in sorted(by_sigma):
         parts = by_sigma[sigma]
         if len(parts) == 1 and parts[0].merged:
             out.append(parts[0])
-            continue
-        g = _merge(_concat(parts, space.N), space.N)
-        if g is not None:
-            out.append(g)
+        elif sigma in carried:
+            g = _merge(_concat(parts, N), N)
+            if g is not None:
+                out.append(g)
+        else:
+            pure += parts
+    if pure:
+        sigmas = np.repeat([p.sigma for p in pure], [len(p.coeffs) for p in pure], axis=0)
+        out += _pure_groups(sigmas, np.concatenate([p.coeffs for p in pure]), N)
+        out.sort(key=lambda g: g.sigma)
     return tuple(out)
 
 
@@ -605,6 +641,24 @@ def _class_matrix(cls: tuple, m: int, tag: int):
     else:
         ops = [(factors[:, j], [(tag,), mid[a], ins[a]]) for j, a in enumerate(axes)]
     return ops, [mid[a] for a in perm], ins
+
+
+def _no_axis(classes: list[tuple], m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The classes c P(pi) on no active axis: (K,) c, (K, m) inverse maps."""
+    pure = [c for c in classes if not c[0]]
+    return (np.array([c[1] for c in pure], dtype=np.complex128),
+            np.array([c[3][0::2] for c in pure], dtype=np.intp).reshape(len(pure), m) // 2)
+
+
+def _perm_trace(rho: np.ndarray, N: int) -> np.ndarray:
+    """Trace N^(2 cycles) on the 2m half-legs of each leg permutation
+    along the last axis of ``rho``, orbit minima found by doubling."""
+    m = rho.shape[-1]
+    low = np.broadcast_to(np.arange(m), rho.shape)
+    for _ in range((m - 1).bit_length()):
+        low = np.minimum(low, np.take_along_axis(low, rho, axis=-1))
+        rho = np.take_along_axis(rho, rho, axis=-1)
+    return float(N) ** (2 * (low == np.arange(m)).sum(axis=-1))
 
 
 def _contract(ops: list, joins: list, N: int) -> complex:
@@ -731,14 +785,14 @@ class StructuredOperator:
         instead of vanishing in the merge."""
         if not cmath.isfinite(c):
             raise NumericError(f"non-finite scale factor {c!r}")
-        raw = []
-        for g in self._groups:
-            coeffs = c * g.coeffs
-            # a group stays canonical unless a coefficient falls below MERGE_TOL
-            raw.append(g._replace(coeffs=coeffs, merged=bool(np.all(np.abs(coeffs) >= MERGE_TOL))))
-        if all(g.merged for g in raw):
+        coeffs = [c * g.coeffs for g in self._groups]
+        raw = [_Group(g.sigma, x, g.legs, g.A, g.B, True) for g, x in zip(self._groups, coeffs)]
+        # a group stays canonical unless a coefficient falls below MERGE_TOL
+        if not raw or (np.abs(np.concatenate(coeffs)) >= MERGE_TOL).all():
             return StructuredOperator._from_canonical(self.space, tuple(raw))
-        return StructuredOperator._from_raw(self.space, raw)
+        return StructuredOperator._from_raw(
+            self.space, [g._replace(merged=bool((np.abs(g.coeffs) >= MERGE_TOL).all())) for g in raw]
+        )
 
     def __mul__(self, c: complex) -> "StructuredOperator":
         return self.scale(c)
@@ -752,38 +806,18 @@ class StructuredOperator:
 
         Term x after term y has permutation sigma_x o sigma_y and, at
         leg k, the sandwich of y at k followed by that of x at
-        sigma_y(k).
+        sigma_y(k).  Pure products go to ``_pure_groups`` at once, but
+        for those whose permutation a carried product also has: one raw
+        group each, ahead, so they merge with it in pair order.
         """
         self._check_space(other)
         N, m = self.space.N, self.space.m
         X, Y = self._groups, other._groups
         raw = []
-        # pure permutations compose as index arrays, all pairs at once
-        px = [i for i, g in enumerate(X) if not g.legs]
-        py = [j for j, g in enumerate(Y) if not g.legs]
-        if px and py:
-            sx = np.array([X[i].sigma for i in px])
-            sy = np.array([Y[j].sigma for j in py])
-            sigmas = sx[:, sy].reshape(-1, m)  # sigma_x[sigma_y[k]]
-            coeffs = np.multiply.outer(
-                np.array([X[i].coeffs[0] for i in px]), np.array([Y[j].coeffs[0] for j in py])
-            ).reshape(-1)
-            # one int64 per row, its digits in base m: integer order is the
-            # rows' lexicographic order; m^m overflows int64 from m = 16
-            if m < 16:
-                codes = sigmas @ m ** np.arange(m - 1, -1, -1)
-            else:
-                codes = np.unique(sigmas, axis=0, return_inverse=True)[1].reshape(-1)
-            order = np.argsort(codes, kind="stable")
-            ranked = codes[order]
-            starts = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))
-            for sigma, part in zip(sigmas[order[starts]].tolist(), np.split(coeffs[order], starts[1:])):
-                raw.append(_pure(tuple(sigma), part, N))
+        ycarry = [g for g in Y if g.legs]
         for gx in X:
             xpos = {k: i for i, k in enumerate(gx.legs)}
-            for gy in Y:
-                if not gx.legs and not gy.legs:
-                    continue
+            for gy in Y if gx.legs else ycarry:
                 ypos = {k: i for i, k in enumerate(gy.legs)}
                 Tx, Ty = len(gx.coeffs), len(gy.coeffs)
                 legs = tuple(k for k in range(m) if k in ypos or gy.sigma[k] in xpos)
@@ -808,6 +842,21 @@ class StructuredOperator:
                     A.reshape(shape),
                     B.reshape(shape),
                 ))
+        px = [g for g in X if not g.legs]
+        py = [g for g in Y if not g.legs]
+        if px and py:
+            sx, sy = np.array([g.sigma for g in px]), np.array([g.sigma for g in py])
+            sigmas = sx[np.arange(len(px))[:, None, None], sy].reshape(-1, m)  # sigma_x[sigma_y[k]]
+            coeffs = np.multiply.outer(
+                np.array([g.coeffs[0] for g in px]), np.array([g.coeffs[0] for g in py])
+            ).reshape(-1)
+            if not raw:
+                return StructuredOperator._from_canonical(self.space, tuple(_pure_groups(sigmas, coeffs, N)))
+            carried = {g.sigma for g in raw}
+            shared = np.array([tuple(s) in carried for s in sigmas.tolist()])
+            rows = np.flatnonzero(shared).tolist()
+            head = [_pure(tuple(sigmas[t].tolist()), coeffs[t:t + 1], N) for t in rows]
+            raw = _pure_groups(sigmas[~shared], coeffs[~shared], N) + head + raw
         return StructuredOperator._from_raw(self.space, raw)
 
     def __matmul__(self, other: "StructuredOperator") -> "StructuredOperator":
@@ -855,11 +904,15 @@ class StructuredOperator:
     def normalized_trace(self) -> complex:
         """Normalized trace: the traces of the classes of ``apply``, each
         one contraction with the class's outputs joined to its inputs,
-        summed and divided by N^(2m)."""
+        summed and divided by N^(2m); a class c P(pi) on no active axis
+        has trace c N^(2 cycles of pi)."""
         N, m = self.space.N, self.space.m
+        classes = self._split()
         total = 0.0 + 0.0j
-        for ops, outs, ins in (_class_matrix(c, m, 0) for c in self._split()):
+        for ops, outs, ins in (_class_matrix(c, m, 0) for c in classes if c[0]):
             total += _contract(ops, list(zip(outs, ins)), N)
+        coeffs, inv = _no_axis(classes, m)
+        total += complex(np.einsum("i,i->", coeffs, _perm_trace(inv, N)))
         return complex(total / self.space.dim)
 
     def hs_norm(self) -> float:
@@ -867,9 +920,11 @@ class StructuredOperator:
 
         trace(X* X) sums Tr(X_c* X_c') over the classes of ``apply``, one
         contraction per unordered pair, outputs joined to outputs and
-        inputs to inputs.  A difference that cancels inside a kernel
-        keeps about eps * |X|, one that cancels across the terms of
-        term-by-term classes sqrt(eps) * |X|.  Past np.einsum's 52
+        inputs to inputs; classes c P(pi) on no active axis pair by
+        Tr(P(pi)* P(pi')) = N^(2 cycles of pi^-1 pi'), one einsum per
+        block of at most 2^16 pairs.  A difference that cancels inside a
+        kernel keeps about eps * |X|, one that cancels across the terms
+        of term-by-term classes sqrt(eps) * |X|.  Past np.einsum's 52
         indices (two such classes on all half-legs of 13 legs) raises
         :class:`NumericError`.
         """
@@ -881,8 +936,17 @@ class StructuredOperator:
             ops, outs, ins = _class_matrix(c, m, 0)
             ops = [(arr.conj(), labels) for arr, labels in ops]
             for j, (ops_h, outs_h, ins_h) in enumerate(right[i:]):
+                if not c[0] and not classes[i + j][0]:
+                    continue
                 val = _contract(ops + ops_h, list(zip(outs + ins, outs_h + ins_h)), N).real
                 total += 2.0 * val if j else val
+        coeffs, inv = _no_axis(classes, m)
+        back = np.argsort(inv, axis=1)
+        rows = max(1, (1 << 16) // max(len(coeffs), 1))
+        for lo in range(0, len(coeffs), rows):
+            # rho_ij = inv_i^-1 inv_j, of the cycles of pi_i^-1 pi_j
+            rho = np.take_along_axis(back[lo:lo + rows, None], inv[None], axis=2)
+            total += np.einsum("i,ij,j->", coeffs[lo:lo + rows].conj(), _perm_trace(rho, N), coeffs).real
         return math.sqrt(max(total / self.space.dim, 0.0))
 
     def apply(self, v: np.ndarray) -> np.ndarray:
@@ -1060,9 +1124,8 @@ def permutation_op(space: ModelSpace, sigma: tuple[int, ...]) -> StructuredOpera
     """
     if sorted(sigma) != list(range(space.m)):
         raise ValueError(f"sigma {sigma} is not a permutation of 0..{space.m - 1}")
-    sigma = tuple(int(s) for s in sigma)
-    group = _pure(sigma, np.ones(1, dtype=np.complex128), space.N)._replace(merged=True)
-    return StructuredOperator._from_canonical(space, (group,))
+    groups = _pure_groups(np.array([sigma]), np.ones(1, dtype=np.complex128), space.N)
+    return StructuredOperator._from_canonical(space, tuple(groups))
 
 
 # -- flat binary serialization ------------------------------------------

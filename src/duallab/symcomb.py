@@ -134,13 +134,14 @@ def dimension(lam: Partition) -> int:
     return math.factorial(lam.weight) // hooks
 
 
+@lru_cache(maxsize=4096)
 def character(lam: Partition, c: Partition) -> int:
     """Irreducible character of S_p indexed by ``lam`` at class ``c``.
 
     Murnaghan-Nakayama recursion on beta numbers: removing a border
     strip of length t moves one beta number down by t, with sign
     (-1)^(strip height - 1), the height being the count of beta numbers
-    jumped over.
+    jumped over.  Memoized: a Young projection asks once per permutation.
     """
     if lam.weight != c.weight:
         raise ValueError(
@@ -210,7 +211,12 @@ def permutation_cycles(perm: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
 
 def cycle_type_of_permutation(perm: tuple[int, ...]) -> CycleType:
     """Cycle type of a permutation given in one-line form on 0..m-1."""
-    return CycleType(tuple(sorted((len(c) for c in permutation_cycles(tuple(perm))), reverse=True)))
+    return _cycle_type(tuple(perm))
+
+
+@lru_cache(maxsize=8192)  # S_7's 5,040 permutations fit
+def _cycle_type(perm: tuple[int, ...]) -> CycleType:
+    return CycleType(tuple(sorted((len(c) for c in permutation_cycles(perm)), reverse=True)))
 
 
 @dataclass(frozen=True)

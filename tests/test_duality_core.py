@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import duallab.duality_core as duality_core
+from duallab import legops
 from duallab.duality_core import (
     _NORM_BATCH,
     MC_STREAMS,
@@ -61,12 +62,13 @@ from duallab.legops import (
     right_mult,
 )
 from duallab.symcomb import (
+    Partition,
     character,
     cycle_type_of_permutation,
     dimension,
     enumerate_partitions,
 )
-from test_legops import reference_gram
+from test_legops import reference_canonical, reference_gram
 
 RNG = np.random.default_rng(0xD0C)
 
@@ -176,7 +178,7 @@ class TestMultiplicationSums:
 # -- Young projections ---------------------------------------------------------
 
 
-def reference_young_projection(space, lam, side):
+def young_projection_terms(space, lam, side):
     """The Young projection as a list of OperatorTerm, one per
     permutation with a nonzero character: the differential oracle for
     ``young_projection``'s array-built groups."""
@@ -193,7 +195,49 @@ def reference_young_projection(space, lam, side):
     return StructuredOperator(space, terms)
 
 
+def reference_young_projection(space, lam, side):
+    """The former ``young_projection`` loop: one raw pure group per
+    permutation with a nonzero character, canonicalized by the former
+    ``_canonical``."""
+    block, offset = (space.p, 0) if side == "left" else (space.q, space.p)
+    scale = dimension(lam) / math.factorial(block)
+    raw = []
+    for perm in itertools.permutations(range(block)):
+        chi = character(lam, cycle_type_of_permutation(perm))
+        if chi == 0:
+            continue
+        sigma = list(range(space.m))
+        for i, t in enumerate(perm):
+            sigma[offset + i] = offset + t
+        raw.append(legops._pure(tuple(sigma), np.array([scale * chi], dtype=np.complex128), space.N))
+    return StructuredOperator._from_canonical(space, reference_canonical(space, raw))
+
+
 class TestYoungProjection:
+    @pytest.mark.parametrize("N", [2, 3])
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_matches_reference_loop_bytewise(self, N, side):
+        for block in range(1, 6):
+            sp = ModelSpace(N, block, 1) if side == "left" else ModelSpace(N, 1, block)
+            for lam in enumerate_partitions(block):
+                got = young_projection(sp, lam, side)
+                want = reference_young_projection(sp, lam, side)
+                assert_same_groups(got, want)
+                assert all(g.merged for g in got._groups)
+
+    def test_one_character_call_per_permutation(self, monkeypatch):
+        calls = []
+        real = duality_core.character
+
+        def counted(lam, c):
+            calls.append(c)
+            return real(lam, c)
+
+        monkeypatch.setattr(duality_core, "character", counted)
+        # (2, 2) vanishes on the 4-cycles and transpositions: 24 calls, 12 terms
+        P = young_projection(ModelSpace(2, 4, 0), Partition((2, 2)))
+        assert len(calls) == 24 and P.n_terms == 12
+
     @pytest.mark.parametrize("p,N", [(2, 2), (3, 2), (3, 3)])
     def test_matches_character_average(self, p, N):
         sp = ModelSpace(N, p, 0)
@@ -239,7 +283,7 @@ class TestYoungProjection:
     def test_matches_term_list_oracle(self, block, side):
         sp = ModelSpace(2, block, 1) if side == "left" else ModelSpace(2, 1, block)
         for lam in enumerate_partitions(block):
-            want = reference_young_projection(sp, lam, side)
+            want = young_projection_terms(sp, lam, side)
             assert_same_groups(young_projection(sp, lam, side), want)
 
 
@@ -1112,6 +1156,19 @@ class TestSpectralBinning:
     def test_rejects_non_finite_eps(self, eps):
         with pytest.raises(ValueError, match="eps"):
             spectral_binning(np.eye(2), eps)
+
+    def test_projections_are_separate_writable_arrays(self):
+        # bins 1 and 2 of 11 hold one eigenvalue each, the others none
+        _, _, projs = spectral_binning(np.diag([0.0, 0.3, 0.6, 3.0]), 0.3)
+        assert len(projs) == 11
+        before = [P.copy() for P in projs]
+        for i, P in enumerate(projs):
+            assert P.flags.writeable
+            P[...] = 7.0
+            for j, Q in enumerate(projs):
+                if j != i:
+                    assert Q.tobytes() == before[j].tobytes()
+            P[...] = before[i]
 
     def test_matches_reference_loop_bytewise(self):
         rng = np.random.default_rng(0xB1)

@@ -1144,6 +1144,212 @@ class TestMergePaths:
         assert taken == [path]
 
 
+# -- sums of pure leg permutations ----------------------------------------------
+
+
+def reference_canonical(space, raw):
+    """The former ``legops._canonical``: each permutation's raw groups
+    concatenated in raw order and merged, a pure permutation's
+    coefficients summed by ``np.add.accumulate``."""
+    N = space.N
+    by_sigma = {}
+    for g in raw:
+        if len(g.coeffs):
+            by_sigma.setdefault(g.sigma, []).append(g)
+    out = []
+    for sigma in sorted(by_sigma):
+        parts = by_sigma[sigma]
+        if len(parts) == 1 and parts[0].merged:
+            out.append(parts[0])
+            continue
+        g = legops._concat(parts, N)
+        if g.legs:
+            g = _merge(g, N)
+        else:
+            total = np.add.accumulate(g.coeffs)[-1:]
+            g = None if abs(total[0]) < MERGE_TOL else legops._pure(sigma, total, N)._replace(merged=True)
+        if g is not None:
+            out.append(g)
+    return tuple(out)
+
+
+def reference_compose(x, y):
+    """The former ``StructuredOperator.compose``: the products of pure
+    permutations, one raw group per permutation in pair order, ahead of
+    the products of every pair of groups in which one carries a leg,
+    canonicalized by ``reference_canonical``."""
+    N, m = x.space.N, x.space.m
+    raw = []
+    px = [g for g in x._groups if not g.legs]
+    py = [g for g in y._groups if not g.legs]
+    if px and py:
+        sx, sy = np.array([g.sigma for g in px]), np.array([g.sigma for g in py])
+        sigmas = sx[:, sy].reshape(-1, m)
+        coeffs = np.multiply.outer(
+            np.array([g.coeffs[0] for g in px]), np.array([g.coeffs[0] for g in py])
+        ).reshape(-1)
+        by_sigma = {}
+        for sigma, c in zip(map(tuple, sigmas.tolist()), coeffs):
+            by_sigma.setdefault(sigma, []).append(c)
+        raw += [legops._pure(s, np.array(by_sigma[s], dtype=np.complex128), N) for s in sorted(by_sigma)]
+    for gx in x._groups:
+        xpos = {k: i for i, k in enumerate(gx.legs)}
+        for gy in y._groups:
+            if not gx.legs and not gy.legs:
+                continue
+            ypos = {k: i for i, k in enumerate(gy.legs)}
+            Tx, Ty = len(gx.coeffs), len(gy.coeffs)
+            legs = tuple(k for k in range(m) if k in ypos or gy.sigma[k] in xpos)
+            A = np.empty((Tx, Ty, len(legs), N, N), dtype=np.complex128)
+            B = np.empty_like(A)
+            for li, k in enumerate(legs):
+                i, j = xpos.get(gy.sigma[k]), ypos.get(k)
+                if j is None:
+                    A[:, :, li], B[:, :, li] = gx.A[:, i, None], gx.B[:, i, None]
+                elif i is None:
+                    A[:, :, li], B[:, :, li] = gy.A[None, :, j], gy.B[None, :, j]
+                else:
+                    A[:, :, li] = gx.A[:, i, None] @ gy.A[None, :, j]
+                    B[:, :, li] = gy.B[None, :, j] @ gx.B[:, i, None]
+            shape = (Tx * Ty, len(legs), N, N)
+            raw.append(_Group(
+                tuple(gx.sigma[s] for s in gy.sigma),
+                np.multiply.outer(gx.coeffs, gy.coeffs).reshape(-1),
+                legs, A.reshape(shape), B.reshape(shape),
+            ))
+    return reference_canonical(x.space, raw)
+
+
+def assert_same_canonical(got, want):
+    """Byte-equal canonical groups: permutations, group order, carried
+    legs, merged flags, coefficient and factor bytes."""
+    assert len(got) == len(want)
+    for g, h in zip(got, want):
+        assert (g.sigma, g.legs, g.merged) == (h.sigma, h.legs, h.merged)
+        for a, b in ((g.coeffs, h.coeffs), (g.A, h.A), (g.B, h.B)):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+PURE_COEFFS = ("random", "cancel", "tiny", "zero", "signed_zero", "signed_part")
+
+
+@st.composite
+def pure_raw_lists(draw, carried=False):
+    """A space of m = 1..6 or 16 legs and raw pure groups on a pool of a
+    few permutations, so that permutations repeat across groups.  A
+    coefficient is random, cancels an earlier one exactly, lies below
+    MERGE_TOL, is a signed zero or has one -0.0 part; a one-term group
+    above MERGE_TOL may come merged.  With ``carried``, groups that carry
+    leg 0 (some of their terms the identity there) join on permutations
+    of the pool."""
+    m = draw(st.sampled_from((1, 2, 3, 4, 5, 6, 16)))
+    N = draw(st.sampled_from((2, 3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = [tuple(rng.permutation(m).tolist()) for _ in range(draw(st.integers(1, 4)))]
+    seen, raw = [], []
+    for _ in range(draw(st.integers(1, 10))):
+        sigma = pool[draw(st.integers(0, len(pool) - 1))]
+        coeffs = []
+        for _ in range(draw(st.integers(1, 5))):
+            kind = draw(st.sampled_from(PURE_COEFFS))
+            x, y = rng.standard_normal(2)
+            coeffs.append({
+                "random": complex(x, y),
+                "cancel": -seen[draw(st.integers(0, len(seen) - 1))] if seen else complex(x, y),
+                "tiny": 0.7 * MERGE_TOL * complex(np.tanh(x), np.tanh(y)),
+                "zero": complex(0.0, -0.0),
+                "signed_zero": complex(-0.0, -0.0),
+                "signed_part": complex(x, -0.0),
+            }[kind])
+            seen.append(coeffs[-1])
+        c = np.array(coeffs, dtype=np.complex128)
+        merged = len(c) == 1 and abs(c[0]) >= MERGE_TOL and draw(st.booleans())
+        raw.append(legops._pure(sigma, c, N)._replace(merged=merged))
+    if carried:
+        for _ in range(draw(st.integers(1, 3))):
+            T = draw(st.integers(1, 3))
+            A = np.stack([rand_mat(N, rng) if draw(st.booleans()) else np.eye(N) for _ in range(T)])
+            A = A.reshape(T, 1, N, N).astype(np.complex128)
+            coeffs = rng.standard_normal(T) + 1j * rng.standard_normal(T)
+            group = _Group(pool[draw(st.integers(0, len(pool) - 1))], coeffs, (0,), A, np.ones_like(A) * np.eye(N))
+            raw.insert(draw(st.integers(0, len(raw))), group)
+    return ModelSpace(N, m, 0), raw
+
+
+class TestPureKernel:
+    """Sums of pure leg permutations go through one array kernel,
+    ``_pure_groups``; canonical forms and products must equal the
+    former per-permutation merges byte for byte."""
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(case=pure_raw_lists())
+    def test_canonical_matches_reference(self, case):
+        space, raw = case
+        assert_same_canonical(legops._canonical(space, raw), reference_canonical(space, raw))
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(case=pure_raw_lists(carried=True))
+    def test_canonical_with_carried_groups_matches_reference(self, case):
+        space, raw = case
+        assert_same_canonical(legops._canonical(space, raw), reference_canonical(space, raw))
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_compose_matches_reference(self, data):
+        carried = data.draw(st.booleans())
+        space, raw = data.draw(pure_raw_lists(carried))
+        cut = data.draw(st.integers(0, len(raw)))
+        x = StructuredOperator._from_raw(space, raw[:cut])
+        y = StructuredOperator._from_raw(space, raw[cut:])
+        for a, b in ((x, y), (y, x), (x + y, x - y), (x, x)):
+            assert_same_canonical((a @ b)._groups, reference_compose(a, b))
+
+    def test_shared_permutation_merges_in_pair_order(self):
+        # x = 0.1 S - 0.3 T + (left a + 0.1 I), the last one carried group;
+        # y = I + 3 S + T.  The pure products on the identity, S S and T T,
+        # sum to 0.1 * 3 - 0.3, a rounding remainder of 5.6e-17 below
+        # MERGE_TOL, and the carried product (left a + 0.1 I) I also has the
+        # identity: the remainder must still enter the sum of its identity
+        # terms, in pair order, as it did
+        sp = ModelSpace(2, 3, 0)
+        ident, S, T = (permutation_op(sp, s) for s in ((0, 1, 2), (1, 0, 2), (0, 2, 1)))
+        x = S.scale(0.1) - T.scale(0.3) + left_mult(sp, rand_mat(2), 0) + ident.scale(0.1)
+        y = ident + S.scale(3.0) + T
+        got = (x @ y)._groups
+        assert_same_canonical(got, reference_compose(x, y))
+        assert got[0].sigma == (0, 1, 2) and (0.1 * 3 - 0.3) + 0.1 in got[0].coeffs.tolist()
+        for a, b in ((y, x), (x, x), (y, y)):
+            assert_same_canonical((a @ b)._groups, reference_compose(a, b))
+
+    def test_exact_cancellation_drops(self):
+        sp = ModelSpace(3, 3, 0)
+        raw = [legops._pure((2, 0, 1), np.array([0.1, 0.2, -0.3 + 0j]), 3)]
+        assert legops._canonical(sp, raw) == reference_canonical(sp, raw) == ()
+
+    def test_sixteen_legs_rank_the_distinct_rows(self):
+        rng = np.random.default_rng(16)
+        sp = ModelSpace(2, 16, 0)
+        pool = [tuple(rng.permutation(16).tolist()) for _ in range(5)]
+        raw = [legops._pure(pool[i % 5], rng.standard_normal(3) + 0j, 2) for i in range(12)]
+        got = legops._canonical(sp, raw)
+        assert [g.sigma for g in got] == sorted(pool)
+        assert_same_canonical(got, reference_canonical(sp, raw))
+
+    def test_carried_only_input_skips_the_kernel(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the pure kernel ran on an input without a pure group")
+
+        monkeypatch.setattr(legops, "_pure_groups", refuse)
+        sp = ModelSpace(3, 1, 1)
+        x = left_mult(sp, rand_mat(3), 0) + right_mult(sp, rand_mat(3), 1)
+        assert (x @ x - x).n_terms > 0
+
+    def test_permutation_op_is_one_merged_group(self):
+        (g,) = permutation_op(ModelSpace(2, 3, 0), (2, 0, 1))._groups
+        assert (g.sigma, g.legs, g.merged, g.coeffs.tolist()) == ((2, 0, 1), (), True, [1.0])
+        assert g.A.shape == (1, 0, 2, 2) and not g.A.flags.writeable
+
+
 # -- apply by classes of active half-legs ------------------------------------------
 
 
@@ -1416,3 +1622,47 @@ def hermitian_contraction(n):
     z = rand_mat(n, np.random.default_rng(n))
     a = (z + z.conj().T) / 2
     return a / np.linalg.norm(a, 2)
+
+
+class TestTracesByCycleCounts:
+    """Classes on no active axis are c P(pi): hs_norm and
+    normalized_trace read their pairs from cycle counts, against the
+    former Gram kernel."""
+
+    @staticmethod
+    def assert_agree(op):
+        scale = max(1.0, sum(abs(c) for g in op._groups for c in g.coeffs.tolist()))
+        assert abs(op.normalized_trace() - reference_trace(op)) <= 1e-12 * scale
+        want = reference_hs_norm(op)
+        assert abs(op.hs_norm() - want) <= 1e-12 * want
+
+    @DIFF_SETTINGS
+    @given(data=st.data())
+    def test_permutation_sums(self, data):
+        m = data.draw(st.integers(1, 5))
+        sp = ModelSpace(data.draw(st.sampled_from((2, 3))), m, data.draw(st.integers(0, 1)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        terms = [
+            OperatorTerm(complex(*rng.standard_normal(2)), (identity_factor(sp.N),) * sp.m,
+                         tuple(rng.permutation(sp.m).tolist()))
+            for _ in range(data.draw(st.integers(1, 12)))
+        ]
+        op = StructuredOperator(sp, terms)
+        self.assert_agree(op)
+        self.assert_agree(op.adjoint())
+
+    @DIFF_SETTINGS
+    @given(op=class_operators(), seed=st.integers(0, 2**32 - 1))
+    def test_mixed_with_carried_classes(self, op, seed):
+        rng = np.random.default_rng(seed)
+        pure = StructuredOperator.sum([
+            permutation_op(op.space, tuple(rng.permutation(op.space.m).tolist())).scale(complex(*rng.standard_normal(2)))
+            for _ in range(3)
+        ])
+        for x in (op + pure, (op + pure).adjoint(), op @ pure):
+            self.assert_agree(x)
+
+    def test_young_projection_norm(self):
+        P = young_projection(ModelSpace(3, 4, 0), Partition((3, 1)))
+        self.assert_agree(P)
+        assert abs(P.hs_norm() ** 2 - P.normalized_trace().real) <= 1e-12

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from duallab import symcomb
 from duallab.symcomb import (
     CharacterTable,
     CycleType,
@@ -276,6 +277,21 @@ class TestConjugacyClasses:
     def test_cycle_type_of_permutation(self, perm):
         got = cycle_type_of_permutation(tuple(perm))
         assert got.parts == oracle_cycle_type(tuple(perm))
+
+    def test_cycle_types_are_memoized_for_lists_and_tuples(self):
+        symcomb._cycle_type.cache_clear()
+        perms = list(permutations(range(7)))
+        first = [cycle_type_of_permutation(p) for p in perms]
+        # list input shares the tuple's entry; S_7 fits without evictions
+        again = [cycle_type_of_permutation(list(p)) for p in perms]
+        info = symcomb._cycle_type.cache_info()
+        assert again == first and (info.hits, info.misses) == (5040, 5040)
+
+    def test_character_is_memoized(self):
+        character.cache_clear()
+        lam, c = Partition((3, 2, 1)), CycleType((3, 3))
+        assert [character(lam, c) for _ in range(3)] == [-2, -2, -2]
+        assert character.cache_info().misses == 1
 
 
 # -- character table -------------------------------------------------------------
