@@ -290,8 +290,9 @@ def block_structure(
         # cluster of the component must share
         first = reach.argmax(axis=1)
         if np.array_equal(sizes, sizes[first]):
-            roots = np.unique(first)
-            counts = np.bincount(first, minlength=nclust)[roots]
+            counts = np.bincount(first)
+            roots = np.flatnonzero(counts)
+            counts = counts[roots]
             blocks = list(zip(counts.tolist(), sizes[roots].tolist()))
             dim_alg = sum(k * k for k, _ in blocks)
             dim_comm = sum(m * m for _, m in blocks)

@@ -12,7 +12,8 @@ The exact averages really are exact: they return structured operators
 whose coefficients are rational in 1/N, so downstream identities can be
 tested at 1e-12 rather than at Monte Carlo resolution.  Like legops'
 own builders, t_mixed, the pair averages and Young projections are
-built as the raw term-group arrays of legops and canonicalized once.
+built as the raw term-group arrays of legops, canonicalized at most
+once, on the first read that needs it.
 One builder, _product_blocks, holds the sign-and-side rule of the
 product t_mixed(a x) o t_mixed(y): sigma_residual, sigma_average_exact
 and product_average_mc all take their terms from it.
@@ -37,6 +38,7 @@ import numpy as np
 from .legops import (
     DenseOperator,
     ModelSpace,
+    SpaceMismatchError,
     StructuredOperator,
     _eye,
     _Group,
@@ -77,8 +79,8 @@ __all__ = [
 def _mult_sum(space: ModelSpace, a: np.ndarray, left: float, right: float) -> StructuredOperator:
     """``left`` times the left multiplications by ``a`` over the left
     legs plus ``right`` times the right ones over the right legs, as one
-    group of m terms canonicalized once: term t carries ``a`` on its
-    side of leg t, and the terms of a zero coefficient drop."""
+    raw group of m terms: term t carries ``a`` on its side of leg t, and
+    the terms of a zero coefficient drop when it is canonicalized."""
     N, p, m = space.N, space.p, space.m
     a = _sanitize(a, N)
     A = np.empty((m, m, N, N), dtype=np.complex128)
@@ -224,21 +226,26 @@ def haar_average_mc(f, config: HaarConfig) -> MCAverage:
     a sum in sample order, so the result is reproducible for a fixed
     seed.  The sum accumulates in place, with one scalar for the
     squared Frobenius norms, so past the first sample a sample
-    allocates only its dense matrix.
+    allocates only its dense matrix.  A sample on another model space
+    than the first raises :class:`SpaceMismatchError`, also when the
+    two have one dimension.
     """
     total = None
     sumsq = 0.0
     for u in _haar_draws(config):
         dense = f(u).to_dense()
         if total is None:
+            space = dense.space
             total = np.zeros_like(dense.matrix)
+        elif dense.space != space:
+            raise SpaceMismatchError(f"a sample on {dense.space} after samples on {space}")
         total += dense.matrix
         # BLAS dot: _sq_norm costs 40 us more at d = 256, for no report
         sumsq += np.vdot(dense.matrix, dense.matrix).real
     n = config.samples
     mean = np.divide(total, n, out=total)
     stderr = _stderr(sumsq, _sq_norm(mean), n)
-    return MCAverage(DenseOperator(dense.space, mean), n, config.seed, stderr)
+    return MCAverage(DenseOperator(space, mean), n, config.seed, stderr)
 
 
 def _block_size(N: int, block_dim: int | None) -> int:
@@ -672,7 +679,7 @@ def spectral_binning(
     reps = (cuts[:-1] + cuts[1:]) / 2
     n = len(eigvals)
     buffer = np.zeros((nbins, n, n), dtype=np.complex128)
-    for i in np.unique(bin_of).tolist():
+    for i in np.flatnonzero(np.bincount(bin_of)).tolist():
         mask = bin_of == i
         reps[i] = eigvals[mask].mean()
         cols = eigvecs[:, mask]

@@ -13,14 +13,17 @@ all their products, while never materializing an N^(2m) x N^(2m) matrix
 unless explicitly asked to.
 
 Storage.  A :class:`StructuredOperator` keeps its terms grouped by
-permutation, in canonical order.  A group holds its T coefficients as a
-(T,) array and, for the L legs on which some term is not the identity,
-the sandwich factors as (T, L, N, N) arrays A and B.  A leg on which
-every term of the group is the identity appears in no array: its
-absence is the identity flag, so a pure leg permutation costs one
-coefficient.  :class:`OperatorTerm` and :class:`LegFactor` are the
-input format and the read-only view ``StructuredOperator.terms``; the
-algebra itself runs on the arrays.
+permutation.  A group holds its T coefficients as a (T,) array and, for
+the L legs on which some term is not the identity, the sandwich factors
+as (T, L, N, N) arrays A and B.  A leg on which every term of the group
+is the identity appears in no array: its absence is the identity flag,
+so a pure leg permutation costs one coefficient.  An operator keeps its
+groups as built until the first read of its canonical form, which
+merges them once; compose and to_dense, which are linear in the terms,
+read an operator of at most FEW_TERMS terms as built, so a product of
+two such operators, densified, merges nothing.  :class:`OperatorTerm`
+and :class:`LegFactor` are the input format and the read-only view
+``StructuredOperator.terms``; the algebra itself runs on the arrays.
 
 Cost model, for groups of T terms with L carried legs:
 
@@ -89,7 +92,11 @@ FACTOR_MERGE_TOL = 1e-12
 # 4-term groups of the benchmark's haar-mc pass took 0.61-0.85 s with the
 # window for every group, 0.56-0.62 s pairwise (2-CPU machine).  Past it
 # the pairwise array grows as T^2, and the sums of the exact residuals
-# reach hundreds of terms.
+# reach hundreds of terms.  Also the most terms of a not yet canonical
+# operator that compose and to_dense read as built: such merges rarely
+# combine a term (none of haar-mc's do), and the bound keeps a product
+# of two operands at 64 terms before its own merge, so chains of
+# products do not grow.
 FEW_TERMS = 8
 # Largest model dimension N^(2m) that to_dense and the dense solvers in
 # algebra_tools and crossed materialize: one 4096 x 4096 complex matrix
@@ -496,6 +503,13 @@ def _pure_groups(sigmas: np.ndarray, coeffs: np.ndarray, N: int) -> list[_Group]
     return [_Group(tuple(sigma), total, (), empty, empty, merged=True) for sigma, total in rows]
 
 
+def _pure_rows(pure: list[_Group]) -> tuple[np.ndarray, np.ndarray]:
+    """The terms of pure groups as a (T, m) permutation array and their
+    (T,) coefficients, in group order: ``_pure_groups``' input."""
+    sigmas = np.repeat([g.sigma for g in pure], [len(g.coeffs) for g in pure], axis=0)
+    return sigmas, np.concatenate([g.coeffs for g in pure])
+
+
 def _canonical(space: ModelSpace, raw: Iterable[_Group]) -> tuple[_Group, ...]:
     """Canonical groups in sigma order: a merged group alone with its
     permutation passes through, the permutations of pure groups only go
@@ -520,8 +534,7 @@ def _canonical(space: ModelSpace, raw: Iterable[_Group]) -> tuple[_Group, ...]:
         else:
             pure += parts
     if pure:
-        sigmas = np.repeat([p.sigma for p in pure], [len(p.coeffs) for p in pure], axis=0)
-        out += _pure_groups(sigmas, np.concatenate([p.coeffs for p in pure]), N)
+        out += _pure_groups(*_pure_rows(pure), N)
         out.sort(key=lambda g: g.sigma)
     return tuple(out)
 
@@ -690,35 +703,59 @@ def _contract(ops: list, joins: list, N: int) -> complex:
 class StructuredOperator:
     """Canonical sum of :class:`OperatorTerm` on a fixed model space.
 
-    Instances are immutable; all algebra returns new canonicalized
-    operators.  Terms with equal (sigma, factor) signatures merge; after
-    the exact pass, terms sharing a permutation whose factors agree
-    entrywise within ``FACTOR_MERGE_TOL`` also merge, so products like
-    (a u*) u collapse back onto a instead of surviving as float twins.
-    Terms with coefficient magnitude below ``MERGE_TOL`` or with an
-    exactly zero factor are dropped.  The terms live in per-permutation
-    arrays (see the module docstring); ``terms`` builds the
-    :class:`OperatorTerm` view on first use.
+    Instances are immutable.  The canonical form is made once, on the
+    first read of ``_groups``; compose and to_dense read an operator of
+    at most FEW_TERMS terms as built.  Terms with equal (sigma, factor)
+    signatures merge; after the exact pass, terms sharing a permutation
+    whose factors agree entrywise within ``FACTOR_MERGE_TOL`` also
+    merge, so products like (a u*) u collapse back onto a instead of
+    surviving as float twins.  Terms with coefficient magnitude below
+    ``MERGE_TOL`` or with an exactly zero factor are dropped.  The terms
+    live in per-permutation arrays (see the module docstring); ``terms``
+    builds the :class:`OperatorTerm` view on first use.
     """
 
-    __slots__ = ("space", "_groups", "_terms")
+    __slots__ = ("space", "_state", "_terms")
 
     def __init__(self, space: ModelSpace, terms: list[OperatorTerm] | tuple = ()):
         self.space = space
-        self._groups = _canonical(space, _groups_from_terms(space, terms))
+        # (groups, canonical?) in one attribute, so that no read pairs
+        # raw groups with the flag of canonical ones
+        self._state = (tuple(_groups_from_terms(space, terms)), False)
         self._terms = None
 
     @classmethod
     def _from_raw(cls, space: ModelSpace, raw: Iterable[_Group]) -> "StructuredOperator":
-        return cls._from_canonical(space, _canonical(space, raw))
+        """The operator of raw groups, canonicalized on the first read of ``_groups``."""
+        op = cls.__new__(cls)
+        op.space = space
+        op._state = (tuple(g for g in raw if len(g.coeffs)), False)
+        op._terms = None
+        return op
 
     @classmethod
     def _from_canonical(cls, space: ModelSpace, groups: tuple[_Group, ...]) -> "StructuredOperator":
-        op = cls.__new__(cls)
-        op.space = space
-        op._groups = groups
-        op._terms = None
+        op = cls._from_raw(space, ())
+        op._state = (groups, True)
         return op
+
+    @property
+    def _groups(self) -> tuple[_Group, ...]:
+        """The canonical groups, made from the raw ones on the first read."""
+        groups, canonical = self._state
+        if not canonical:
+            groups = _canonical(self.space, groups)
+            self._state = (groups, True)
+        return groups
+
+    def _operand(self) -> tuple[_Group, ...]:
+        """The groups compose and to_dense read: as built while the
+        operator is not yet canonical and holds at most FEW_TERMS terms,
+        since both are linear in the terms; else the canonical groups."""
+        groups, canonical = self._state
+        if canonical or sum(len(g.coeffs) for g in groups) > FEW_TERMS:
+            return self._groups
+        return groups
 
     @property
     def terms(self) -> tuple[OperatorTerm, ...]:
@@ -812,7 +849,7 @@ class StructuredOperator:
         """
         self._check_space(other)
         N, m = self.space.N, self.space.m
-        X, Y = self._groups, other._groups
+        X, Y = self._operand(), other._operand()
         raw = []
         ycarry = [g for g in Y if g.legs]
         for gx in X:
@@ -845,11 +882,9 @@ class StructuredOperator:
         px = [g for g in X if not g.legs]
         py = [g for g in Y if not g.legs]
         if px and py:
-            sx, sy = np.array([g.sigma for g in px]), np.array([g.sigma for g in py])
-            sigmas = sx[np.arange(len(px))[:, None, None], sy].reshape(-1, m)  # sigma_x[sigma_y[k]]
-            coeffs = np.multiply.outer(
-                np.array([g.coeffs[0] for g in px]), np.array([g.coeffs[0] for g in py])
-            ).reshape(-1)
+            (sx, cx), (sy, cy) = _pure_rows(px), _pure_rows(py)
+            sigmas = sx[np.arange(len(sx))[:, None, None], sy].reshape(-1, m)  # sigma_x[sigma_y[k]]
+            coeffs = np.multiply.outer(cx, cy).reshape(-1)
             if not raw:
                 return StructuredOperator._from_canonical(self.space, tuple(_pure_groups(sigmas, coeffs, N)))
             carried = {g.sigma for g in raw}
@@ -976,13 +1011,20 @@ class StructuredOperator:
         N, m, d = space.N, space.m, space.dim
         n2, h = N * N, (m + 1) // 2
         cols = (n2**h, n2 ** (m - h))
+        # one group per permutation, so one matmul each: the raw groups
+        # of a permutation joined without a merge
+        by_sigma: dict[tuple, list[_Group]] = {}
+        for g in self._operand():
+            by_sigma.setdefault(g.sigma, []).append(g)
         # carried groups first (sorted is stable): the first one writes
         # every entry, every later group accumulates
-        groups = sorted(self._groups, key=lambda g: not g.legs)
+        groups = sorted((_concat(parts, N) for parts in by_sigma.values()), key=lambda g: not g.legs)
         mat = (np.empty if groups and groups[0].legs else np.zeros)((d, d), dtype=np.complex128)
         for i, g in enumerate(groups):
             if not g.legs:
-                mat[np.arange(d), _row_gather(_invert(g.sigma), N)] += g.coeffs[0]
+                rows = _row_gather(_invert(g.sigma), N)
+                for c in g.coeffs.tolist():
+                    mat[np.arange(d), rows] += c
                 continue
             # one matmul batched over the row of every leg: (cols of the
             # legs below h, terms) times (terms, cols of the others)

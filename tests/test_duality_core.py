@@ -8,10 +8,15 @@ expectations from an elementwise partial trace.
 
 import itertools
 import math
+import os
 import re
+import subprocess
+import sys
 import time
 import tracemalloc
 import warnings
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -55,6 +60,7 @@ from duallab.legops import (
     ModelSpace,
     NumericError,
     OperatorTerm,
+    SpaceMismatchError,
     StructuredOperator,
     _Group,
     identity_factor,
@@ -382,6 +388,31 @@ class TestHaarAverageMC:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             HaarConfig(samples=0, seed=1, N=2)
+
+    def test_samples_on_two_spaces_raise(self):
+        # both spaces have d = 16: the sum would add their matrices
+        spaces = [ModelSpace(4, 1, 0), ModelSpace(2, 1, 1)]
+        assert spaces[0].dim == spaces[1].dim
+        drawn = []
+
+        def f(u):
+            drawn.append(u)
+            return StructuredOperator.identity(spaces[len(drawn) % 2])
+
+        with pytest.raises(SpaceMismatchError, match=re.escape(f"{spaces[0]} after samples on {spaces[1]}")):
+            haar_average_mc(f, HaarConfig(samples=4, seed=3, N=2))
+        assert len(drawn) == 2
+
+    @pytest.mark.parametrize("kind", ["product", "ll", "lr"])
+    def test_integrands_densify_without_a_merge(self, kind):
+        # a sample's operators hold at most four terms: compose and
+        # to_dense read them as built
+        sp = ModelSpace(3, 1, 1)
+        f = mc_integrand(kind, sp, rand_herm(3, np.random.default_rng(3)))
+        cfg = HaarConfig(samples=5, seed=2, N=3)
+        with mock.patch.object(legops, "_canonical", wraps=legops._canonical) as canon:
+            assert haar_average_mc(f, cfg).samples == 5
+        assert canon.call_count == 0
 
     def test_distance_needs_the_shape_of_the_mean(self):
         mc = haar_pair_average_mc(ModelSpace(2, 1, 1), 0, 1, "ll", HaarConfig(50, 1, 2))
@@ -1169,6 +1200,22 @@ class TestSpectralBinning:
                 if j != i:
                     assert Q.tobytes() == before[j].tobytes()
             P[...] = before[i]
+
+    def test_leaves_numpy_ma_unloaded(self):
+        # the first 1-D np.unique in a process imports numpy.ma, about 15 ms
+        src = Path(duality_core.__file__).resolve().parents[1]
+        code = (
+            "import sys, numpy as np\n"
+            "from duallab import block_structure, spectral_binning\n"
+            "blocks = block_structure([np.diag([1.0, 1.0, 2.0, 3.0])])\n"
+            "binned = spectral_binning(np.diag([0.0, 0.3, 0.6, 3.0]), 0.3)\n"
+            "print(blocks, len(binned[2]), 'numpy.ma' in sys.modules)\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": str(src)},
+        ).stdout
+        assert out.split()[-2:] == ["11", "False"]
 
     def test_matches_reference_loop_bytewise(self):
         rng = np.random.default_rng(0xB1)

@@ -1302,6 +1302,9 @@ class TestPureKernel:
         x = StructuredOperator._from_raw(space, raw[:cut])
         y = StructuredOperator._from_raw(space, raw[cut:])
         for a, b in ((x, y), (y, x), (x + y, x - y), (x, x)):
+            # canonical first: compose reads a few raw terms as built, the
+            # reference the canonical groups
+            a._groups, b._groups
             assert_same_canonical((a @ b)._groups, reference_compose(a, b))
 
     def test_shared_permutation_merges_in_pair_order(self):
@@ -1348,6 +1351,117 @@ class TestPureKernel:
         (g,) = permutation_op(ModelSpace(2, 3, 0), (2, 0, 1))._groups
         assert (g.sigma, g.legs, g.merged, g.coeffs.tolist()) == ((2, 0, 1), (), True, [1.0])
         assert g.A.shape == (1, 0, 2, 2) and not g.A.flags.writeable
+
+
+# -- raw operands of a few terms ---------------------------------------------------
+
+
+@st.composite
+def few_raw_lists(draw):
+    """A space of m = 1..3 legs and raw groups of at most FEW_TERMS terms
+    in all, on a pool of a few permutations: pure groups of one or more
+    coefficients, carried groups whose legs mix random, one-sided and
+    identity factors, and earlier groups again with new coefficients
+    (exact duplicates).  Inside a carried group a term may copy an
+    earlier one or be its twin, half a merge tolerance away on one
+    entry; a coefficient may be zero."""
+    m = draw(st.integers(1, 3))
+    N = 2 if m == 3 else draw(st.sampled_from((2, 3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = [tuple(rng.permutation(m).tolist()) for _ in range(draw(st.integers(1, 3)))]
+    eye = np.eye(N)
+    budget, raw = draw(st.integers(1, FEW_TERMS)), []
+    while budget:
+        kind = draw(st.sampled_from(("pure", "carried", "repeat")))
+        fits = [g for g in raw if len(g.coeffs) <= budget]
+        again = fits[draw(st.integers(0, len(fits) - 1))] if kind == "repeat" and fits else None
+        T = len(again.coeffs) if again else draw(st.integers(1, budget))
+        budget -= T
+        coeffs = np.array([complex(*rng.standard_normal(2)) if draw(st.booleans()) else 0j
+                           for _ in range(T)])
+        sigma = pool[draw(st.integers(0, len(pool) - 1))]
+        if again:
+            raw.append(again._replace(coeffs=coeffs, merged=False))
+        elif kind != "carried":
+            raw.append(legops._pure(sigma, coeffs, N))
+        else:
+            legs = tuple(k for k in range(m) if draw(st.booleans())) or (0,)
+            x = np.empty((T, len(legs), 2, N, N), dtype=np.complex128)
+            for t in range(T):
+                twin = draw(st.sampled_from(("fresh", "copy", "twin"))) if t else "fresh"
+                if twin == "fresh":
+                    for li in range(len(legs)):
+                        a, b = rand_mat(N, rng), rand_mat(N, rng)
+                        x[t, li] = {"random": (a, b), "left": (a, eye), "identity": (eye, eye)}[
+                            draw(st.sampled_from(("random", "left", "identity")))]
+                else:
+                    src = draw(st.integers(0, t - 1))
+                    x[t] = x[src]
+                    if twin == "twin":
+                        x[t, 0, 0, 0, 0] += 0.5 * factor_tol(x[src, 0])
+            raw.append(_Group(sigma, coeffs, legs, x[:, :, 0], x[:, :, 1]))
+    return ModelSpace(N, m, 0), raw
+
+
+def canonical_copy(space, raw):
+    op = StructuredOperator._from_raw(space, raw)
+    op._groups
+    return op
+
+
+class TestRawOperands:
+    """compose and to_dense read an operator of at most FEW_TERMS terms
+    as built, without its merge; canonical form waits for the first read
+    of ``_groups``, and happens once."""
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_product_of_raw_operands_matches_dense(self, data):
+        space, raw = data.draw(few_raw_lists())
+        cut = data.draw(st.integers(0, len(raw)))
+        x = StructuredOperator._from_raw(space, raw[:cut])
+        y = StructuredOperator._from_raw(space, raw[cut:])
+        xc, yc = canonical_copy(space, raw[:cut]), canonical_copy(space, raw[cut:])
+        with mock.patch.object(legops, "_canonical", wraps=legops._canonical) as canon:
+            prod = x @ y
+            groups, canonical = prod._state
+            raw_x, raw_y, got = x.to_dense().matrix, y.to_dense().matrix, prod.to_dense().matrix
+        # neither operand merges; the product does only past FEW_TERMS terms
+        assert not x._state[1] and not y._state[1]
+        assert canon.call_count == (not canonical and sum(len(g.coeffs) for g in groups) > FEW_TERMS)
+        assert_dense_close(raw_x, xc.to_dense().matrix)
+        assert_dense_close(raw_y, yc.to_dense().matrix)
+        assert_dense_close(got, xc.to_dense().matrix @ yc.to_dense().matrix)
+        assert_dense_close(got, (xc @ yc).to_dense().matrix)
+
+    def test_canonical_form_is_made_once(self):
+        sp = ModelSpace(3, 1, 1)
+        a = rand_mat(3)
+        op = (left_mult(sp, a, 0) - right_mult(sp, a, 1)) @ left_mult(sp, rand_mat(3), 0)
+        with mock.patch.object(legops, "_canonical", wraps=legops._canonical) as canon:
+            first = op._groups
+            op.hs_norm(), op.n_terms, op.terms, op.adjoint(), op.to_dense()
+            assert op._groups is first
+        assert canon.call_count == 1
+
+    @pytest.mark.parametrize("T, merges", [(FEW_TERMS, 0), (FEW_TERMS + 1, 1)])
+    def test_past_few_terms_canonical_first(self, T, merges):
+        # T copies of one term, whose canonical form is one term
+        sp = ModelSpace(2, 1, 1)
+        A = np.repeat(rand_mat(2).reshape(1, 1, 2, 2), T, axis=0)
+        B = np.repeat(np.eye(2, dtype=np.complex128).reshape(1, 1, 2, 2), T, axis=0)
+        group = _Group((1, 0), np.ones(T, dtype=np.complex128), (0,), A, B)
+        y = right_mult(sp, rand_mat(2), 1)
+        for read in (lambda op: op @ y, lambda op: y @ op, lambda op: op.to_dense()):
+            op = StructuredOperator._from_raw(sp, [group])
+            with mock.patch.object(legops, "_canonical", wraps=legops._canonical) as canon:
+                read(op)
+            assert canon.call_count == merges
+            assert op._state[1] == bool(merges)
+        op = StructuredOperator._from_raw(sp, [group])
+        assert_dense_close(op.to_dense().matrix, oracle_dense(op))
+        if merges:
+            assert_same_canonical((op @ y)._groups, reference_compose(op, y))
 
 
 # -- apply by classes of active half-legs ------------------------------------------
