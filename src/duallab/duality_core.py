@@ -10,13 +10,17 @@ matrix.
 
 The exact averages really are exact: they return structured operators
 whose coefficients are rational in 1/N, so downstream identities can be
-tested at 1e-12 rather than at Monte Carlo resolution.  Like legops'
-own builders, t_mixed, the pair averages and Young projections are
-built as the raw term-group arrays of legops, canonicalized at most
-once, on the first read that needs it.
-One builder, _product_blocks, holds the sign-and-side rule of the
-product t_mixed(a x) o t_mixed(y): sigma_residual, sigma_average_exact
-and product_average_mc all take their terms from it.
+tested at 1e-12 rather than at Monte Carlo resolution.  The pair, sigma
+and product averages are legops kernel groups, each average over a
+pair of legs one N^2 x N^2 kernel written straight from the block-unit
+formula (_unit_kernel), so no reader merges or re-splits D^2 terms.
+Like legops' own builders, t_mixed and Young projections are built as
+the raw term-group arrays of legops, canonicalized at most once, on the
+first read that needs it.
+One generator, _product_pairs, holds the sign-and-side rule of the
+product t_mixed(a x) o t_mixed(y): sigma_residual and
+product_average_mc take their terms from it through _product_blocks,
+sigma_average_exact its kernels.
 
 Monte Carlo comes in two samplers over the same draws.  haar_average_mc
 densifies an opaque integrand per sample.  _moment_mc serves
@@ -42,6 +46,7 @@ from .legops import (
     StructuredOperator,
     _eye,
     _Group,
+    _KernelGroup,
     _check_finite,
     _pure_groups,
     _sanitize,
@@ -80,17 +85,26 @@ def _mult_sum(space: ModelSpace, a: np.ndarray, left: float, right: float) -> St
     """``left`` times the left multiplications by ``a`` over the left
     legs plus ``right`` times the right ones over the right legs, as one
     raw group of m terms: term t carries ``a`` on its side of leg t, and
-    the terms of a zero coefficient drop when it is canonicalized."""
+    the terms of a zero coefficient drop when it is canonicalized.  One
+    surviving term of an ``a`` neither zero nor the identity is built
+    as its canonical group."""
     N, p, m = space.N, space.p, space.m
     a = _sanitize(a, N)
-    A = np.empty((m, m, N, N), dtype=np.complex128)
-    A[...] = _eye(N)
-    B = A.copy()
+    eye = _eye(N)
+    legs = tuple(range(m))
     t = np.arange(m)  # term t carries a on leg t
+    coeffs = np.where(t < p, left, right).astype(np.complex128)
+    live = np.flatnonzero(coeffs)
+    if len(live) == 1 and a.any() and not (a == eye).all():
+        k = int(live[0])
+        A, B = (a, eye) if k < p else (eye, a)
+        group = _Group(legs, coeffs[live], (k,), A.reshape(1, 1, N, N), B.reshape(1, 1, N, N), True)
+        return StructuredOperator._from_canonical(space, (group,))
+    A = np.empty((m, m, N, N), dtype=np.complex128)
+    A[...] = eye
+    B = A.copy()
     A[t[:p], t[:p]] = a
     B[t[p:], t[p:]] = a
-    coeffs = np.where(t < p, left, right).astype(np.complex128)
-    legs = tuple(range(m))
     return StructuredOperator._from_raw(space, [_Group(legs, coeffs, legs, A, B)])
 
 
@@ -257,13 +271,6 @@ def _block_size(N: int, block_dim: int | None) -> int:
     return D
 
 
-def _block_units(N: int, D: int) -> tuple[np.ndarray, np.ndarray]:
-    """The D^2 units e_rs x 1_K of M_N = M_D x M_K, stacked at r * D + s,
-    and their transposes e_sr x 1_K in the same order."""
-    units = np.kron(np.eye(D * D, dtype=np.complex128).reshape(D * D, D, D), np.eye(N // D))
-    return units, units.reshape(D, D, N, N).swapaxes(0, 1).reshape(D * D, N, N)
-
-
 def _check_pair(space: ModelSpace, k: int, j: int, mode: str) -> None:
     space.check_leg(k)
     space.check_leg(j)
@@ -285,6 +292,42 @@ def _placed_group(space: ModelSpace, placed, coeffs) -> _Group:
     return _Group(tuple(range(space.m)), coeffs, legs, A, B)
 
 
+def _side_axis(leg: int, side: str) -> int:
+    """The half-leg axis a one-sided multiplication acts on: the row of
+    the leg for 'l', its column for 'r'."""
+    return 2 * leg + (side == "r")
+
+
+def _unit_kernel(a: np.ndarray, left: bool, agree: bool, D: int) -> np.ndarray:
+    """The kernel of the sum over r, s of the multiplication by a U_rs
+    on one side of a leg S and by U_sr on one side of another leg T, the
+    U_rs = e_rs x 1_K the units of M_N = M_D x M_K: output axes of S and
+    T, then input axes, (N,) * 4.  ``left`` puts a U_rs on the row of S,
+    else on its column; ``agree`` says the two sides agree.
+
+    With V = sum U_rs (x) U_rs and W = sum U_rs (x) U_sr on the two axes,
+    the kernel is (a x 1) W or (a x 1) V if ``left``, W (a^T x 1) or
+    V (a^T x 1) if not, W when the sides agree.  Each entry is one entry
+    of a times Kronecker deltas, written by one einsum with no sum.
+    """
+    N = a.shape[0]
+    K = N // D
+    # o: output of S, i: input of S; A B, C E, F G, H J: (block, inner)
+    # digits of the output of T, input of S, input of T, output of S
+    if left:
+        spec = "oFE,CA,BG->oABCEFG" if agree else "oAE,CF,BG->oABCEFG"
+    else:
+        spec = "iAJ,HF,BG->HJABiFG" if agree else "iFJ,HA,BG->HJABiFG"
+    return np.einsum(spec, a.reshape(N, D, K), np.eye(D), np.eye(K)).reshape((N,) * 4)
+
+
+def _ordered(axes: tuple[int, int], kernel: np.ndarray) -> tuple[tuple[int, int], np.ndarray]:
+    """A kernel on two axes with its axes put in ascending order."""
+    if axes[0] < axes[1]:
+        return axes, kernel
+    return axes[::-1], kernel.transpose(1, 0, 3, 2)
+
+
 def haar_pair_average_exact(
     space: ModelSpace, k: int, j: int, mode: str, block_dim: int | None = None
 ) -> StructuredOperator:
@@ -299,15 +342,15 @@ def haar_pair_average_exact(
 
     By the second-moment matrix-unit formula each of these equals
     (1/D) * sum over matrix units e_rs placed at leg k and e_sr at leg
-    j, in the mode's left/right positions, D being the block dimension.
-    The D^2 terms are built as one group from :func:`_block_units`.
+    j, in the mode's left/right positions, D being the block dimension:
+    one kernel group, the :func:`_unit_kernel` of a = 1 over D.
     """
     _check_pair(space, k, j, mode)
     D = _block_size(space.N, block_dim)
-    units, swapped = _block_units(space.N, D)
-    coeffs = np.full(D * D, 1.0 / D, dtype=np.complex128)
-    group = _placed_group(space, [(k, mode[0], units), (j, mode[1], swapped)], coeffs)
-    return StructuredOperator._from_raw(space, [group])
+    kernel = _unit_kernel(_eye(space.N), True, mode[0] == mode[1], D) / D
+    axes, kernel = _ordered((_side_axis(k, mode[0]), _side_axis(j, mode[1])), kernel)
+    group = _KernelGroup(tuple(range(space.m)), axes, np.ascontiguousarray(kernel), True)
+    return StructuredOperator._from_canonical(space, (group,))
 
 
 def haar_pair_average_mc(
@@ -327,29 +370,35 @@ def haar_pair_average_mc(
         space, [(k, mode[0], x), (j, mode[1], y)], np.ones(len(x), dtype=np.complex128))])
 
 
+def _product_pairs(space: ModelSpace, same_leg: bool):
+    """The one sign-and-side rule of the product t_mixed(a x) o
+    t_mixed(y): per pair (s, t) of t_mixed's terms, s = t only if
+    ``same_leg``, a x multiplies leg s and y leg t, each on its leg's
+    side, with sign +1 if the sides agree and -1 if not.  Yields (s, t,
+    side of s, side of t, sign)."""
+    p, m = space.p, space.m
+    for s, t in itertools.product(range(m), repeat=2):
+        if s != t or same_leg:
+            side_s, side_t = "lr"[s >= p], "lr"[t >= p]
+            yield s, t, side_s, side_t, 1.0 if side_s == side_t else -1.0
+
+
 def _product_blocks(
     space: ModelSpace, a: np.ndarray, x, y, weight: float = 1.0, same_leg: bool = True
 ) -> list[_Group]:
     """The raw groups of weight times the sum over i of t_mixed(a x_i) o
-    t_mixed(y_i), one per pair (s, t) of t_mixed's terms, s = t only if
-    ``same_leg``.  The one sign-and-side rule of the product: a x_i
-    multiplies leg s and y_i leg t, each on its leg's side, with +weight
-    if the sides agree and -weight if not; on one leg the two make one
-    factor."""
-    p, m = space.p, space.m
+    t_mixed(y_i), one per pair of :func:`_product_pairs`; on one leg the
+    two multiplications make one factor."""
+    p = space.p
     ax = a @ x
     blocks = []
-    for s, t in itertools.product(range(m), repeat=2):
-        side_s, side_t = "lr"[s >= p], "lr"[t >= p]
+    for s, t, side_s, side_t, sign in _product_pairs(space, same_leg):
         if s == t:
-            if not same_leg:
-                continue
             # L(ax) L(y) = L(ax y), R(ax) R(y) = R(y ax)
             placed = [(s, side_s, ax @ y if s < p else y @ ax)]
         else:
             placed = [(s, side_s, ax), (t, side_t, y)]
-        sign = weight if side_s == side_t else -weight
-        blocks.append(_placed_group(space, placed, np.full(len(x), sign, dtype=np.complex128)))
+        blocks.append(_placed_group(space, placed, np.full(len(x), sign * weight, dtype=np.complex128)))
     return blocks
 
 
@@ -410,7 +459,7 @@ def _moment_mc(space: ModelSpace, config: HaarConfig, blocks) -> MCAverage:
             sumsq += sum(np.vdot(g.coeffs, _paired_traces(g, h, N, space.m) * h.coeffs)
                          for g in groups for h in groups).real
     W /= n
-    units, _ = _block_units(N, N)
+    units = np.eye(N * N, dtype=np.complex128).reshape(N * N, N, N)  # e_ab at a N + b
     mean = StructuredOperator._from_raw(space, blocks(units, W.reshape(N * N, N, N))).to_dense()
     return MCAverage(mean, n, config.seed, _stderr(sumsq, _sq_norm(mean.matrix), n))
 
@@ -524,15 +573,25 @@ def sigma_average_exact(
 
     The matrix-unit formula averages u* (x) u to (1/D) times the sum of
     e_rs x 1_K (x) e_sr x 1_K, D the block dimension: so the average is
-    :func:`sigma_residual`'s blocks s != t of :func:`_product_blocks`
-    with x the units of :func:`_block_units`, y their transposes and
-    weight 1/D.
+    :func:`sigma_residual`'s pairs s != t of :func:`_product_pairs` with
+    u* and u replaced by those units, over D.  Pair (s, t) is the
+    :func:`_unit_kernel` of its sides; (s, t) and (t, s) act on the same
+    two axes, so each pair of legs is one kernel group, its two kernels
+    added with their signs in pair order, then divided by D.
     """
     a = _sanitize(a, space.N)
     D = _block_size(space.N, block_dim)
-    units, swapped = _block_units(space.N, D)
-    blocks = _product_blocks(space, a, units, swapped, 1.0 / D, same_leg=False)
-    return StructuredOperator._from_raw(space, blocks)
+    kernels: dict[tuple, np.ndarray] = {}
+    for s, t, side_s, side_t, sign in _product_pairs(space, same_leg=False):
+        kernel = sign * _unit_kernel(a, side_s == "l", side_s == side_t, D)
+        axes, kernel = _ordered((_side_axis(s, side_s), _side_axis(t, side_t)), kernel)
+        if axes in kernels:
+            kernels[axes] += kernel
+        else:
+            kernels[axes] = np.ascontiguousarray(kernel)
+    sigma = tuple(range(space.m))
+    groups = [_KernelGroup(sigma, axes, kernels[axes] / D, True) for axes in sorted(kernels)]
+    return StructuredOperator._from_canonical(space, tuple(g for g in groups if g.kernel.any()))
 
 
 def product_average_exact(

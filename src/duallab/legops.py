@@ -12,12 +12,19 @@ operators, leg permutations, Young projections, Haar pair averages and
 all their products, while never materializing an N^(2m) x N^(2m) matrix
 unless explicitly asked to.
 
-Storage.  A :class:`StructuredOperator` keeps its terms grouped by
-permutation.  A group holds its T coefficients as a (T,) array and, for
-the L legs on which some term is not the identity, the sandwich factors
-as (T, L, N, N) arrays A and B.  A leg on which every term of the group
-is the identity appears in no array: its absence is the identity flag,
-so a pure leg permutation costs one coefficient.  An operator keeps its
+Storage.  A :class:`StructuredOperator` keeps its terms in groups of
+two kinds.  A term group holds the terms of one permutation: its T
+coefficients as a (T,) array and, for the L legs on which some term is
+not the identity, the sandwich factors as (T, L, N, N) arrays A and B.
+A leg on which every term of the group is the identity appears in no
+array: its absence is the identity flag, so a pure leg permutation
+costs one coefficient.  A kernel group holds one permutation and one
+N^k x N^k kernel on k named half-leg axes (the row axis 2j of leg j,
+where an A acts, and its column axis 2j + 1, where a B^T acts): the
+matrix-unit sum sum_oi K[o, i] e_oi, so the exact Haar averages, whose
+D^2 terms would sum back to that kernel in every reader, are built as
+it.  A kernel group sits next to the term group of its permutation; two
+on one (permutation, axes) add entrywise.  An operator keeps its
 groups as built until the first read of its canonical form, which
 merges them once; compose and to_dense, which are linear in the terms,
 read an operator of at most FEW_TERMS terms as built, so a product of
@@ -33,9 +40,13 @@ Cost model, for groups of T terms with L carried legs:
   O(T^2 L N^2) in a handful of numpy calls, and among more from
   entrywise comparisons of only the terms whose fixed 1-D projections
   lie within the merge tolerance of each other;
-- compose is one batched matmul per carried leg and pair of groups of
-  which one carries a leg, O(T_x T_y L N^3); products of pure
-  permutations are index arithmetic over all pairs at once;
+- compose is one batched matmul per carried leg and pair of term
+  groups of which one carries a leg, O(T_x T_y L N^3); products of pure
+  permutations are index arithmetic over all pairs at once; a pair with
+  a kernel group contracts the two kernels (a term group's summed on
+  its active axes) over their shared axes, one GEMM when they act on
+  the same axes, into a kernel on the union of their axes, capped at
+  DENSE_CAP;
 - sums of pure permutations go through one kernel, _pure_groups: one
   sort of integer codes and a few numpy calls, O(T log T);
 - apply splits each group's terms into classes by their active
@@ -44,16 +55,19 @@ Cost model, for groups of T terms with L carried legs:
   tensordot of N^k flops per entry of x, when that costs no more than
   its terms one by one, O(T k N^(2m+1)), which it otherwise runs; every
   class adds into the output through one axis permutation, and no
-  array holds a term index and a copy of x together.  operator_norm
-  builds the classes and kernels of X and X* once per call.  to_dense
-  is one batched matmul per group, O(T N^(4m)), written into the
-  output through a row-permuted view: one d x d allocation for one
-  group, one more per later group;
+  array holds a term index and a copy of x together.  A kernel group
+  is its own one class, at no cost.  operator_norm builds the classes
+  and kernels of X and X* once per call.  to_dense is one batched
+  matmul per term group, O(T N^(4m)), written into the output through
+  a row-permuted view: one d x d allocation for one group, one more per
+  later group; a kernel group adds into a diagonal view of it;
 - normalized_trace and hs_norm contract the classes of apply, read as
   matrices on the 2m half-leg axes: the trace joins a class's outputs
   to its inputs, the 2-norm two classes' outputs and inputs, once per
   unordered pair, so X* X is never formed; kernels on k and k' axes
-  take N^(k + k') steps; classes on no axis pair by cycle counts.
+  take N^(k + k') steps; classes on no axis pair by cycle counts.  The
+  trace builds no kernel: a term class contracts its factors over one
+  term label.
 
 Operator norms come from Lanczos on the matrix-free apply.  Dense
 materialization is capped; the cap guards the commutant solvers.
@@ -294,6 +308,33 @@ class _Group(NamedTuple):
     merged: bool = False
 
 
+class _KernelGroup(NamedTuple):
+    """P(sigma) o (one kernel on the active half-leg ``axes``, the
+    identity on every other axis).  Axis 2k is the row of leg k, where
+    the kernel acts as an A factor does, and 2k + 1 its column, where it
+    acts as a B^T; ``kernel`` has shape (N,) * 2k, its output axes then
+    its input axes, both in ``axes`` order.  Its entries are the
+    coefficients of its matrix-unit terms; a ``merged`` kernel group is
+    canonical."""
+
+    sigma: tuple[int, ...]
+    axes: tuple[int, ...]  # ascending, at least one
+    kernel: np.ndarray
+    merged: bool = False
+
+
+def _size(g) -> int:
+    """Terms of a term group; entries of a kernel group, which bound
+    the count of its matrix-unit terms."""
+    return g.kernel.size if isinstance(g, _KernelGroup) else len(g.coeffs)
+
+
+def _half_perm(sigma: tuple[int, ...]) -> tuple[int, ...]:
+    """P(sigma) on the 2m half-leg axes: output axis j reads axis perm[j]."""
+    inv = _invert(sigma)
+    return tuple(2 * inv[k] + e for k in range(len(sigma)) for e in (0, 1))
+
+
 def _pure(sigma: tuple[int, ...], coeffs: np.ndarray, N: int) -> _Group:
     empty = np.empty((len(coeffs), 0, N, N), dtype=np.complex128)
     return _Group(sigma, coeffs, (), empty, empty)
@@ -510,15 +551,34 @@ def _pure_rows(pure: list[_Group]) -> tuple[np.ndarray, np.ndarray]:
     return sigmas, np.concatenate([g.coeffs for g in pure])
 
 
-def _canonical(space: ModelSpace, raw: Iterable[_Group]) -> tuple[_Group, ...]:
+def _kernel_sum(parts: list[_KernelGroup]) -> _KernelGroup | None:
+    """Canonical form of raw kernel groups on one (permutation, axes):
+    their kernels added in raw order, entries below MERGE_TOL dropped as
+    the coefficients of their terms are; None if nothing is left.  A
+    merged group alone passes through."""
+    if len(parts) == 1 and parts[0].merged:
+        return parts[0]
+    total = parts[0].kernel.copy()
+    for g in parts[1:]:
+        total += g.kernel
+    total[np.abs(total) < MERGE_TOL] = 0.0
+    return parts[0]._replace(kernel=total, merged=True) if total.any() else None
+
+
+def _canonical(space: ModelSpace, raw: Iterable) -> tuple:
     """Canonical groups in sigma order: a merged group alone with its
     permutation passes through, the permutations of pure groups only go
-    to ``_pure_groups``, the others to ``_merge`` in raw order."""
+    to ``_pure_groups``, the others to ``_merge`` in raw order.  Kernel
+    groups go to ``_kernel_sum`` per (permutation, axes) and follow the
+    term group of their permutation, by axes."""
     N = space.N
     by_sigma: dict[tuple, list[_Group]] = {}
+    kernels: dict[tuple, list[_KernelGroup]] = {}
     carried = set()
     for g in raw:
-        if len(g.coeffs):
+        if isinstance(g, _KernelGroup):
+            kernels.setdefault((g.sigma, g.axes), []).append(g)
+        elif len(g.coeffs):
             by_sigma.setdefault(g.sigma, []).append(g)
             if g.legs:
                 carried.add(g.sigma)
@@ -536,6 +596,9 @@ def _canonical(space: ModelSpace, raw: Iterable[_Group]) -> tuple[_Group, ...]:
     if pure:
         out += _pure_groups(*_pure_rows(pure), N)
         out.sort(key=lambda g: g.sigma)
+    if kernels:
+        out += [g for key in sorted(kernels) if (g := _kernel_sum(kernels[key])) is not None]
+        out.sort(key=lambda g: g.sigma)  # stable: the term group of a permutation first
     return tuple(out)
 
 
@@ -543,13 +606,10 @@ def _canonical(space: ModelSpace, raw: Iterable[_Group]) -> tuple[_Group, ...]:
 
 
 def _kernel(coeffs: np.ndarray, mats: np.ndarray, N: int) -> np.ndarray:
-    """sum_t c_t (x)_j mats[t, j], output axes then input axes; with no
-    factors, the sum of the c_t.  The term index is contracted by one
-    GEMM on the last factor, so the workspace is T N^(2k-2) + N^(2k)
-    entries."""
+    """sum_t c_t (x)_j mats[t, j], output axes then input axes, for at
+    least one factor.  The term index is contracted by one GEMM on the
+    last factor, so the workspace is T N^(2k-2) + N^(2k) entries."""
     T, k = mats.shape[:2]
-    if not k:
-        return np.array(coeffs.sum())
     P = coeffs.reshape(T, 1)
     for j in range(k - 1):
         P = (P[:, :, None] * mats[:, j].reshape(T, 1, N * N)).reshape(T, -1)
@@ -557,26 +617,35 @@ def _kernel(coeffs: np.ndarray, mats: np.ndarray, N: int) -> np.ndarray:
     return np.ascontiguousarray(K.transpose([*range(0, 2 * k, 2), *range(1, 2 * k, 2)]))
 
 
-def _classes(g: _Group, N: int, m: int) -> list[tuple]:
+def _axis_mats(g: _Group, N: int) -> np.ndarray:
+    """A term group's factors on its carried half-leg axes, (T, 2L, N, N):
+    A on the row axis of each carried leg, B^T on its column axis."""
+    T, L = len(g.coeffs), len(g.legs)
+    return np.stack((g.A, g.B.swapaxes(2, 3)), axis=2).reshape(T, 2 * L, N, N)
+
+
+def _classes(g, N: int, m: int, kernels: bool = True) -> list[tuple]:
     """Split a group's terms by their active axes: the row axis of leg k
     (axis 2k) when the term's A factor there is not the identity, the
     column axis (2k+1) when its B factor is not.  On a row axis a term
     acts by A, on a column axis by B^T.  A class of T terms on k axes
-    takes its kernel when that costs no more than the terms one by one:
-    N^k against k T N flops per entry of x, and N^(2k) entries against
-    the T d of all terms at once.
+    takes its kernel, if ``kernels``, when that costs no more than the
+    terms one by one: N^k against k T N flops per entry of x, and
+    N^(2k) entries against the T d of all terms at once.  A kernel group
+    is its own one class.
 
-    Returns (axes, kernel, factors, perm) per class: the kernel, or
-    else the (T, k, N, N) factors with the coefficient on the first;
-    output axis j of the class reads its sandwiched axis perm[j], by the
-    group's permutation.
+    Returns (axes, kernel, factors, perm) per class: the kernel (the
+    sum of the coefficients on no axis), or else the (T, k, N, N)
+    factors with the coefficient on the first; output axis j of the
+    class reads its sandwiched axis perm[j], by the group's permutation.
     """
+    perm = _half_perm(g.sigma)
+    if isinstance(g, _KernelGroup):
+        return [(g.axes, g.kernel, None, perm)]
     T, L, d = len(g.coeffs), len(g.legs), N ** (2 * m)
-    mats = np.stack((g.A, g.B.swapaxes(2, 3)), axis=2).reshape(T, 2 * L, N, N)
+    mats = _axis_mats(g, N)
     active = (mats != _eye(N)).any(axis=(2, 3))
     all_axes = [2 * k + e for k in g.legs for e in (0, 1)]
-    inv = _invert(g.sigma)
-    perm = tuple(2 * inv[k] + e for k in range(m) for e in (0, 1))
     flags, which = np.unique(active, axis=0, return_inverse=True)
     out = []
     for c, row in enumerate(flags):
@@ -584,7 +653,9 @@ def _classes(g: _Group, N: int, m: int) -> list[tuple]:
         axes = tuple(a for a, f in zip(all_axes, row) if f)
         k, n = len(axes), len(terms)
         coeffs, class_mats = g.coeffs[terms], mats[terms][:, row]
-        if not k or (N ** (k - 1) <= k * n and N ** (2 * k) <= n * d):
+        if not k:
+            out.append((axes, np.array(coeffs.sum()), None, perm))
+        elif kernels and N ** (k - 1) <= k * n and N ** (2 * k) <= n * d:
             out.append((axes, _kernel(coeffs, class_mats, N), None, perm))
         else:
             class_mats[:, 0] *= coeffs[:, None, None]
@@ -634,6 +705,91 @@ def _kron_legs(g: _Group, legs, N: int, start: np.ndarray) -> np.ndarray:
              if k in pos else np.eye(n2)[:, :, None])
         out = (out[:, None, :, None] * F[None, :, None]).reshape(out.shape[0] * n2, -1, len(start))
     return out
+
+
+def _add_kernel(mat: np.ndarray, g: _KernelGroup, N: int, m: int) -> None:
+    """mat += the d x d matrix of a kernel group, through a view of mat
+    on its rows permuted by sigma and, off the active axes, the diagonal
+    of each row axis with its column axis: one add of N^(2m + k)
+    entries."""
+    axes = g.axes
+    rows = [2 * g.sigma[a // 2] + a % 2 for a in range(2 * m)]  # sandwiched axis a lands on row axis rows[a]
+    view = mat.reshape((N,) * (4 * m)).transpose(rows + list(range(2 * m, 4 * m)))
+    # labels: row axis a is a, column axis a is 2m + a off the active
+    # axes, a on them
+    cols = [2 * m + a if a in axes else a for a in range(2 * m)]
+    rest = [a for a in range(2 * m) if a not in axes]
+    diag = np.einsum(view, list(range(2 * m)) + cols, [*axes, *(2 * m + a for a in axes), *rest])
+    diag += g.kernel.reshape(g.kernel.shape + (1,) * len(rest))
+
+
+def _conj_moved(g: _KernelGroup, axes: list[int], swap: bool) -> _KernelGroup:
+    """g with its kernel conjugated, the kernel's j-th axis renamed
+    axes[j] and put back in ascending order; ``swap`` also exchanges its
+    outputs and inputs.  One new array, C-ordered for the GEMM of apply."""
+    k = len(axes)
+    order = sorted(range(k), key=axes.__getitem__)
+    first = k if swap else 0
+    view = g.kernel.transpose([first + j for j in order] + [k - first + j for j in order])
+    kernel = np.empty(view.shape, dtype=np.complex128)
+    np.conjugate(view, out=kernel)
+    return g._replace(axes=tuple(sorted(axes)), kernel=kernel)
+
+
+def _expand(g: _KernelGroup, N: int) -> _Group:
+    """The term group of a kernel group: one matrix-unit term per
+    nonzero entry, in entry order, carrying e_oi on a row axis as A and
+    e_io on a column axis as B."""
+    k = len(g.axes)
+    at = np.argwhere(g.kernel)  # (T, 2k): output then input indices
+    T = len(at)
+    legs = tuple(sorted({a // 2 for a in g.axes}))
+    A = np.empty((T, len(legs), N, N), dtype=np.complex128)
+    B = np.empty_like(A)
+    A[...] = B[...] = _eye(N)
+    t = np.arange(T)
+    for j, a in enumerate(g.axes):
+        li, o, i = legs.index(a // 2), at[:, j], at[:, k + j]
+        F, (r, c) = (B, (i, o)) if a % 2 else (A, (o, i))
+        F[:, li] = 0.0
+        F[t, li, r, c] = 1.0
+    return _Group(g.sigma, g.kernel[tuple(at.T)], legs, A, B)
+
+
+def _as_kernel(g, N: int) -> tuple[tuple[int, ...], np.ndarray]:
+    """(axes, kernel) of a group: a kernel group's own; for a term group
+    the sum of its terms' kernels on every axis one of them is active
+    on, a 0-d sum of its coefficients on none."""
+    if isinstance(g, _KernelGroup):
+        return g.axes, g.kernel
+    mats = _axis_mats(g, N)
+    active = (mats != _eye(N)).any(axis=(0, 2, 3))
+    axes = tuple(2 * k + e for k in g.legs for e in (0, 1))
+    axes = tuple(a for a, f in zip(axes, active) if f)
+    return axes, (_kernel(g.coeffs, mats[:, active], N) if axes else np.array(g.coeffs.sum()))
+
+
+def _kernel_product(gx, gy, N: int) -> _KernelGroup:
+    """The raw kernel group of gx o gy (gy acts first), of which one is a
+    kernel group.  gx reads axis perm_y[a] of gy's output where it acts
+    on axis a, so its kernel moves there; the two kernels then contract
+    over the axes they share, on the union of their axes, guarded by
+    ``DENSE_CAP``."""
+    ax, kx = _as_kernel(gx, N)
+    ay, ky = _as_kernel(gy, N)
+    perm_y = _half_perm(gy.sigma)
+    ax = [perm_y[a] for a in ax]
+    union = sorted(set(ax) | set(ay))
+    _check_cap(N ** len(union), "kernel dimension")
+    # per axis a of the union: output label a, input label u + a, and
+    # 2u + a between the two kernels where both act, u the union's size
+    label = {a: i for i, a in enumerate(union)}
+    u = len(union)
+    x_in = [2 * u + label[a] if a in ay else u + label[a] for a in ax]
+    y_out = [2 * u + label[a] if a in ax else label[a] for a in ay]
+    kernel = np.einsum(kx, [label[a] for a in ax] + x_in, ky, y_out + [u + label[a] for a in ay],
+                       list(range(2 * u)), optimize=True)
+    return _KernelGroup(tuple(gx.sigma[s] for s in gy.sigma), tuple(union), kernel)
 
 
 # -- traces --------------------------------------------------------------
@@ -711,8 +867,9 @@ class StructuredOperator:
     merge, so products like (a u*) u collapse back onto a instead of
     surviving as float twins.  Terms with coefficient magnitude below
     ``MERGE_TOL`` or with an exactly zero factor are dropped.  The terms
-    live in per-permutation arrays (see the module docstring); ``terms``
-    builds the :class:`OperatorTerm` view on first use.
+    live in per-permutation arrays or kernels (see the module
+    docstring); kernel groups on one (permutation, axes) add entrywise.
+    ``terms`` builds the :class:`OperatorTerm` view on first use.
     """
 
     __slots__ = ("space", "_state", "_terms")
@@ -729,7 +886,7 @@ class StructuredOperator:
         """The operator of raw groups, canonicalized on the first read of ``_groups``."""
         op = cls.__new__(cls)
         op.space = space
-        op._state = (tuple(g for g in raw if len(g.coeffs)), False)
+        op._state = (tuple(g for g in raw if _size(g)), False)
         op._terms = None
         return op
 
@@ -750,20 +907,26 @@ class StructuredOperator:
 
     def _operand(self) -> tuple[_Group, ...]:
         """The groups compose and to_dense read: as built while the
-        operator is not yet canonical and holds at most FEW_TERMS terms,
-        since both are linear in the terms; else the canonical groups."""
+        operator is not yet canonical and holds at most FEW_TERMS terms
+        (a kernel group counting its entries), since both are linear in
+        the terms; else the canonical groups."""
         groups, canonical = self._state
-        if canonical or sum(len(g.coeffs) for g in groups) > FEW_TERMS:
+        if canonical or sum(_size(g) for g in groups) > FEW_TERMS:
             return self._groups
         return groups
 
     @property
     def terms(self) -> tuple[OperatorTerm, ...]:
-        """The canonical terms: by permutation, then by factor signature."""
+        """The canonical terms: by permutation, then by factor signature;
+        a kernel group gives the matrix-unit terms of its nonzero entries
+        (``_expand``), after the term group of its permutation."""
         if self._terms is None:
-            ident = identity_factor(self.space.N)
+            N = self.space.N
+            ident = identity_factor(N)
             out = []
             for g in self._groups:
+                if isinstance(g, _KernelGroup):
+                    g = _expand(g, N)
                 for t in range(len(g.coeffs)):
                     factors = [ident] * self.space.m
                     for li, k in enumerate(g.legs):
@@ -822,14 +985,19 @@ class StructuredOperator:
         instead of vanishing in the merge."""
         if not cmath.isfinite(c):
             raise NumericError(f"non-finite scale factor {c!r}")
-        coeffs = [c * g.coeffs for g in self._groups]
-        raw = [_Group(g.sigma, x, g.legs, g.A, g.B, True) for g, x in zip(self._groups, coeffs)]
-        # a group stays canonical unless a coefficient falls below MERGE_TOL
-        if not raw or (np.abs(np.concatenate(coeffs)) >= MERGE_TOL).all():
+        raw = []
+        # a group stays canonical unless a coefficient or a nonzero kernel
+        # entry falls below MERGE_TOL
+        for g in self._groups:
+            if isinstance(g, _KernelGroup):
+                x = c * g.kernel
+                raw.append(g._replace(kernel=x, merged=not ((np.abs(x) < MERGE_TOL) & (x != 0)).any()))
+            else:
+                x = c * g.coeffs
+                raw.append(g._replace(coeffs=x, merged=bool((np.abs(x) >= MERGE_TOL).all())))
+        if all(g.merged for g in raw):
             return StructuredOperator._from_canonical(self.space, tuple(raw))
-        return StructuredOperator._from_raw(
-            self.space, [g._replace(merged=bool((np.abs(g.coeffs) >= MERGE_TOL).all())) for g in raw]
-        )
+        return StructuredOperator._from_raw(self.space, raw)
 
     def __mul__(self, c: complex) -> "StructuredOperator":
         return self.scale(c)
@@ -845,11 +1013,18 @@ class StructuredOperator:
         leg k, the sandwich of y at k followed by that of x at
         sigma_y(k).  Pure products go to ``_pure_groups`` at once, but
         for those whose permutation a carried product also has: one raw
-        group each, ahead, so they merge with it in pair order.
+        group each, ahead, so they merge with it in pair order.  A pair
+        with a kernel group is one kernel group (``_kernel_product``).
         """
         self._check_space(other)
         N, m = self.space.N, self.space.m
         X, Y = self._operand(), other._operand()
+        kernels = []
+        if any(isinstance(g, _KernelGroup) for g in X + Y):
+            kernels = [_kernel_product(gx, gy, N) for gx in X for gy in Y
+                       if isinstance(gx, _KernelGroup) or isinstance(gy, _KernelGroup)]
+            X = [g for g in X if isinstance(g, _Group)]
+            Y = [g for g in Y if isinstance(g, _Group)]
         raw = []
         ycarry = [g for g in Y if g.legs]
         for gx in X:
@@ -885,14 +1060,14 @@ class StructuredOperator:
             (sx, cx), (sy, cy) = _pure_rows(px), _pure_rows(py)
             sigmas = sx[np.arange(len(sx))[:, None, None], sy].reshape(-1, m)  # sigma_x[sigma_y[k]]
             coeffs = np.multiply.outer(cx, cy).reshape(-1)
-            if not raw:
+            if not raw and not kernels:
                 return StructuredOperator._from_canonical(self.space, tuple(_pure_groups(sigmas, coeffs, N)))
             carried = {g.sigma for g in raw}
             shared = np.array([tuple(s) in carried for s in sigmas.tolist()])
             rows = np.flatnonzero(shared).tolist()
             head = [_pure(tuple(sigmas[t].tolist()), coeffs[t:t + 1], N) for t in rows]
             raw = _pure_groups(sigmas[~shared], coeffs[~shared], N) + head + raw
-        return StructuredOperator._from_raw(self.space, raw)
+        return StructuredOperator._from_raw(self.space, raw + kernels)
 
     def __matmul__(self, other: "StructuredOperator") -> "StructuredOperator":
         return self.compose(other)
@@ -901,10 +1076,16 @@ class StructuredOperator:
         """Adjoint in the trace inner product.
 
         A term's adjoint has permutation sigma^-1 and, at leg sigma(k),
-        the adjoint sandwich (A*, B*) of leg k.
+        the adjoint sandwich (A*, B*) of leg k; a kernel's is its
+        conjugate transpose, moved from axis a of leg k to that axis of
+        leg sigma(k).
         """
         raw = []
         for g in self._groups:
+            if isinstance(g, _KernelGroup):
+                moved = [2 * g.sigma[a // 2] + a % 2 for a in g.axes]
+                raw.append(_conj_moved(g._replace(sigma=_invert(g.sigma)), moved, True))
+                continue
             legs = tuple(sorted(g.sigma[k] for k in g.legs))
             inv = _invert(g.sigma)
             cols = [g.legs.index(inv[j]) for j in legs]
@@ -921,9 +1102,12 @@ class StructuredOperator:
         """Conjugation by the leg-wise antiunitary eta -> eta*.
 
         Swaps every sandwich (A, B) to (B*, A*) and conjugates the
-        coefficient; the permutation part is unchanged.
+        coefficient; the permutation part is unchanged.  A kernel moves
+        from the row to the column axis of each leg and back, conjugated.
         """
         raw = [
+            _conj_moved(g, [a ^ 1 for a in g.axes], False)
+            if isinstance(g, _KernelGroup) else
             g._replace(
                 coeffs=g.coeffs.conj(),
                 A=g.B.conj().swapaxes(2, 3),
@@ -940,9 +1124,11 @@ class StructuredOperator:
         """Normalized trace: the traces of the classes of ``apply``, each
         one contraction with the class's outputs joined to its inputs,
         summed and divided by N^(2m); a class c P(pi) on no active axis
-        has trace c N^(2 cycles of pi)."""
+        has trace c N^(2 cycles of pi).  A kernel group's trace reads
+        its diagonal; the classes of a term group keep their factors,
+        joined by one term label, and build no kernel."""
         N, m = self.space.N, self.space.m
-        classes = self._split()
+        classes = self._split(kernels=False)
         total = 0.0 + 0.0j
         for ops, outs, ins in (_class_matrix(c, m, 0) for c in classes if c[0]):
             total += _contract(ops, list(zip(outs, ins)), N)
@@ -958,8 +1144,10 @@ class StructuredOperator:
         inputs to inputs; classes c P(pi) on no active axis pair by
         Tr(P(pi)* P(pi')) = N^(2 cycles of pi^-1 pi'), one einsum per
         block of at most 2^16 pairs.  A difference that cancels inside a
-        kernel keeps about eps * |X|, one that cancels across the terms
-        of term-by-term classes sqrt(eps) * |X|.  Past np.einsum's 52
+        kernel, a class kernel or a kernel group's, keeps about
+        eps * |X|; one that cancels across classes, kernel groups on
+        other axes or the terms of term-by-term classes, sqrt(eps) * |X|.
+        Past np.einsum's 52
         indices (two such classes on all half-legs of 13 legs) raises
         :class:`NumericError`.
         """
@@ -999,10 +1187,10 @@ class StructuredOperator:
             raise ValueError(f"expected vector of length {space.dim}")
         return _apply_classes(self._split(), v, space.N, space.m)
 
-    def _split(self) -> list[tuple]:
+    def _split(self, kernels: bool = True) -> list[tuple]:
         """The classes of every group, as ``_classes`` builds them."""
         N, m = self.space.N, self.space.m
-        return [c for g in self._groups for c in _classes(g, N, m)]
+        return [c for g in self._groups for c in _classes(g, N, m, kernels)]
 
     def to_dense(self) -> "DenseOperator":
         """Explicit matrix; guarded by ``DENSE_CAP``."""
@@ -1011,11 +1199,16 @@ class StructuredOperator:
         N, m, d = space.N, space.m, space.dim
         n2, h = N * N, (m + 1) // 2
         cols = (n2**h, n2 ** (m - h))
-        # one group per permutation, so one matmul each: the raw groups
-        # of a permutation joined without a merge
+        # one term group per permutation, so one matmul each: the raw
+        # groups of a permutation joined without a merge; kernel groups
+        # add in last
         by_sigma: dict[tuple, list[_Group]] = {}
+        kernels = []
         for g in self._operand():
-            by_sigma.setdefault(g.sigma, []).append(g)
+            if isinstance(g, _KernelGroup):
+                kernels.append(g)
+            else:
+                by_sigma.setdefault(g.sigma, []).append(g)
         # carried groups first (sorted is stable): the first one writes
         # every entry, every later group accumulates
         groups = sorted((_concat(parts, N) for parts in by_sigma.values()), key=lambda g: not g.legs)
@@ -1038,6 +1231,8 @@ class StructuredOperator:
                 np.matmul(x, y, out=view)
             else:
                 view += np.matmul(x, y)
+        for g in kernels:
+            _add_kernel(mat, g, N, m)
         return DenseOperator(space, mat)
 
     def operator_norm(self) -> float:
@@ -1057,11 +1252,16 @@ class StructuredOperator:
         fwd, back = self._split(), self.adjoint()._split()
         rng = np.random.default_rng(0x5EED)
         v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        # the sums over the d entries are einsums, as in _sq_norm: BLAS dot
-        # and gemv split them by the thread count from d ~ 10^4 on
-        krylov = (v / math.sqrt(_sq_norm(v)))[None, :]  # grows by one row per step
+        # the Krylov vectors are the first k + 1 rows of ``basis``, which
+        # doubles when full: a step writes one row and copies none
+        basis = np.empty((8, dim), dtype=np.complex128)
+        np.divide(v, math.sqrt(_sq_norm(v)), out=basis[0])
+        del v
         alphas, betas = [], []
         for k in range(LANCZOS_STEPS):
+            # the sums over the d entries are einsums, as in _sq_norm: BLAS
+            # dot and gemv split them by the thread count from d ~ 10^4 on
+            krylov = basis[:k + 1]
             w = _apply_classes(back, _apply_classes(fwd, krylov[-1], N, m), N, m)
             alphas.append(float(np.einsum("i,i->", krylov[-1].view(np.float64), w.view(np.float64))))
             for _ in range(2):
@@ -1073,14 +1273,21 @@ class StructuredOperator:
             if beta * abs(vecs[-1, -1]) <= 1e-10 * theta or beta == 0.0 or k + 1 == dim:
                 return math.sqrt(max(theta, 0.0))
             betas.append(beta)
-            krylov = np.vstack([krylov, w / beta])
+            if k + 1 == len(basis):
+                grown = np.empty((2 * len(basis), dim), dtype=np.complex128)
+                grown[:k + 1] = krylov
+                basis = grown
+            np.divide(w, beta, out=basis[k + 1])
+            del w  # not held through the next step's applies
         raise NumericError(f"Lanczos reached no certified norm in {LANCZOS_STEPS} steps")
 
     # -- bookkeeping ---------------------------------------------------
 
     @property
     def n_terms(self) -> int:
-        return sum(len(g.coeffs) for g in self._groups)
+        """The count of ``terms``, without building them."""
+        return sum(int(np.count_nonzero(g.kernel)) if isinstance(g, _KernelGroup) else len(g.coeffs)
+                   for g in self._groups)
 
     def __repr__(self) -> str:
         return (

@@ -28,13 +28,13 @@ from duallab.duality_core import (
     MC_STREAMS,
     HaarConfig,
     MCAverage,
-    _block_units,
     _check_pair,
     _haar_draws,
     _paired_traces,
     _placed_group,
     _product_blocks,
     _sanitize,
+    _block_size,
     _sq_norm,
     _stderr,
     SpectralGrid,
@@ -134,6 +134,28 @@ def reference_t_minus(space, a):
     )
 
 
+def block_units(N, D):
+    """The D^2 units e_rs x 1_K of M_N = M_D x M_K, stacked at r * D + s,
+    and their transposes e_sr x 1_K in the same order: the units of the
+    former term builds of the exact averages."""
+    units = np.kron(np.eye(D * D, dtype=np.complex128).reshape(D * D, D, D), np.eye(N // D))
+    return units, units.reshape(D, D, N, N).swapaxes(0, 1).reshape(D * D, N, N)
+
+
+def raw_mult_group(space, a, left, right):
+    """The raw m-term group of left times t_plus(a) plus right times
+    t_minus(a), as _mult_sum builds it when it merges."""
+    N, p, m = space.N, space.p, space.m
+    A = np.empty((m, m, N, N), dtype=np.complex128)
+    A[...] = np.eye(N)
+    B = A.copy()
+    t = np.arange(m)
+    A[t[:p], t[:p]] = _sanitize(a, N)
+    B[t[p:], t[p:]] = _sanitize(a, N)
+    coeffs = np.where(t < p, left, right).astype(np.complex128)
+    return _Group(tuple(range(m)), coeffs, tuple(range(m)), A, B)
+
+
 class TestMultiplicationSums:
     def test_t_plus_is_left_leg_sum(self):
         sp = ModelSpace(2, 2, 1)
@@ -168,6 +190,24 @@ class TestMultiplicationSums:
             assert_same_groups(t_plus(sp, a), plus)
             assert_same_groups(t_minus(sp, a), minus)
             assert_same_groups(t_mixed(sp, a), plus - minus)
+
+    @pytest.mark.parametrize("N,p,q", [(2, 1, 1), (3, 1, 2), (3, 2, 1), (2, 0, 1), (2, 1, 0), (3, 2, 2)])
+    def test_one_surviving_term_is_its_canonical_group(self, N, p, q):
+        # one nonzero coefficient and an a neither 0 nor 1: the builder
+        # makes the canonical group without a merge, byte-equal to the
+        # merge of the raw m-term group; every other case merges it
+        sp = ModelSpace(N, p, q)
+        rng = np.random.default_rng(10 * N + p)
+        for a in (rand_mat(N, rng), np.eye(N), np.zeros((N, N))):
+            for build, left, right in ((t_plus, 1.0, 0.0), (t_minus, 0.0, 1.0), (t_mixed, 1.0, -1.0)):
+                with mock.patch.object(legops, "_merge", wraps=legops._merge) as merge:
+                    got = build(sp, a)
+                    got._groups
+                raw = raw_mult_group(sp, a, left, right)
+                want = StructuredOperator._from_canonical(sp, legops._canonical(sp, [raw]))
+                assert_same_groups(got, want)
+                direct = np.count_nonzero(raw.coeffs) == 1 and a.any() and not (a == np.eye(N)).all()
+                assert merge.call_count == (not direct)
 
     def test_empty_sides_give_zero(self):
         assert t_plus(ModelSpace(2, 0, 2), rand_mat(2)).n_terms == 0
@@ -443,6 +483,33 @@ def reference_pair_average(space, k, j, mode, block_dim=None):
     return StructuredOperator(space, terms)
 
 
+def term_pair_average(space, k, j, mode, block_dim=None):
+    """The former haar_pair_average_exact, kept as a reference: the D^2
+    terms as one raw group of _placed_group on the units of
+    block_units."""
+    D = _block_size(space.N, block_dim)
+    units, swapped = block_units(space.N, D)
+    coeffs = np.full(D * D, 1.0 / D, dtype=np.complex128)
+    group = _placed_group(space, [(k, mode[0], units), (j, mode[1], swapped)], coeffs)
+    return StructuredOperator._from_raw(space, [group])
+
+
+def assert_same_operator(got, want, rtol=1e-13):
+    """Up to d = 1296 the two operators densify to matrices within rtol of
+    the larger entry of want, or of 1 when want is smaller; past it, up
+    to the dense cap, where two matrices take 512 MiB, they map three
+    seeded vectors within rtol of the larger result's norm, or of 1."""
+    if got.space.dim <= 1296:
+        X, Y = got.to_dense().matrix, want.to_dense().matrix
+        assert np.abs(X - Y).max() <= rtol * max(1.0, np.abs(Y).max())
+        return
+    rng = np.random.default_rng(got.space.dim)
+    for _ in range(3):
+        v = rng.standard_normal(got.space.dim) + 1j * rng.standard_normal(got.space.dim)
+        x, y = got.apply(v), want.apply(v)
+        assert np.linalg.norm(x - y) <= rtol * max(1.0, np.linalg.norm(y))
+
+
 def opaque_pair_integrand(space, k, j, mode):
     """X(u*)_k Y(u)_j as the per-sample operator haar_average_mc densifies."""
     X = left_mult if mode[0] == "l" else right_mult
@@ -583,7 +650,7 @@ def reference_pair_average_mc(space, k, j, mode, config):
         sumsq += np.vdot(v, v).real
     n = config.samples
     W /= n
-    units, _ = _block_units(N, N)
+    units, _ = block_units(N, N)
     ones = np.ones(N * N, dtype=np.complex128)
     group = _placed_group(space, [(k, mode[0], units), (j, mode[1], W.reshape(N * N, N, N))], ones)
     mean = StructuredOperator._from_raw(space, [group]).to_dense()
@@ -610,7 +677,7 @@ def reference_product_average_mc(space, a, config):
             sumsq += sum(np.vdot(g.coeffs, reference_gram(g, h, N, paired=True) * h.coeffs)
                          for g in groups for h in groups).real
     W /= n
-    units, _ = _block_units(N, N)
+    units, _ = block_units(N, N)
     blocks = _product_blocks(space, a, units, W.reshape(N * N, N, N))
     mean = StructuredOperator._from_raw(space, blocks).to_dense()
     stderr = _stderr(sumsq, _sq_norm(mean.matrix), n)
@@ -780,6 +847,8 @@ class TestPairAverageExact:
     @pytest.mark.parametrize("N", [2, 3, 4, 6, 8])
     @pytest.mark.parametrize("p,q", [(1, 1), (2, 1), (1, 2), (2, 2)])
     def test_matches_term_list_oracle(self, N, p, q):
+        # the former term build is byte-equal to the OperatorTerm list, and
+        # the kernel is the same operator wherever d <= DENSE_CAP
         sp = ModelSpace(N, p, q)
         for k, j in itertools.permutations(range(sp.m), 2):
             for mode in ("ll", "rr", "lr"):
@@ -788,8 +857,10 @@ class TestPairAverageExact:
                         with pytest.raises(ValueError):
                             haar_pair_average_exact(sp, k, j, mode, block_dim)
                         continue
-                    got = haar_pair_average_exact(sp, k, j, mode, block_dim)
-                    assert_same_groups(got, reference_pair_average(sp, k, j, mode, block_dim))
+                    want = term_pair_average(sp, k, j, mode, block_dim)
+                    assert_same_groups(want, reference_pair_average(sp, k, j, mode, block_dim))
+                    if sp.dim <= legops.DENSE_CAP:
+                        assert_same_operator(haar_pair_average_exact(sp, k, j, mode, block_dim), want)
 
 
 # -- conditional expectation ------------------------------------------------------
@@ -872,9 +943,26 @@ def reference_sigma_residual(space, a, u):
     return StructuredOperator.sum(parts, space)
 
 
+def term_sigma_average(space, a, block_dim=None):
+    """The former sigma_average_exact, kept as a reference: the blocks
+    s != t of _product_blocks on the units of block_units, weight 1/D."""
+    D = _block_size(space.N, block_dim)
+    units, swapped = block_units(space.N, D)
+    blocks = _product_blocks(space, _sanitize(a, space.N), units, swapped, 1.0 / D, same_leg=False)
+    return StructuredOperator._from_raw(space, blocks)
+
+
+def term_product_average(space, a, block_dim=None):
+    """The former product_average_exact, on :func:`term_sigma_average`."""
+    expected = duality_core._block_expectation(_sanitize(a, space.N), block_dim)
+    return StructuredOperator.sum([
+        t_plus(space, a), t_minus(space, expected), term_sigma_average(space, a, block_dim),
+    ])
+
+
 def reference_sigma_average_exact(space, a, block_dim=None):
-    """The cross-leg pairs composed with the exact pair averages: the
-    byte-for-byte oracle for sigma_average_exact."""
+    """The cross-leg pairs composed with the term-built pair averages:
+    the byte-for-byte oracle for :func:`term_sigma_average`."""
     a = np.asarray(a, dtype=np.complex128)
     parts = []
     left = range(space.p)
@@ -882,16 +970,16 @@ def reference_sigma_average_exact(space, a, block_dim=None):
     for k in left:
         for j in left:
             if k != j:
-                pair = haar_pair_average_exact(space, k, j, "ll", block_dim)
+                pair = term_pair_average(space, k, j, "ll", block_dim)
                 parts.append(left_mult(space, a, k).compose(pair))
     for k in right:
         for j in right:
             if k != j:
-                pair = haar_pair_average_exact(space, k, j, "rr", block_dim)
+                pair = term_pair_average(space, k, j, "rr", block_dim)
                 parts.append(pair.compose(right_mult(space, a, k)))
     for k in left:
         for j in right:
-            pair = haar_pair_average_exact(space, k, j, "lr", block_dim)
+            pair = term_pair_average(space, k, j, "lr", block_dim)
             parts.append(-left_mult(space, a, k).compose(pair))
             parts.append(-pair.compose(right_mult(space, a, j)))
     return StructuredOperator.sum(parts, space)
@@ -910,10 +998,10 @@ class TestSigmaResidual:
         for a in (np.eye(N), rand_herm(N, rng)):
             assert_same_groups(sigma_residual(sp, a, u), reference_sigma_residual(sp, a, u))
             for block_dim in (None, 2) if N == 4 else (None,):
-                assert_same_groups(
-                    sigma_average_exact(sp, a, block_dim),
-                    reference_sigma_average_exact(sp, a, block_dim),
-                )
+                want = term_sigma_average(sp, a, block_dim)
+                assert_same_groups(want, reference_sigma_average_exact(sp, a, block_dim))
+                if sp.dim <= legops.DENSE_CAP:
+                    assert_same_operator(sigma_average_exact(sp, a, block_dim), want)
 
     @pytest.mark.parametrize("p,q", [(1, 1), (2, 0), (0, 2), (1, 0), (0, 1)])
     def test_shape_checked_before_use(self, p, q):
@@ -972,6 +1060,72 @@ class TestSigmaResidual:
             HaarConfig(samples=4000, seed=56, N=N),
         )
         assert float(np.linalg.norm(mc.mean.matrix - exact)) <= 3 * mc.stderr
+
+
+def block_dims(N):
+    """The full group and every proper block dimension of M_N."""
+    return [None] + [D for D in range(1, N) if N % D == 0]
+
+
+class TestKernelBuilds:
+    """The exact averages are kernel groups, written straight from the
+    block-unit formula: they densify to the former term builds, and no
+    build or norm of theirs merges terms."""
+
+    # every (p, q) of (1, 1), (2, 1), (1, 2), (2, 2) at each N with d <= DENSE_CAP
+    @pytest.mark.parametrize("N,p,q", [
+        (2, 1, 1), (3, 1, 1), (4, 1, 1), (8, 1, 1), (2, 2, 1), (3, 2, 1), (4, 2, 1),
+        (2, 1, 2), (3, 1, 2), (4, 1, 2), (2, 2, 2),
+    ])
+    def test_sigma_and_product_match_the_term_builds(self, N, p, q):
+        sp = ModelSpace(N, p, q)
+        rng = np.random.default_rng(1000 * N + 10 * p + q)
+        for a in (rand_mat(N, rng), rand_herm(N, rng), np.eye(N)):
+            for block_dim in block_dims(N):
+                got = sigma_average_exact(sp, a, block_dim)
+                assert all(isinstance(g, legops._KernelGroup) for g in got._groups)
+                assert len(got._groups) == sp.m * (sp.m - 1) // 2
+                assert_same_operator(got, term_sigma_average(sp, a, block_dim))
+                assert_same_operator(product_average_exact(sp, a, block_dim),
+                                    term_product_average(sp, a, block_dim))
+
+    @pytest.mark.parametrize("N", [2, 3, 5, 8, 16])
+    def test_one_left_one_right_leg_is_the_direct_kernel(self, N):
+        # -(K1 + K2)/N on the row of leg 0 and the column of leg 1
+        a = rand_herm(N, np.random.default_rng(N))
+        eye = np.eye(N)
+        K1 = np.einsum("ij,kl->ijkl", a, eye)
+        K2 = np.einsum("ij,lk->ijkl", eye, a)
+        (g,) = sigma_average_exact(ModelSpace(N, 1, 1), a)._groups
+        assert (g.sigma, g.axes) == ((0, 1), (0, 3))
+        assert np.array_equal(g.kernel, -(K1 + K2) / N)
+
+    def test_zero_a_gives_the_zero_operator(self):
+        sp = ModelSpace(3, 2, 1)
+        assert sigma_average_exact(sp, np.zeros((3, 3))).n_terms == 0
+
+    def test_building_and_norming_never_merge(self):
+        sp = ModelSpace(4, 2, 1)
+        a = rand_herm(4, np.random.default_rng(41))
+        with mock.patch.object(legops, "_merge", side_effect=AssertionError("merged")), \
+                mock.patch.object(legops, "_kernel", side_effect=AssertionError("built a kernel")):
+            for block_dim in (None, 2):
+                sig = sigma_average_exact(sp, a, block_dim)
+                sig.hs_norm(), sig.operator_norm(), sig.normalized_trace()
+            pair = haar_pair_average_exact(sp, 0, 2, "lr")
+            pair.hs_norm(), pair.operator_norm(), pair.normalized_trace()
+
+    def test_limit_formula_at_N16_against_the_closed_forms(self):
+        # the sizes the kernels reach: operator norm |t| + sqrt(s), cross-leg
+        # 2-norm sqrt(2 (t^2 + s)) / N
+        N = 16
+        a = rand_herm(N, np.random.default_rng(16))
+        a /= np.linalg.norm(a, 2)
+        rep = limit_formula_check(ModelSpace(N, 1, 1), a)
+        t, s = np.trace(a).real / N, np.trace(a @ a).real / N
+        assert abs(rep.residual_op_norm - (abs(t) + np.sqrt(s))) <= 1e-10 * (abs(t) + np.sqrt(s))
+        want = np.sqrt(2 * (t * t + s)) / N
+        assert abs(rep.sigma_average_hs_norm - want) <= 1e-12 * want
 
 
 class TestLimitFormula:

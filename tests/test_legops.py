@@ -18,7 +18,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from duallab import legops
-from duallab.duality_core import limit_formula_check, sigma_average_exact, young_projection
+from duallab.duality_core import (
+    haar_pair_average_exact, limit_formula_check, sigma_average_exact, young_projection,
+)
 from duallab.symcomb import Partition, permutation_cycles
 
 from duallab.legops import (
@@ -1780,3 +1782,127 @@ class TestTracesByCycleCounts:
         P = young_projection(ModelSpace(3, 4, 0), Partition((3, 1)))
         self.assert_agree(P)
         assert abs(P.hs_norm() ** 2 - P.normalized_trace().real) <= 1e-12
+
+
+# -- kernel groups -------------------------------------------------------------------
+
+
+def kernel_dense(space, sigma, axes, kernel):
+    """P(sigma) o (kernel on axes, identity elsewhere) from the
+    definition: the kernel times a Kronecker delta on every other axis,
+    its rows then moved by the permutation's oracle matrix."""
+    n = 2 * space.m
+    # output label a, input label n + a; off the axes they meet in a delta
+    ops = [kernel, list(axes) + [n + a for a in axes]]
+    for a in range(n):
+        if a not in axes:
+            ops += [np.eye(space.N), [a, n + a]]
+    full = np.einsum(*ops, list(range(2 * n))).reshape(space.dim, space.dim)
+    return oracle_dense(permutation_op(space, sigma)) @ full
+
+
+MIXED_SPACES = (ModelSpace(2, 1, 0), ModelSpace(2, 1, 1), ModelSpace(3, 1, 1), ModelSpace(2, 2, 1))
+
+
+@st.composite
+def mixed_operators(draw, space):
+    """An operator of one to three kernel groups, on one to three random
+    half-leg axes with a random permutation (a later one sometimes on the
+    (permutation, axes) of the one before), plus zero to three random
+    terms; returned with its matrix from the definition."""
+    N, m = space.N, space.m
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    groups, dense = [], np.zeros((space.dim, space.dim), dtype=np.complex128)
+    for i in range(draw(st.integers(1, 3))):
+        if i and draw(st.booleans()):
+            sigma, axes = groups[-1].sigma, groups[-1].axes
+        else:
+            sigma = tuple(draw(st.permutations(range(m))))
+            axes = tuple(sorted(draw(st.sets(st.integers(0, 2 * m - 1), min_size=1, max_size=3))))
+        shape = (N,) * (2 * len(axes))
+        kernel = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        groups.append(legops._KernelGroup(sigma, axes, kernel))
+        dense += kernel_dense(space, sigma, axes, kernel)
+    kinds = st.sampled_from(("identity", "left", "right", "both"))
+    terms = [half_leg_term(space, complex(*rng.standard_normal(2)), tuple(draw(st.permutations(range(m)))),
+                           [draw(kinds) for _ in range(m)], rng)
+             for _ in range(draw(st.integers(0, 3)))]
+    dense += oracle_dense(StructuredOperator(space, terms))
+    return StructuredOperator._from_raw(space, groups) + StructuredOperator(space, terms), dense
+
+
+class TestKernelGroups:
+    """Operators that mix kernel groups with term groups, against the
+    dense matrix of their definition at N <= 3."""
+
+    @DIFF_SETTINGS
+    @given(data=st.data())
+    def test_unary_operations_against_the_oracle(self, data):
+        space = data.draw(st.sampled_from(MIXED_SPACES))
+        x, X = data.draw(mixed_operators(space))
+        d, scale = space.dim, max(1.0, np.abs(X).max())
+        assert_dense_close(x.to_dense().matrix, X)
+        assert_dense_close(x.adjoint().to_dense().matrix, X.conj().T)
+        idx = leg_transpose_index(space)
+        assert_dense_close(x.j_conjugate().to_dense().matrix, X.conj()[np.ix_(idx, idx)])
+        assert_dense_close(x.scale(-0.5j).to_dense().matrix, -0.5j * X)
+        v = RNG.standard_normal(d) + 1j * RNG.standard_normal(d)
+        np.testing.assert_allclose(x.apply(v), X @ v, rtol=0, atol=1e-10 * scale * d)
+        assert abs(x.normalized_trace() - np.trace(X) / d) <= 1e-12 * scale
+        assert abs(x.hs_norm() - np.linalg.norm(X) / np.sqrt(d)) <= 1e-10 * scale
+        want = np.linalg.norm(X, 2)
+        assert abs(x.operator_norm() - want) <= 1e-10 * want
+        # the term view: one matrix-unit term per nonzero kernel entry
+        assert x.n_terms == len(x.terms)
+        assert_dense_close(StructuredOperator(space, x.terms).to_dense().matrix, X)
+
+    @DIFF_SETTINGS
+    @given(data=st.data())
+    def test_sums_products_and_laws(self, data):
+        space = data.draw(st.sampled_from(MIXED_SPACES))
+        (x, X), (y, Y), (z, Z) = (data.draw(mixed_operators(space)) for _ in range(3))
+        assert_dense_close((x + y).to_dense().matrix, X + Y)
+        assert_dense_close((x - y).to_dense().matrix, X - Y)
+        assert_dense_close(StructuredOperator.sum([x, y, z]).to_dense().matrix, X + Y + Z)
+        assert_dense_close((x @ y).to_dense().matrix, X @ Y)
+        assert_dense_close(((x @ y) @ z).to_dense().matrix, (x @ (y @ z)).to_dense().matrix)
+        assert_dense_close((x @ y).adjoint().to_dense().matrix, (y.adjoint() @ x.adjoint()).to_dense().matrix)
+        assert_dense_close(x.j_conjugate().j_conjugate().to_dense().matrix, X)
+        assert_dense_close((x @ y).j_conjugate().to_dense().matrix,
+                           (x.j_conjugate() @ y.j_conjugate()).to_dense().matrix)
+        scale = max(1.0, np.abs(X @ Y).max())
+        assert abs((x @ y).normalized_trace() - (y @ x).normalized_trace()) <= 1e-12 * scale
+
+    def test_kernel_sums_cancel_and_drop(self):
+        sp = ModelSpace(3, 1, 1)
+        P = haar_pair_average_exact(sp, 0, 1, "lr")
+        for zero in (P - P, P @ P - P, P.adjoint() - P, P.scale(1e-20)):
+            assert zero.n_terms == 0 and not zero._groups
+        # one kernel group per (permutation, axes), after the term group
+        # of its permutation
+        x = left_mult(sp, rand_mat(3), 0) + P + P.scale(2.0) + haar_pair_average_exact(sp, 0, 1, "ll")
+        kinds = [(type(g).__name__, getattr(g, "axes", None)) for g in x._groups]
+        assert kinds == [("_Group", None), ("_KernelGroup", (0, 2)), ("_KernelGroup", (0, 3))]
+        np.testing.assert_array_equal(x._groups[2].kernel, P._groups[0].kernel + 2.0 * P._groups[0].kernel)
+
+    def test_same_axes_product_stays_on_its_axes(self):
+        sp = ModelSpace(3, 1, 1)
+        T = haar_pair_average_exact(sp, 0, 1, "ll")
+        (g,) = (T @ T)._groups
+        assert (g.sigma, g.axes) == ((0, 1), (0, 2))
+        np.testing.assert_allclose(g.kernel.reshape(9, 9), np.eye(9) / 9, rtol=0, atol=1e-16)
+
+    def test_product_past_the_cap_raises(self):
+        sp = ModelSpace(16, 1, 1)
+        x = haar_pair_average_exact(sp, 0, 1, "ll")
+        y = haar_pair_average_exact(sp, 0, 1, "rr")
+        # the union of axes (0, 2) and (1, 3) is a 16^4 x 16^4 kernel
+        with pytest.raises(CapExceededError, match="kernel dimension 65536"):
+            x @ y
+
+    def test_term_only_trace_builds_no_kernel(self):
+        op = every_route_operator(np.random.default_rng(7))
+        X = op.to_dense().matrix
+        with mock.patch.object(legops, "_kernel", side_effect=AssertionError("built a kernel")):
+            got = op.normalized_trace()
+        assert abs(got - np.trace(X) / op.space.dim) <= 1e-12 * max(1.0, np.abs(X).max())
