@@ -383,10 +383,8 @@ def _product_pairs(space: ModelSpace, same_leg: bool):
             yield s, t, side_s, side_t, 1.0 if side_s == side_t else -1.0
 
 
-def _product_blocks(
-    space: ModelSpace, a: np.ndarray, x, y, weight: float = 1.0, same_leg: bool = True
-) -> list[_Group]:
-    """The raw groups of weight times the sum over i of t_mixed(a x_i) o
+def _product_blocks(space: ModelSpace, a: np.ndarray, x, y, same_leg: bool = True) -> list[_Group]:
+    """The raw groups of the sum over i of t_mixed(a x_i) o
     t_mixed(y_i), one per pair of :func:`_product_pairs`; on one leg the
     two multiplications make one factor."""
     p = space.p
@@ -398,7 +396,7 @@ def _product_blocks(
             placed = [(s, side_s, ax @ y if s < p else y @ ax)]
         else:
             placed = [(s, side_s, ax), (t, side_t, y)]
-        blocks.append(_placed_group(space, placed, np.full(len(x), sign * weight, dtype=np.complex128)))
+        blocks.append(_placed_group(space, placed, np.full(len(x), sign, dtype=np.complex128)))
     return blocks
 
 

@@ -36,10 +36,9 @@ Cost model, for groups of T terms with L carried legs:
 
 - merging a group keys each term by its factor bytes in a dict and
   sorts the distinct keys, O(T L N^2 + T log T); the float twins among
-  at most FEW_TERMS distinct terms come from one pairwise comparison,
-  O(T^2 L N^2) in a handful of numpy calls, and among more from
-  entrywise comparisons of only the terms whose fixed 1-D projections
-  lie within the merge tolerance of each other;
+  the distinct terms come from entrywise comparisons of only the terms
+  whose fixed 1-D projections lie within the merge tolerance of each
+  other;
 - compose is one batched matmul per carried leg and pair of term
   groups of which one carries a leg, O(T_x T_y L N^3); products of pure
   permutations are index arithmetic over all pairs at once; a pair with
@@ -100,17 +99,10 @@ MERGE_TOL = 1e-14
 # 1e-12 absorbs that with a wide margin, while factors that differ by
 # 1e-6 stay apart.
 FACTOR_MERGE_TOL = 1e-12
-# Most distinct terms whose float twins _merge finds pairwise.  Up to
-# here one T x T closeness array costs less than the projection window,
-# whose fixed cost is a few dozen numpy calls: merging the 7,800 2- to
-# 4-term groups of the benchmark's haar-mc pass took 0.61-0.85 s with the
-# window for every group, 0.56-0.62 s pairwise (2-CPU machine).  Past it
-# the pairwise array grows as T^2, and the sums of the exact residuals
-# reach hundreds of terms.  Also the most terms of a not yet canonical
-# operator that compose and to_dense read as built: such merges rarely
-# combine a term (none of haar-mc's do), and the bound keeps a product
-# of two operands at 64 terms before its own merge, so chains of
-# products do not grow.
+# Most terms of a not yet canonical operator that compose and to_dense
+# read as built: merging so few rarely combines a term, and the bound
+# keeps a product of two operands at 64 terms before its own merge, so
+# chains of products do not grow.
 FEW_TERMS = 8
 # Largest model dimension N^(2m) that to_dense and the dense solvers in
 # algebra_tools and crossed materialize: one 4096 x 4096 complex matrix
@@ -460,22 +452,6 @@ def _fuzzy_merge(c: np.ndarray, x: np.ndarray) -> np.ndarray:
     return alive
 
 
-def _pairwise_twins(c: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``_fuzzy_merge`` for a few terms, without the projection window:
-    one T x T array of entrywise distances, held against the later
-    term's tolerance, gives the same twins by the same rule."""
-    tol = FACTOR_MERGE_TOL * (1.0 + np.abs(x).max(axis=2))  # (T, L)
-    # close[r][t]: on every leg, r's entries within t's tolerance of t's
-    close = (np.abs(x[:, None] - x[None]).max(axis=3) <= tol).all(axis=2).tolist()
-    alive = [True] * len(c)
-    for t in range(1, len(c)):
-        r = next((r for r in range(t) if alive[r] and close[r][t]), None)
-        if r is not None:
-            c[r] += c[t]
-            alive[t] = False
-    return np.array(alive)
-
-
 def _merge(g: _Group, N: int) -> _Group | None:
     """Canonical form of one permutation's raw terms, or None if empty.
 
@@ -483,9 +459,8 @@ def _merge(g: _Group, N: int) -> _Group | None:
     (summing in term order), sorts by signature, folds float twins,
     drops coefficients below MERGE_TOL and flags the legs that are the
     identity in every remaining term.  Every group takes the one exact
-    merge; the twin search after it is ``_pairwise_twins`` for up to
-    FEW_TERMS distinct terms and ``_fuzzy_merge`` for more, which give
-    the same group, bit for bit.
+    merge, and every group it leaves with two or more terms the one twin
+    search, ``_fuzzy_merge``.
     """
     T, L, n2 = len(g.coeffs), len(g.legs), N * N
     # the A then the B entries of each leg; + 0j turns -0.0 into 0.0, as
@@ -502,7 +477,7 @@ def _merge(g: _Group, N: int) -> _Group | None:
     if len(c) > 1:
         c, x, ident = _exact_merge(c, x, ident)
     if len(c) > 1:  # the exact merge may have left one term
-        alive = (_pairwise_twins if len(c) <= FEW_TERMS else _fuzzy_merge)(c, x)
+        alive = _fuzzy_merge(c, x)
         keep = (alive & (np.abs(c) >= MERGE_TOL)).tolist()
     else:
         keep = (np.abs(c) >= MERGE_TOL).tolist()

@@ -948,8 +948,8 @@ def term_sigma_average(space, a, block_dim=None):
     s != t of _product_blocks on the units of block_units, weight 1/D."""
     D = _block_size(space.N, block_dim)
     units, swapped = block_units(space.N, D)
-    blocks = _product_blocks(space, _sanitize(a, space.N), units, swapped, 1.0 / D, same_leg=False)
-    return StructuredOperator._from_raw(space, blocks)
+    blocks = _product_blocks(space, _sanitize(a, space.N), units, swapped, same_leg=False)
+    return StructuredOperator._from_raw(space, [g._replace(coeffs=g.coeffs * (1.0 / D)) for g in blocks])
 
 
 def term_product_average(space, a, block_dim=None):

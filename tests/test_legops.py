@@ -1009,7 +1009,7 @@ class TestOneLeg:
             assert x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
-# -- the two twin searches ------------------------------------------------------
+# -- the twin search against its pairwise reference ----------------------------
 
 
 def factor_tol(x):
@@ -1104,46 +1104,43 @@ def assert_same_group(got, want):
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def reference_twins(c, x):
+    """The former ``legops._pairwise_twins``: the twins of
+    ``_fuzzy_merge`` by the same rule, from one T x T array of entrywise
+    distances held against the later term's tolerance, no window."""
+    tol = FACTOR_MERGE_TOL * (1.0 + np.abs(x).max(axis=2))  # (T, L)
+    # close[r][t]: on every leg, r's entries within t's tolerance of t's
+    close = (np.abs(x[:, None] - x[None]).max(axis=3) <= tol).all(axis=2).tolist()
+    alive = [True] * len(c)
+    for t in range(1, len(c)):
+        r = next((r for r in range(t) if alive[r] and close[r][t]), None)
+        if r is not None:
+            c[r] += c[t]
+            alive[t] = False
+    return np.array(alive)
+
+
 class TestMergePaths:
-    """_merge makes the same canonical group, bit for bit, whether the
-    float twins are found by _pairwise_twins or by _fuzzy_merge's
-    projection window, on either side of FEW_TERMS."""
+    """_merge's projection window makes the same canonical group, bit
+    for bit, as the pairwise twin search of ``reference_twins``."""
 
-    SIDES = {
-        "few_terms": st.integers(1, FEW_TERMS),
-        "windowed": st.just(FEW_TERMS + 1),
-    }
-
-    @pytest.mark.parametrize("side", sorted(SIDES))
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(data=st.data())
-    def test_paths_agree(self, side, data):
-        g = data.draw(raw_groups(self.SIDES[side]))
+    def test_window_matches_reference_twins(self, data):
+        g = data.draw(raw_groups(st.integers(1, 4 * FEW_TERMS)))
         N = g.A.shape[-1]
-        with mock.patch.object(legops, "FEW_TERMS", 0):
-            windowed = _merge(g, N)
-        with mock.patch.object(legops, "FEW_TERMS", len(g.coeffs)):
-            few = _merge(g, N)
-        assert_same_group(few, windowed)
-        assert_same_group(_merge(g, N), windowed)
+        with mock.patch.object(legops, "_fuzzy_merge", reference_twins):
+            want = _merge(g, N)
+        assert_same_group(_merge(g, N), want)
 
-    @pytest.mark.parametrize("T, path", [(FEW_TERMS, "_pairwise_twins"), (FEW_TERMS + 1, "_fuzzy_merge")])
-    def test_threshold_selects_path(self, monkeypatch, T, path):
-        taken = []
-
-        def spy(name):
-            real = getattr(legops, name)
-
-            def call(*args):
-                taken.append(name)
-                return real(*args)
-            return call
-
-        for name in ("_pairwise_twins", "_fuzzy_merge"):
-            monkeypatch.setattr(legops, name, spy(name))
+    @pytest.mark.parametrize("T", [2, FEW_TERMS, FEW_TERMS + 1])
+    def test_distinct_terms_take_the_window(self, T):
+        # no size switch: from two distinct terms on, one window search
         A = np.stack([rand_mat(2)[None] for _ in range(T)])
-        _merge(_Group((0,), np.ones(T, dtype=np.complex128), (0,), A, np.ones_like(A)), 2)
-        assert taken == [path]
+        group = _Group((0,), np.ones(T, dtype=np.complex128), (0,), A, np.ones_like(A))
+        with mock.patch.object(legops, "_fuzzy_merge", wraps=legops._fuzzy_merge) as window:
+            _merge(group, 2)
+        assert window.call_count == 1
 
 
 # -- sums of pure leg permutations ----------------------------------------------
