@@ -1122,12 +1122,20 @@ def reference_twins(c, x):
 
 class TestMergePaths:
     """_merge's projection window makes the same canonical group, bit
-    for bit, as the pairwise twin search of ``reference_twins``."""
+    for bit, as the pairwise twin search of ``reference_twins``, on
+    groups of up to FEW_TERMS terms (where the pairwise search once ran)
+    and on larger ones."""
 
+    SIDES = {
+        "few_terms": st.integers(1, FEW_TERMS),
+        "windowed": st.integers(FEW_TERMS + 1, 4 * FEW_TERMS),
+    }
+
+    @pytest.mark.parametrize("side", sorted(SIDES))
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(data=st.data())
-    def test_window_matches_reference_twins(self, data):
-        g = data.draw(raw_groups(st.integers(1, 4 * FEW_TERMS)))
+    def test_paths_agree(self, side, data):
+        g = data.draw(raw_groups(self.SIDES[side]))
         N = g.A.shape[-1]
         with mock.patch.object(legops, "_fuzzy_merge", reference_twins):
             want = _merge(g, N)
