@@ -10,25 +10,29 @@ matrix.
 
 The exact averages really are exact: they return structured operators
 whose coefficients are rational in 1/N, so downstream identities can be
-tested at 1e-12 rather than at Monte Carlo resolution.  The pair, sigma
-and product averages are legops kernel groups, each average over a
-pair of legs one N^2 x N^2 kernel written straight from the block-unit
-formula (_unit_kernel), so no reader merges or re-splits D^2 terms.
-Like legops' own builders, t_mixed and Young projections are built as
-the raw term-group arrays of legops, canonicalized at most once, on the
-first read that needs it.
+tested at 1e-12 rather than at Monte Carlo resolution.  Each second
+moment average is one linear map of the moments of u* (x) u, and one
+builder, _moment_kernels, applies it: a moment tensor W and a list of
+(s, t, side of s, side of t, sign) pairs become legops kernel groups,
+one N^2 x N^2 kernel per pair of legs and one N x N kernel per leg, so
+no reader merges or re-splits D^2 terms.  The exact pair and sigma
+averages take the block units of _unit_moment, the Monte Carlo twins
+the sampled moments.  Like legops' own builders, t_mixed and Young
+projections are built as the raw term-group arrays of legops,
+canonicalized at most once, on the first read that needs it.
 One generator, _product_pairs, holds the sign-and-side rule of the
-product t_mixed(a x) o t_mixed(y): sigma_residual and
-product_average_mc take their terms from it through _product_blocks,
-sigma_average_exact its kernels.
+product t_mixed(a x) o t_mixed(y): sigma_residual takes its term groups
+through _product_blocks, sigma_average_exact its kernels, and
+product_average_mc kernels for its mean and term groups for its
+standard error.
 
 Monte Carlo comes in two samplers over the same draws.  haar_average_mc
 densifies an opaque integrand per sample.  _moment_mc serves
 haar_pair_average_mc and product_average_mc, the twins of the exact
 pair and product averages, whose integrands are linear in the second
 moments u* (x) u: a sample adds its N^4 moment entries to a sum, the
-mean is densified once, and the squared norms of the standard error
-are the traces of the sampled term groups.
+mean is the kernels of their mean, densified once, and the squared
+norms of the standard error are the traces of the sampled term groups.
 """
 
 from __future__ import annotations
@@ -298,34 +302,43 @@ def _side_axis(leg: int, side: str) -> int:
     return 2 * leg + (side == "r")
 
 
-def _unit_kernel(a: np.ndarray, left: bool, agree: bool, D: int) -> np.ndarray:
-    """The kernel of the sum over r, s of the multiplication by a U_rs
-    on one side of a leg S and by U_sr on one side of another leg T, the
-    U_rs = e_rs x 1_K the units of M_N = M_D x M_K: output axes of S and
-    T, then input axes, (N,) * 4.  ``left`` puts a U_rs on the row of S,
-    else on its column; ``agree`` says the two sides agree.
-
-    With V = sum U_rs (x) U_rs and W = sum U_rs (x) U_sr on the two axes,
-    the kernel is (a x 1) W or (a x 1) V if ``left``, W (a^T x 1) or
-    V (a^T x 1) if not, W when the sides agree.  Each entry is one entry
-    of a times Kronecker deltas, written by one einsum with no sum.
-    """
-    N = a.shape[0]
-    K = N // D
-    # o: output of S, i: input of S; A B, C E, F G, H J: (block, inner)
-    # digits of the output of T, input of S, input of T, output of S
-    if left:
-        spec = "oFE,CA,BG->oABCEFG" if agree else "oAE,CF,BG->oABCEFG"
-    else:
-        spec = "iAJ,HF,BG->HJABiFG" if agree else "iFJ,HA,BG->HJABiFG"
-    return np.einsum(spec, a.reshape(N, D, K), np.eye(D), np.eye(K)).reshape((N,) * 4)
+def _unit_moment(N: int, D: int) -> np.ndarray:
+    """The 0/1 tensor W[a, b, c, d] of the sum over r, s of U_rs (x)
+    U_sr, U_rs = e_rs x 1_K in M_N = M_D x M_K: D times the average of
+    (u*)_ab u_cd over the unitaries of the leading D x D block."""
+    eD, eK = _eye(D), _eye(N // D)
+    # A B, C E, F G, H J: (block, inner) digits of a, b, c, d
+    return np.einsum("AH,CF,BE,GJ->ABCEFGHJ", eD, eD, eK, eK).reshape((N,) * 4)
 
 
-def _ordered(axes: tuple[int, int], kernel: np.ndarray) -> tuple[tuple[int, int], np.ndarray]:
-    """A kernel on two axes with its axes put in ascending order."""
-    if axes[0] < axes[1]:
-        return axes, kernel
-    return axes[::-1], kernel.transpose(1, 0, 3, 2)
+def _moment_kernels(space: ModelSpace, a: np.ndarray, W: np.ndarray, pairs, D: int) -> tuple:
+    """The kernel groups of the average of :func:`_product_blocks` at
+    x = u*, y = u over ``pairs``, given D times the moments W[b, c, d, e]
+    of (u*)_bc u_de.  With P = (a x 1) W, one GEMM, pair (s, t) is P
+    with each leg's index pair as (output, input) on the left (a row
+    axis) and as (input, output) on the right (a column axis), its sign
+    applied; for s = t the one-axis kernel of the two factors' product.
+    Kernels on the same axes add in pair order, are divided by D, and
+    drop when zero."""
+    P = (a @ W.reshape(len(a), -1)).reshape(W.shape)
+    kernels: dict[tuple, np.ndarray] = {}
+    for s, t, side_s, side_t, sign in pairs:
+        out_s, in_s = (0, 1) if side_s == "l" else (1, 0)
+        out_t, in_t = (2, 3) if side_t == "l" else (3, 2)
+        axes = (_side_axis(s, side_s), _side_axis(t, side_t))
+        if s == t:
+            axes, kernel = axes[:1], sign * np.einsum("ommi->oi", P.transpose(out_s, out_t, in_s, in_t))
+        else:
+            # one C-ordered copy per pair, with its axes ascending as a group stores them
+            order = (out_s, out_t, in_s, in_t) if axes[0] < axes[1] else (out_t, out_s, in_t, in_s)
+            axes, kernel = tuple(sorted(axes)), np.multiply(P.transpose(order), sign, order="C")
+        if axes in kernels:
+            kernels[axes] += kernel
+        else:
+            kernels[axes] = kernel
+    groups = (_KernelGroup(tuple(range(space.m)), axes, np.divide(k, D, out=k), True)
+              for axes, k in sorted(kernels.items()))
+    return tuple(g for g in groups if g.kernel.any())
 
 
 def haar_pair_average_exact(
@@ -343,14 +356,13 @@ def haar_pair_average_exact(
     By the second-moment matrix-unit formula each of these equals
     (1/D) * sum over matrix units e_rs placed at leg k and e_sr at leg
     j, in the mode's left/right positions, D being the block dimension:
-    one kernel group, the :func:`_unit_kernel` of a = 1 over D.
+    one kernel group, the :func:`_moment_kernels` of the one pair
+    (k, j) with a = 1 and W the block units of :func:`_unit_moment`.
     """
     _check_pair(space, k, j, mode)
-    D = _block_size(space.N, block_dim)
-    kernel = _unit_kernel(_eye(space.N), True, mode[0] == mode[1], D) / D
-    axes, kernel = _ordered((_side_axis(k, mode[0]), _side_axis(j, mode[1])), kernel)
-    group = _KernelGroup(tuple(range(space.m)), axes, np.ascontiguousarray(kernel), True)
-    return StructuredOperator._from_canonical(space, (group,))
+    N, D = space.N, _block_size(space.N, block_dim)
+    groups = _moment_kernels(space, _eye(N), _unit_moment(N, D), [(k, j, mode[0], mode[1], 1.0)], D)
+    return StructuredOperator._from_canonical(space, groups)
 
 
 def haar_pair_average_mc(
@@ -360,40 +372,36 @@ def haar_pair_average_mc(
     the empirical average of X(u*)_k Y(u)_j over the unitaries that
     :func:`haar_average_mc` draws for ``config``.
 
-    Expanding u* in matrix units, the integrand is the sum over a, b of
-    X(e_ab)_k Y((u*)_ab u)_j, linear in the second moments u* (x) u: one
-    group of :func:`_placed_group`, sampled by :func:`_moment_mc`.  The
-    exact average has e_ba/N where the mean has the sampled mean W_ab.
+    The integrand is the one pair (k, j) with a = 1, sampled by
+    :func:`_moment_mc`: the exact kernel with W the sampled moments.
     """
     _check_pair(space, k, j, mode)
-    return _moment_mc(space, config, lambda x, y: [_placed_group(
-        space, [(k, mode[0], x), (j, mode[1], y)], np.ones(len(x), dtype=np.complex128))])
+    return _moment_mc(space, config, _eye(space.N), [(k, j, mode[0], mode[1], 1.0)])
 
 
-def _product_pairs(space: ModelSpace, same_leg: bool):
+def _product_pairs(space: ModelSpace, same_leg: bool) -> list[tuple]:
     """The one sign-and-side rule of the product t_mixed(a x) o
     t_mixed(y): per pair (s, t) of t_mixed's terms, s = t only if
     ``same_leg``, a x multiplies leg s and y leg t, each on its leg's
-    side, with sign +1 if the sides agree and -1 if not.  Yields (s, t,
+    side, with sign +1 if the sides agree and -1 if not.  Lists (s, t,
     side of s, side of t, sign)."""
     p, m = space.p, space.m
-    for s, t in itertools.product(range(m), repeat=2):
-        if s != t or same_leg:
-            side_s, side_t = "lr"[s >= p], "lr"[t >= p]
-            yield s, t, side_s, side_t, 1.0 if side_s == side_t else -1.0
+    sides = ["lr"[k >= p] for k in range(m)]
+    return [(s, t, sides[s], sides[t], 1.0 if sides[s] == sides[t] else -1.0)
+            for s, t in itertools.product(range(m), repeat=2) if s != t or same_leg]
 
 
-def _product_blocks(space: ModelSpace, a: np.ndarray, x, y, same_leg: bool = True) -> list[_Group]:
-    """The raw groups of the sum over i of t_mixed(a x_i) o
-    t_mixed(y_i), one per pair of :func:`_product_pairs`; on one leg the
-    two multiplications make one factor."""
-    p = space.p
+def _product_blocks(space: ModelSpace, a: np.ndarray, x, y, pairs) -> list[_Group]:
+    """The raw groups, one per pair (s, t, side_s, side_t, sign), of the
+    sum over i of sign times the multiplication by a x_i on side_s of
+    leg s after the one by y_i on side_t of leg t, one factor if s = t:
+    over :func:`_product_pairs`, of t_mixed(a x_i) o t_mixed(y_i)."""
     ax = a @ x
     blocks = []
-    for s, t, side_s, side_t, sign in _product_pairs(space, same_leg):
+    for s, t, side_s, side_t, sign in pairs:
         if s == t:
             # L(ax) L(y) = L(ax y), R(ax) R(y) = R(y ax)
-            placed = [(s, side_s, ax @ y if s < p else y @ ax)]
+            placed = [(s, side_s, ax @ y if side_s == "l" else y @ ax)]
         else:
             placed = [(s, side_s, ax), (t, side_t, y)]
         blocks.append(_placed_group(space, placed, np.full(len(x), sign, dtype=np.complex128)))
@@ -427,14 +435,13 @@ def _paired_traces(g: _Group, h: _Group, N: int, m: int) -> np.ndarray:
     return G
 
 
-def _moment_mc(space: ModelSpace, config: HaarConfig, blocks) -> MCAverage:
-    """Empirical Haar average of F(u*, u), F linear in each argument:
-    ``blocks(x, y)`` returns the raw groups of the sum over i of F(x_i,
-    y_i).  F(u*, u) is the sum over a, b of F(e_ab, (u*)_ab u), so a
-    sample adds its N^4 second moments to W, and the mean is
-    ``blocks(e_ab, W_ab)``, densified once.  The squared norms of the
-    standard error are the paired traces (``_paired_traces``) of
-    ``blocks(u*, u)`` over a batch of samples.
+def _moment_mc(space: ModelSpace, config: HaarConfig, a: np.ndarray, pairs) -> MCAverage:
+    """Empirical Haar average of :func:`_product_blocks` at x = u*,
+    y = u over ``pairs``, linear in the second moments: a sample adds
+    its N^4 moments (u*)_bc u_de to W, and the mean is the
+    :func:`_moment_kernels` of their mean (D = 1), densified once.  The
+    squared norms of the standard error are the paired traces
+    (``_paired_traces``) of the sampled groups, a batch at a time.
     """
     N = space.N
     if config.N != N:
@@ -445,7 +452,7 @@ def _moment_mc(space: ModelSpace, config: HaarConfig, blocks) -> MCAverage:
     us = np.empty((min(n, _NORM_BATCH), N, N), dtype=np.complex128)
     sumsq = 0.0
     for i, u in enumerate(_haar_draws(config)):
-        # (u*)_ab u_cd at [aN+b, cN+d] by a one-term GEMM, so each entry
+        # (u*)_bc u_de at [bN+c, dN+e] by a one-term GEMM, so each entry
         # is the product to_dense forms
         np.matmul(u.conj().T.reshape(N * N, 1), u.reshape(1, N * N), out=v)
         W += v
@@ -453,12 +460,12 @@ def _moment_mc(space: ModelSpace, config: HaarConfig, blocks) -> MCAverage:
         us[row] = u
         if row == _NORM_BATCH - 1 or i == n - 1:
             batch = us[: row + 1]
-            groups = blocks(batch.conj().swapaxes(1, 2), batch)
+            groups = _product_blocks(space, a, batch.conj().swapaxes(1, 2), batch, pairs)
             sumsq += sum(np.vdot(g.coeffs, _paired_traces(g, h, N, space.m) * h.coeffs)
                          for g in groups for h in groups).real
     W /= n
-    units = np.eye(N * N, dtype=np.complex128).reshape(N * N, N, N)  # e_ab at a N + b
-    mean = StructuredOperator._from_raw(space, blocks(units, W.reshape(N * N, N, N))).to_dense()
+    kernels = _moment_kernels(space, a, W.reshape((N,) * 4), pairs, 1)
+    mean = StructuredOperator._from_canonical(space, kernels).to_dense()
     return MCAverage(mean, n, config.seed, _stderr(sumsq, _sq_norm(mean.matrix), n))
 
 
@@ -467,11 +474,12 @@ def product_average_mc(space: ModelSpace, a: np.ndarray, config: HaarConfig) -> 
     the empirical average of t_mixed(a u*) o t_mixed(u) over the
     unitaries that :func:`haar_average_mc` draws for ``config``.
 
-    The integrand is :func:`_product_blocks` at x = u*, y = u, sampled
-    by :func:`_moment_mc`: m^2 groups of N^2 terms make the mean.
+    The integrand is every pair of :func:`_product_pairs`, sampled by
+    :func:`_moment_mc`: its mean is m(m - 1)/2 two-axis kernels, one per
+    pair of legs, and m one-axis kernels, one per leg.
     """
     a = _sanitize(a, space.N)
-    return _moment_mc(space, config, lambda x, y: _product_blocks(space, a, x, y))
+    return _moment_mc(space, config, a, _product_pairs(space, True))
 
 
 # -- conditional expectation tower ---------------------------------------
@@ -560,7 +568,7 @@ def sigma_residual(space: ModelSpace, a: np.ndarray, u: np.ndarray) -> Structure
     """
     a = _sanitize(a, space.N)
     u = _check_unitary(u, space.N)
-    blocks = _product_blocks(space, a, u.conj().T[None], u[None], same_leg=False)
+    blocks = _product_blocks(space, a, u.conj().T[None], u[None], _product_pairs(space, False))
     return StructuredOperator._from_raw(space, blocks)
 
 
@@ -571,25 +579,16 @@ def sigma_average_exact(
 
     The matrix-unit formula averages u* (x) u to (1/D) times the sum of
     e_rs x 1_K (x) e_sr x 1_K, D the block dimension: so the average is
-    :func:`sigma_residual`'s pairs s != t of :func:`_product_pairs` with
-    u* and u replaced by those units, over D.  Pair (s, t) is the
-    :func:`_unit_kernel` of its sides; (s, t) and (t, s) act on the same
-    two axes, so each pair of legs is one kernel group, its two kernels
-    added with their signs in pair order, then divided by D.
+    the :func:`_moment_kernels` of :func:`sigma_residual`'s pairs s != t
+    of :func:`_product_pairs`, with W the block units of
+    :func:`_unit_moment`.  (s, t) and (t, s) act on the same two axes,
+    so each pair of legs is one kernel group, its two kernels added with
+    their signs in pair order, then divided by D.
     """
     a = _sanitize(a, space.N)
-    D = _block_size(space.N, block_dim)
-    kernels: dict[tuple, np.ndarray] = {}
-    for s, t, side_s, side_t, sign in _product_pairs(space, same_leg=False):
-        kernel = sign * _unit_kernel(a, side_s == "l", side_s == side_t, D)
-        axes, kernel = _ordered((_side_axis(s, side_s), _side_axis(t, side_t)), kernel)
-        if axes in kernels:
-            kernels[axes] += kernel
-        else:
-            kernels[axes] = np.ascontiguousarray(kernel)
-    sigma = tuple(range(space.m))
-    groups = [_KernelGroup(sigma, axes, kernels[axes] / D, True) for axes in sorted(kernels)]
-    return StructuredOperator._from_canonical(space, tuple(g for g in groups if g.kernel.any()))
+    N, D = space.N, _block_size(space.N, block_dim)
+    groups = _moment_kernels(space, a, _unit_moment(N, D), _product_pairs(space, False), D)
+    return StructuredOperator._from_canonical(space, groups)
 
 
 def product_average_exact(

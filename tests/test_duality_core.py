@@ -30,13 +30,17 @@ from duallab.duality_core import (
     MCAverage,
     _check_pair,
     _haar_draws,
+    _moment_kernels,
     _paired_traces,
     _placed_group,
     _product_blocks,
+    _product_pairs,
     _sanitize,
     _block_size,
+    _side_axis,
     _sq_norm,
     _stderr,
+    _unit_moment,
     SpectralGrid,
     SubfactorTower,
     conditional_expectation,
@@ -622,8 +626,9 @@ class TestProductAverageMC:
         assert calls == [2] * samples
 
 
-# The two sampler loops that _moment_mc replaced, verbatim: the
-# byte-for-byte oracles of the one sampler both twins call.
+# The two sampler loops that _moment_mc replaced, verbatim but for the
+# pair list _product_blocks now takes: the oracles of the one sampler
+# both twins call.
 
 
 def _check_draws(space, config):
@@ -673,12 +678,12 @@ def reference_product_average_mc(space, a, config):
         us[row] = u
         if row == _NORM_BATCH - 1 or i == n - 1:
             batch = us[: row + 1]
-            groups = _product_blocks(space, a, batch.conj().swapaxes(1, 2), batch)
+            groups = _product_blocks(space, a, batch.conj().swapaxes(1, 2), batch, _product_pairs(space, True))
             sumsq += sum(np.vdot(g.coeffs, reference_gram(g, h, N, paired=True) * h.coeffs)
                          for g in groups for h in groups).real
     W /= n
     units, _ = block_units(N, N)
-    blocks = _product_blocks(space, a, units, W.reshape(N * N, N, N))
+    blocks = _product_blocks(space, a, units, W.reshape(N * N, N, N), _product_pairs(space, True))
     mean = StructuredOperator._from_raw(space, blocks).to_dense()
     stderr = _stderr(sumsq, _sq_norm(mean.matrix), n)
     return MCAverage(mean, n, config.seed, stderr)
@@ -691,9 +696,12 @@ MOMENT_SAMPLES = [1, 2, 23, 128, 129, 300]
 
 
 class TestMomentSampler:
-    """Both twins sample through one loop: the means equal the former
-    loops' in bytes, and so does the product's standard error; the pair's
-    standard error now comes from the traces of its sampled group, not
+    """Both twins sample through one loop.  Their means are kernels of
+    the sampled moments, densified by kernel sums in place of the former
+    GEMM over N^2 matrix-unit terms: the pair's mean equals the former
+    loop's entry for entry (its bytes differ in the sign of exact zeros),
+    the product's moves by rounding, and with it its standard error; the
+    pair's standard error comes from the traces of its sampled group, not
     from the moment entries scaled by N^(2m-2), and moves by rounding."""
 
     @pytest.mark.parametrize("N,p,q", MOMENT_SPACES)
@@ -706,7 +714,7 @@ class TestMomentSampler:
                 got = haar_pair_average_mc(sp, k, j, mode, cfg)
                 want = reference_pair_average_mc(sp, k, j, mode, cfg)
                 assert (got.samples, got.seed) == (want.samples, want.seed)
-                assert got.mean.matrix.tobytes() == want.mean.matrix.tobytes()
+                assert np.array_equal(got.mean.matrix, want.mean.matrix)
                 if samples == 1:
                     assert got.stderr == want.stderr == float("inf")
                 else:
@@ -722,9 +730,27 @@ class TestMomentSampler:
             got = product_average_mc(sp, a, cfg)
             want = reference_product_average_mc(sp, a, cfg)
             assert (got.samples, got.seed) == (want.samples, want.seed)
-            assert got.mean.matrix.tobytes() == want.mean.matrix.tobytes()
-            assert repr(got.stderr) == repr(want.stderr)
+            scale = np.abs(want.mean.matrix).max()
+            assert np.abs(got.mean.matrix - want.mean.matrix).max() <= 1e-15 * scale
+            if samples == 1:
+                assert got.stderr == want.stderr == float("inf")
+            else:
+                assert abs(got.stderr - want.stderr) <= 1e-14 * want.stderr
 
+    @pytest.mark.parametrize("twin", ["pair", "product"])
+    def test_means_build_without_a_merge(self, twin):
+        # at N = 3 the former mean held 9 matrix-unit terms per group,
+        # past FEW_TERMS, and was merged before it was densified
+        sp = ModelSpace(3, 1, 1)
+        cfg = HaarConfig(samples=5, seed=2, N=3)
+        names = ("_merge", "_fuzzy_merge", "_canonical")
+        spies = [mock.patch.object(legops, name, wraps=getattr(legops, name)) for name in names]
+        with spies[0] as merge, spies[1] as window, spies[2] as canon:
+            if twin == "pair":
+                haar_pair_average_mc(sp, 0, 1, "lr", cfg)
+            else:
+                product_average_mc(sp, rand_herm(3, np.random.default_rng(3)), cfg)
+        assert (merge.call_count, window.call_count, canon.call_count) == (0, 0, 0)
 
 
 class TestPairedTraces:
@@ -948,7 +974,7 @@ def term_sigma_average(space, a, block_dim=None):
     s != t of _product_blocks on the units of block_units, weight 1/D."""
     D = _block_size(space.N, block_dim)
     units, swapped = block_units(space.N, D)
-    blocks = _product_blocks(space, _sanitize(a, space.N), units, swapped, same_leg=False)
+    blocks = _product_blocks(space, _sanitize(a, space.N), units, swapped, _product_pairs(space, False))
     return StructuredOperator._from_raw(space, [g._replace(coeffs=g.coeffs * (1.0 / D)) for g in blocks])
 
 
@@ -1126,6 +1152,92 @@ class TestKernelBuilds:
         assert abs(rep.residual_op_norm - (abs(t) + np.sqrt(s))) <= 1e-10 * (abs(t) + np.sqrt(s))
         want = np.sqrt(2 * (t * t + s)) / N
         assert abs(rep.sigma_average_hs_norm - want) <= 1e-12 * want
+
+
+def reference_unit_kernel(a, left, agree, D):
+    """The former duality_core._unit_kernel, kept as a reference: the
+    kernel of the sum over r, s of the multiplication by a U_rs on one
+    side of a leg S and by U_sr on one side of another leg T, the U_rs =
+    e_rs x 1_K the units of M_N = M_D x M_K: output axes of S and T, then
+    input axes, (N,) * 4.  ``left`` puts a U_rs on the row of S, else on
+    its column; ``agree`` says the two sides agree.
+
+    With V = sum U_rs (x) U_rs and W = sum U_rs (x) U_sr on the two axes,
+    the kernel is (a x 1) W or (a x 1) V if ``left``, W (a^T x 1) or
+    V (a^T x 1) if not, W when the sides agree.  Each entry is one entry
+    of a times Kronecker deltas, written by one einsum with no sum.
+    """
+    N = a.shape[0]
+    K = N // D
+    # o: output of S, i: input of S; A B, C E, F G, H J: (block, inner)
+    # digits of the output of T, input of S, input of T, output of S
+    if left:
+        spec = "oFE,CA,BG->oABCEFG" if agree else "oAE,CF,BG->oABCEFG"
+    else:
+        spec = "iAJ,HF,BG->HJABiFG" if agree else "iFJ,HA,BG->HJABiFG"
+    return np.einsum(spec, a.reshape(N, D, K), np.eye(D), np.eye(K)).reshape((N,) * 4)
+
+
+def reference_ordered(axes, kernel):
+    """A kernel on two axes with its axes put in ascending order."""
+    if axes[0] < axes[1]:
+        return axes, kernel
+    return axes[::-1], kernel.transpose(1, 0, 3, 2)
+
+
+def reference_unit_kernels(space, a, pairs, D):
+    """The former sigma_average_exact's grouping of the unit kernels of
+    ``pairs``: added with their signs in pair order per pair of axes,
+    divided by D, zero kernels dropped; as (axes, kernel) in axes order."""
+    kernels = {}
+    for s, t, side_s, side_t, sign in pairs:
+        kernel = sign * reference_unit_kernel(a, side_s == "l", side_s == side_t, D)
+        axes, kernel = reference_ordered((_side_axis(s, side_s), _side_axis(t, side_t)), kernel)
+        if axes in kernels:
+            kernels[axes] += kernel
+        else:
+            kernels[axes] = np.ascontiguousarray(kernel)
+    return [(axes, kernels[axes] / D) for axes in sorted(kernels) if kernels[axes].any()]
+
+
+def assert_kernels_equal(groups, want):
+    assert [g.axes for g in groups] == [axes for axes, _ in want]
+    for g, (_, kernel) in zip(groups, want):
+        assert g.sigma == tuple(range(len(g.sigma))) and g.merged
+        assert g.kernel.dtype == np.complex128 and g.kernel.flags.c_contiguous
+        assert np.array_equal(g.kernel, kernel)
+
+
+class TestMomentKernels:
+    """One builder, _moment_kernels, makes the exact pair and sigma
+    kernels from the block-unit moments of _unit_moment: entry for entry
+    the kernels the block-unit formula writes directly."""
+
+    # the (N, p, q) of TestKernelBuilds
+    @pytest.mark.parametrize("N,p,q", [
+        (2, 1, 1), (3, 1, 1), (4, 1, 1), (8, 1, 1), (2, 2, 1), (3, 2, 1), (4, 2, 1),
+        (2, 1, 2), (3, 1, 2), (4, 1, 2), (2, 2, 2),
+    ])
+    def test_exact_kernels_equal_the_unit_kernels(self, N, p, q):
+        sp = ModelSpace(N, p, q)
+        rng = np.random.default_rng(2000 * N + 10 * p + q)
+        a = _sanitize(rand_mat(N, rng), N)
+        for D in [D for D in range(1, N + 1) if N % D == 0]:
+            W = _unit_moment(N, D)
+            # one pair of every side combination, both leg orders
+            for side_s, side_t in itertools.product("lr", repeat=2):
+                for s, t in ((0, sp.m - 1), (sp.m - 1, 0)):
+                    pair = [(s, t, side_s, side_t, -1.0)]
+                    assert_kernels_equal(_moment_kernels(sp, a, W, pair, D),
+                                         reference_unit_kernels(sp, a, pair, D))
+            for k, j in itertools.permutations(range(sp.m), 2):
+                for mode in ("ll", "rr", "lr"):
+                    # the former pair build: the unit kernel of a = 1
+                    kernel = reference_unit_kernel(np.eye(N, dtype=np.complex128), True, mode[0] == mode[1], D) / D
+                    want = [reference_ordered((_side_axis(k, mode[0]), _side_axis(j, mode[1])), kernel)]
+                    assert_kernels_equal(haar_pair_average_exact(sp, k, j, mode, D)._groups, want)
+            want = reference_unit_kernels(sp, a, _product_pairs(sp, False), D)
+            assert_kernels_equal(sigma_average_exact(sp, a, D)._groups, want)
 
 
 class TestLimitFormula:

@@ -1040,8 +1040,33 @@ def boundary_twin(x):
     return y.reshape(x.shape)
 
 
+def on_tolerance_twin(x, unit):
+    """A twin of one leg's (2, N, N) A and B entries exactly on its merge
+    tolerance: a zero entry becomes ``unit`` (1, -1, 1j or -1j) times
+    factor_tol(x).  From zero the move is exact, so the entry's distance
+    is the tolerance bit for bit, and the largest entry, hence the
+    tolerance, stays.  None without a zero entry."""
+    zeros = np.flatnonzero(x.reshape(-1) == 0)
+    if not len(zeros):
+        return None
+    y = x.reshape(-1).copy()
+    y[zeros[0]] = unit * factor_tol(x)
+    assert abs(y[zeros[0]]) == factor_tol(x) == factor_tol(y)
+    return y.reshape(x.shape)
+
+
+def window_edge_twin(x):
+    """A twin of a term's (L, 2, N, N) entries on the edge of
+    _fuzzy_merge's window: every real and imaginary part of each leg
+    moves up by the leg's merge tolerance, so the projections part by
+    the window less its rounding slack, while each entry lies sqrt(2)
+    tolerances away and the twin is not close."""
+    tol = FACTOR_MERGE_TOL * (1.0 + np.abs(x).max(axis=(1, 2, 3)))
+    return x + (tol * (1 + 1j))[:, None, None, None]
+
+
 FRESH_LEGS = ("random", "sparse", "identity", "left", "zero", "near_identity")
-TWINS = ("fresh", "copy", "signed_zeros", "near", "apart", "boundary")
+TWINS = ("fresh", "copy", "signed_zeros", "near", "apart", "boundary", "on_tolerance", "window_edge")
 
 
 @st.composite
@@ -1050,7 +1075,8 @@ def raw_groups(draw, sizes):
     mixing random, sparse, identity, one-sided, zero and near-identity
     leg factors, and twins of earlier terms: exact copies, copies with
     -0.0 for their zeros, copies moved 0.75 (``near``) or 1.5
-    (``apart``) merge tolerances on one entry, and ``boundary_twin``s.
+    (``apart``) merge tolerances on one entry, ``boundary_twin``s,
+    ``on_tolerance_twin``s and ``window_edge_twin``s.
     Coefficients may cancel a twin's, be zero or carry -0.0 parts."""
     T = draw(sizes)
     N = draw(st.sampled_from((2, 3)))
@@ -1084,6 +1110,12 @@ def raw_groups(draw, sizes):
                 twin = boundary_twin(x[src, leg])
                 if twin is not None:
                     x[t, leg] = twin
+            elif kind == "on_tolerance":
+                twin = on_tolerance_twin(x[src, leg], draw(st.sampled_from((1, -1, 1j, -1j))))
+                if twin is not None:
+                    x[t, leg] = twin
+            elif kind == "window_edge":
+                x[t] = window_edge_twin(x[src])
         coeff = draw(st.sampled_from(("random", "cancel", "zero", "signed_zero")))
         c[t] = {
             "random": complex(rng.standard_normal(), rng.standard_normal()),
