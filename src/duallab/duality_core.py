@@ -14,7 +14,7 @@ tested at 1e-12 rather than at Monte Carlo resolution.  Each second
 moment average is one linear map of the moments of u* (x) u, and one
 builder, _moment_kernels, applies it: a moment tensor W and a list of
 (s, t, side of s, side of t, sign) pairs become legops kernel groups,
-one N^2 x N^2 kernel per pair of legs and one N x N kernel per leg, so
+one N^2 x N^2 kernel per pair of legs, one N x N per same-leg pair, so
 no reader merges or re-splits D^2 terms.  The exact pair and sigma
 averages take the block units of _unit_moment, the Monte Carlo twins
 the sampled moments.  Like legops' own builders, t_mixed and Young
