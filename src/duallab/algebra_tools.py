@@ -328,14 +328,18 @@ def _project_out(rows: np.ndarray, *blocks: np.ndarray) -> np.ndarray:
 
 
 def _closure(
-    start: np.ndarray, mults: Sequence[np.ndarray], max_rounds: int
+    start: np.ndarray, mults: Sequence[np.ndarray], max_rounds: int, target: int | None = None
 ) -> tuple[np.ndarray, int]:
     """Breadth-first closure of span{start} (r x d) under right products.
 
     Returns (basis, rounds): Frobenius-orthonormal rows spanning the
-    flattened r x d elements, and the rounds run, the last of which
-    admits nothing.  A multiplier equal to the identity or to an earlier
-    one adds nothing to the span and is skipped.
+    flattened r x d elements, and the rounds run.  Without a target the
+    last round admits nothing.  With one, the closure returns as soon
+    as the basis and the round's admitted rows reach ``target`` rows,
+    in the round that reaches it, and raises :class:`NumericError` if a
+    block would pass it; a closure that ends below it returns as one
+    without a target.  A multiplier equal to the identity or to an
+    earlier one adds nothing to the span and is skipped.
 
     Each round admits one multiplier's block frontier * g at a time
     against the basis and the rows the round has admitted (block
@@ -369,6 +373,10 @@ def _closure(
             rows = rows[_row_norms(rows) > RANK_TOL * scale]
             if len(rows):
                 new = np.vstack([new, _orthonormal_rows(rows)])
+            if target is not None and len(basis) + len(new) > target:
+                raise NumericError(f"span closure passes its target dimension {target}")
+            if len(basis) + len(new) == target:
+                return np.vstack([basis, new]), rounds
         if not len(new):
             return basis, rounds
         basis = np.vstack([basis, new])

@@ -27,7 +27,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra_tools import AlgebraBasis, block_structure, span_closure
+from .algebra_tools import CLOSURE_ROUNDS, RANK_TOL, AlgebraBasis, _closure, _row_norms
+from .algebra_tools import block_structure, fixed_point_dimension
 from .legops import (
     ModelSpace,
     NumericError,
@@ -342,6 +343,7 @@ class CompressionReport:
     average_defect: float
     fixed_dim_span: int
     fixed_dim_commutant: int
+    certified_stop: bool  # the closure stopped at the fixed-point dimension
 
     @property
     def passed(self) -> bool:
@@ -350,6 +352,24 @@ class CompressionReport:
             <= 1e-10
             and self.fixed_dim_span == self.fixed_dim_commutant
         )
+
+
+def _fixed_closure(
+    space: ModelSpace, mats: list[np.ndarray], target: int | None
+) -> tuple[np.ndarray, bool]:
+    """Basis rows of the unital algebra mats generate, and whether its
+    closure stopped at ``target``: then every row must be fixed by every
+    theta_g to ``RANK_TOL``, a gather of its flattened entries."""
+    d = space.dim
+    basis, _ = _closure(np.eye(d), mats + [g.conj().T for g in mats], CLOSURE_ROUNDS, target)
+    if len(basis) != target:
+        return basis, False
+    for g in group_elements(space.p, space.q):
+        idx = _leg_gather(space, g)
+        moved = basis[:, (idx[:, None] * d + idx).ravel()]
+        if _row_norms(np.subtract(moved, basis, out=moved)).max() > RANK_TOL:
+            raise NumericError(f"span closure stopped at {target} on a row that {g} moves")
+    return basis, True
 
 
 def compression_check(space: ModelSpace, samples: int = 12, seed: int = 0xC0DA) -> CompressionReport:
@@ -362,6 +382,12 @@ def compression_check(space: ModelSpace, samples: int = 12, seed: int = 0xC0DA) 
     points of the group action: the span of averaged samples must match
     the commutant of the leg unitaries, whose dimension
     :func:`block_structure` gives at every d.
+
+    When that dimension equals Burnside's count C(N^4 + p - 1, p)
+    C(N^4 + q - 1, q), the closure stops on reaching it, as the span
+    lies in the fixed algebra, and ``certified_stop`` is set once every
+    basis row is fixed by every theta_g.  Otherwise it runs until a
+    round admits nothing.
     """
     elems = group_elements(space.p, space.q)
     n, d = len(elems), space.dim
@@ -380,9 +406,10 @@ def compression_check(space: ModelSpace, samples: int = 12, seed: int = 0xC0DA) 
         lhs = pmat @ CrossedOperator.embed(space, a).to_dense_l2() @ pmat
         rhs = CrossedOperator.embed(space, abar).to_dense_l2() @ pmat
         average_defect = max(average_defect, float(np.abs(lhs - rhs).max()))
-    span, _ = span_closure(averaged + [np.eye(d)])
     legs = [leg_unitary(space, g) for g in elems]
     _, _, fixed_dim = block_structure(legs)
+    burnside = fixed_point_dimension(space.p, space.N**2) * fixed_point_dimension(space.q, space.N**2)
+    span, certified = _fixed_closure(space, averaged, fixed_dim if fixed_dim == burnside else None)
     return CompressionReport(
         p=space.p,
         q=space.q,
@@ -392,6 +419,7 @@ def compression_check(space: ModelSpace, samples: int = 12, seed: int = 0xC0DA) 
         average_defect=average_defect,
         fixed_dim_span=len(span),
         fixed_dim_commutant=fixed_dim,
+        certified_stop=certified,
     )
 
 

@@ -514,14 +514,15 @@ def _compression_check(cfg, rng, out_dir) -> list[CheckResult]:
     """Averaging projection on l2 of the group: projection law,
     absorption of the shifts, compression of fiber elements onto their
     group averages, and the span/commutant agreement of the fixed
-    algebra."""
+    algebra, whose dimension is Burnside's count C(N^4 + p - 1, p)
+    C(N^4 + q - 1, q)."""
     sp = ModelSpace(cfg.N, cfg.p, cfg.q)
     rep = compression_check(
         sp,
         samples=cfg.samples or 12,
         seed=derive_seed(cfg.seed, "compression-check:probes"),
     )
-    checks = [
+    return [
         bound_check("projection_defect", rep.projection_defect, IDENTITY_TOL),
         bound_check("shift_absorption_defect", rep.shift_defect, IDENTITY_TOL),
         bound_check("average_compression_defect", rep.average_defect, IDENTITY_TOL),
@@ -530,10 +531,12 @@ def _compression_check(cfg, rng, out_dir) -> list[CheckResult]:
             rep.fixed_dim_span,
             rep.fixed_dim_commutant,
         ),
+        exact_check(
+            "fixed_dim_value",
+            rep.fixed_dim_span,
+            fixed_point_dimension(sp.p, sp.N**2) * fixed_point_dimension(sp.q, sp.N**2),
+        ),
     ]
-    if (cfg.p, cfg.q, cfg.N) == (2, 0, 2):
-        checks.append(exact_check("fixed_dim_value", rep.fixed_dim_span, 136))
-    return checks
 
 
 # -- trace-table -------------------------------------------------------------

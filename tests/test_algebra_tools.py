@@ -779,6 +779,41 @@ class TestClosureKernel:
         with pytest.raises(NumericError):
             span_closure([rand_mat(3)])
 
+    def test_block_past_the_target_raises(self):
+        # round 1 admits g and g*, round 2's first block g^2 and g* g: 5 > 4
+        g = rand_mat(3, np.random.default_rng(3))
+        with pytest.raises(NumericError, match="passes its target"):
+            algebra_tools._closure(np.eye(3), [g, g.conj().T], algebra_tools.CLOSURE_ROUNDS, 4)
+
+    def test_stops_in_the_round_that_reaches_the_target(self):
+        g = rand_mat(3, np.random.default_rng(3))
+        mults = [g, g.conj().T]
+        full, full_rounds = algebra_tools._closure(np.eye(3), mults, algebra_tools.CLOSURE_ROUNDS)
+        stopped, rounds = algebra_tools._closure(np.eye(3), mults, algebra_tools.CLOSURE_ROUNDS, 9)
+        assert len(full) == 9 and np.array_equal(stopped, full)
+        assert rounds < full_rounds
+
+    def test_target_out_of_reach_runs_to_the_end(self):
+        # the closure ends below the target as it would without one
+        d = np.diag([1.0, 2.0, 2.0])
+        assert np.array_equal(
+            algebra_tools._closure(np.eye(3), [d], algebra_tools.CLOSURE_ROUNDS, 9)[0],
+            algebra_tools._closure(np.eye(3), [d], algebra_tools.CLOSURE_ROUNDS)[0])
+
+    @pytest.mark.xfail(strict=True, raises=NumericError, reason=(
+        "span_closure cuts a residual against RANK_TOL times the round's largest "
+        "candidate norm, block_structure a coupling against RANK_TOL times "
+        "max(largest |V* g V| entry, 1): a generator whose norm lies between RANK_TOL "
+        "and RANK_TOL times the largest generator's is residue to the first and "
+        "couples every cluster in the second (span closure dim 8 vs spectral dim 16)"))
+    def test_mixed_scale_generators_agree(self):
+        rng = np.random.default_rng(0)
+        d = np.diag([1.0, 2.0, 3.0, 4.0])
+        z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        z *= 1.3e-7 / np.linalg.norm(z, 2)
+        dim, _ = generated_algebra_dim([d @ d, z])
+        assert dim == 16
+
     @pytest.mark.parametrize("p, N", [(2, 2), (3, 2), (2, 3)])
     def test_span_growth_matches_reference_loop(self, p, N):
         rep = span_growth_check(p, N)

@@ -374,10 +374,21 @@ class TestCenter:
             center_basis(ModelSpace(3, 2, 2))
 
 
+def averaged_samples(space, samples, rng):
+    """Group averages of random fiber elements, as compression_check draws them."""
+    elems = group_elements(space.p, space.q)
+    return [sum(theta_apply(space, g, a) for g in elems) / len(elems)
+            for a in (rand_mat(space.dim, rng) for _ in range(samples))]
+
+
+def burnside_target(N, p, q):
+    return algebra_tools.fixed_point_dimension(p, N * N) * algebra_tools.fixed_point_dimension(q, N * N)
+
+
 class TestCompression:
     def test_two_leg_values(self):
         rep = compression_check(ModelSpace(2, 2, 0), samples=12)
-        assert rep.passed
+        assert rep.passed and rep.certified_stop
         assert rep.fixed_dim_span == rep.fixed_dim_commutant == 136
         assert max(rep.projection_defect, rep.shift_defect, rep.average_defect) <= 1e-10
 
@@ -400,6 +411,78 @@ class TestCompression:
         _, _, fixed_dim = algebra_tools.block_structure(legs)
         D = N**4
         assert fixed_dim == comb(D + p - 1, p) * comb(D + q - 1, q)
+
+    @pytest.mark.parametrize("N", [2, 3])
+    @pytest.mark.parametrize("p,q", [(1, 0), (2, 0), (3, 0), (1, 1), (2, 1), (2, 2), (3, 1)])
+    def test_burnside_class_sum_is_the_closed_form(self, N, p, q):
+        # the commutant of g -> U_g has dimension (1/|G|) sum_g |tr U_g|^2,
+        # and tr U_g = N^(2 cycles(g)) on legs of dimension N^2
+        total = sum(len(cls) * N ** (4 * sum(map(len, cls[0].class_key())))
+                    for cls in group_conjugacy_classes(p, q))
+        order = factorial(p) * factorial(q)
+        assert total % order == 0
+        assert total // order == burnside_target(N, p, q)
+
+    def test_burnside_hand_checks(self):
+        assert (burnside_target(2, 2, 0), burnside_target(2, 3, 0)) == (136, 816)
+
+    @pytest.mark.parametrize("N,p,q,samples", [
+        (2, 1, 0, 12), (2, 2, 0, 12), (2, 2, 0, 20), (2, 1, 1, 12), (3, 1, 0, 12), (2, 0, 2, 12)])
+    def test_stopped_basis_is_the_full_closure(self, N, p, q, samples):
+        space = ModelSpace(N, p, q)
+        mats = averaged_samples(space, samples, np.random.default_rng(samples)) + [np.eye(space.dim)]
+        # span_closure's multipliers: each generator and its adjoint
+        start, mults = np.eye(space.dim), mats + [g.conj().T for g in mats]
+        target = burnside_target(N, p, q)
+        full, full_rounds = algebra_tools._closure(start, mults, algebra_tools.CLOSURE_ROUNDS)
+        stopped, rounds = algebra_tools._closure(start, mults, algebra_tools.CLOSURE_ROUNDS, target)
+        assert len(full) == target
+        assert np.array_equal(stopped, full)
+        assert rounds < full_rounds
+        basis, certified = crossed._fixed_closure(space, mats[:-1], target)
+        assert certified and np.array_equal(basis, full)
+
+    @pytest.mark.parametrize("N,p,q", [(2, 2, 0), (2, 0, 2)])
+    @pytest.mark.parametrize("where", [0, -1])
+    def test_unaveraged_sample_raises(self, N, p, q, where):
+        # one raw sample generates all of M_d, past the fixed-point count
+        space, rng = ModelSpace(N, p, q), np.random.default_rng(7)
+        mats = averaged_samples(space, 12, rng)
+        mats.insert(where % (len(mats) + 1), rand_mat(space.dim, rng))
+        with pytest.raises(NumericError):
+            crossed._fixed_closure(space, mats, burnside_target(N, p, q))
+
+    def test_stop_on_a_moved_row_raises(self):
+        # a generic diagonal generates the 16 diagonal matrices, which the
+        # leg swap moves: a closure that stops at 16 rows is not certified
+        space = ModelSpace(2, 2, 0)
+        diag = np.diag(np.arange(1.0, space.dim + 1))
+        with pytest.raises(NumericError, match="moves"):
+            crossed._fixed_closure(space, [diag], space.dim)
+
+    def test_disagreeing_counts_run_the_full_closure(self, monkeypatch):
+        block_structure, closure = algebra_tools.block_structure, algebra_tools._closure
+        targets, rounds = [], []
+
+        def off_by_one(gens, rng=None):
+            blocks, dim_alg, dim_comm = block_structure(gens, rng)
+            return blocks, dim_alg, dim_comm + 1
+
+        def spy(start, mults, max_rounds, target=None):
+            basis, r = closure(start, mults, max_rounds, target)
+            targets.append(target)
+            rounds.append(r)
+            return basis, r
+
+        monkeypatch.setattr(crossed, "block_structure", off_by_one)
+        monkeypatch.setattr(crossed, "_closure", spy)
+        rep = compression_check(ModelSpace(2, 2, 0), samples=12)
+        assert targets == [None]
+        assert not rep.certified_stop and not rep.passed
+        assert (rep.fixed_dim_span, rep.fixed_dim_commutant) == (136, 137)
+        monkeypatch.setattr(crossed, "block_structure", block_structure)
+        assert compression_check(ModelSpace(2, 2, 0), samples=12).certified_stop
+        assert targets == [None, 136] and rounds[1] < rounds[0]
 
 
 # -- complementary trace table ---------------------------------------------------------
