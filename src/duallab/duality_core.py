@@ -12,12 +12,12 @@ The exact averages really are exact: they return structured operators
 whose coefficients are rational in 1/N, so downstream identities can be
 tested at 1e-12 rather than at Monte Carlo resolution.  Each second
 moment average is one linear map of the moments of u* (x) u, and one
-builder, _moment_kernels, applies it: a moment tensor W and a list of
-(s, t, side of s, side of t, sign) pairs become legops kernel groups,
-one N^2 x N^2 kernel per pair of legs, one N x N per same-leg pair, so
-no reader merges or re-splits D^2 terms.  The exact pair and sigma
-averages take the block units of _unit_moment, the Monte Carlo twins
-the sampled moments.  Like legops' own builders, t_mixed and Young
+builder, _moment_kernels, applies it: P = (a x 1) W, W a moment tensor,
+and a list of (s, t, side of s, side of t, sign) pairs become legops
+kernel groups, one N^2 x N^2 kernel per pair of legs, one N x N per
+same-leg pair, so no reader merges or re-splits D^2 terms.  The exact
+pair and sigma averages take the P of the block units, _unit_product,
+the Monte Carlo twins a times the sampled moments.  Like legops' own builders, t_mixed and Young
 projections are built as the raw term-group arrays of legops,
 canonicalized at most once, on the first read that needs it.
 One generator, _product_pairs, holds the sign-and-side rule of the
@@ -158,7 +158,7 @@ def young_projection(
     sigmas = np.tile(np.arange(space.m), (len(perms), 1))
     sigmas[:, offset:offset + block] = offset + perms
     coeffs = (dimension(lam) / math.factorial(block) * chis).astype(np.complex128)
-    return StructuredOperator._from_canonical(space, tuple(_pure_groups(sigmas, coeffs, space.N)))
+    return StructuredOperator._from_canonical(space, tuple(_pure_groups(sigmas, coeffs)))
 
 
 # -- Haar sampling and averaging -----------------------------------------
@@ -302,25 +302,26 @@ def _side_axis(leg: int, side: str) -> int:
     return 2 * leg + (side == "r")
 
 
-def _unit_moment(N: int, D: int) -> np.ndarray:
-    """The 0/1 tensor W[a, b, c, d] of the sum over r, s of U_rs (x)
-    U_sr, U_rs = e_rs x 1_K in M_N = M_D x M_K: D times the average of
-    (u*)_ab u_cd over the unitaries of the leading D x D block."""
-    eD, eK = _eye(D), _eye(N // D)
-    # A B, C E, F G, H J: (block, inner) digits of a, b, c, d
-    return np.einsum("AH,CF,BE,GJ->ABCEFGHJ", eD, eD, eK, eK).reshape((N,) * 4)
+def _unit_product(a: np.ndarray, D: int) -> np.ndarray:
+    """P = (a x 1) W for the 0/1 tensor W[a, b, c, d] of the sum over
+    r, s of U_rs (x) U_sr, U_rs = e_rs x 1_K in M_N = M_D x M_K (D times
+    the average of (u*)_ab u_cd over the unitaries of the leading D x D
+    block): a's entries times Kronecker deltas, one einsum, no sum."""
+    N = len(a)
+    # x, C E, F G, H J: a's row, then the (block, inner) digits of b, c, d
+    P = np.einsum("xHE,CF,GJ->xCEFGHJ", a.reshape(N, D, N // D), _eye(D), _eye(N // D))
+    return P.reshape((N,) * 4)
 
 
-def _moment_kernels(space: ModelSpace, a: np.ndarray, W: np.ndarray, pairs, D: int) -> tuple:
+def _moment_kernels(space: ModelSpace, P: np.ndarray, pairs, D: int) -> tuple:
     """The kernel groups of the average of :func:`_product_blocks` at
-    x = u*, y = u over ``pairs``, given D times the moments W[b, c, d, e]
-    of (u*)_bc u_de.  With P = (a x 1) W, one GEMM, pair (s, t) is P
-    with each leg's index pair as (output, input) on the left (a row
-    axis) and as (input, output) on the right (a column axis), its sign
-    applied; for s = t the one-axis kernel of the two factors' product.
-    Kernels on the same axes add in pair order, are divided by D, and
-    drop when zero."""
-    P = (a @ W.reshape(len(a), -1)).reshape(W.shape)
+    x = u*, y = u over ``pairs``, given P = (a x 1) W, W[b, c, d, e] D
+    times the moments of (u*)_bc u_de.  Pair (s, t) is P with each leg's
+    index pair as (output, input) on the left (a row axis) and as
+    (input, output) on the right (a column axis), its sign applied; for
+    s = t the one-axis kernel of the two factors' product.  Kernels on
+    the same axes add in pair order, are divided by D, and drop when
+    zero."""
     kernels: dict[tuple, np.ndarray] = {}
     for s, t, side_s, side_t, sign in pairs:
         out_s, in_s = (0, 1) if side_s == "l" else (1, 0)
@@ -357,11 +358,11 @@ def haar_pair_average_exact(
     (1/D) * sum over matrix units e_rs placed at leg k and e_sr at leg
     j, in the mode's left/right positions, D being the block dimension:
     one kernel group, the :func:`_moment_kernels` of the one pair
-    (k, j) with a = 1 and W the block units of :func:`_unit_moment`.
+    (k, j) with a = 1, of the block units of :func:`_unit_product`.
     """
     _check_pair(space, k, j, mode)
     N, D = space.N, _block_size(space.N, block_dim)
-    groups = _moment_kernels(space, _eye(N), _unit_moment(N, D), [(k, j, mode[0], mode[1], 1.0)], D)
+    groups = _moment_kernels(space, _unit_product(_eye(N), D), [(k, j, mode[0], mode[1], 1.0)], D)
     return StructuredOperator._from_canonical(space, groups)
 
 
@@ -464,7 +465,7 @@ def _moment_mc(space: ModelSpace, config: HaarConfig, a: np.ndarray, pairs) -> M
             sumsq += sum(np.vdot(g.coeffs, _paired_traces(g, h, N, space.m) * h.coeffs)
                          for g in groups for h in groups).real
     W /= n
-    kernels = _moment_kernels(space, a, W.reshape((N,) * 4), pairs, 1)
+    kernels = _moment_kernels(space, (a @ W.reshape(N, -1)).reshape((N,) * 4), pairs, 1)
     mean = StructuredOperator._from_canonical(space, kernels).to_dense()
     return MCAverage(mean, n, config.seed, _stderr(sumsq, _sq_norm(mean.matrix), n))
 
@@ -580,14 +581,14 @@ def sigma_average_exact(
     The matrix-unit formula averages u* (x) u to (1/D) times the sum of
     e_rs x 1_K (x) e_sr x 1_K, D the block dimension: so the average is
     the :func:`_moment_kernels` of :func:`sigma_residual`'s pairs s != t
-    of :func:`_product_pairs`, with W the block units of
-    :func:`_unit_moment`.  (s, t) and (t, s) act on the same two axes,
+    of :func:`_product_pairs`, of the block units of
+    :func:`_unit_product`.  (s, t) and (t, s) act on the same two axes,
     so each pair of legs is one kernel group, its two kernels added with
     their signs in pair order, then divided by D.
     """
     a = _sanitize(a, space.N)
     N, D = space.N, _block_size(space.N, block_dim)
-    groups = _moment_kernels(space, a, _unit_moment(N, D), _product_pairs(space, False), D)
+    groups = _moment_kernels(space, _unit_product(a, D), _product_pairs(space, False), D)
     return StructuredOperator._from_canonical(space, groups)
 
 

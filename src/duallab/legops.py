@@ -13,13 +13,16 @@ all their products, while never materializing an N^(2m) x N^(2m) matrix
 unless explicitly asked to.
 
 Storage.  A :class:`StructuredOperator` keeps its terms in groups of
-two kinds.  A term group holds the terms of one permutation: its T
-coefficients as a (T,) array and, for the L legs on which some term is
-not the identity, the sandwich factors as (T, L, N, N) arrays A and B.
-A leg on which every term of the group is the identity appears in no
-array: its absence is the identity flag, so a pure leg permutation
-costs one coefficient.  A kernel group holds one permutation and one
-N^k x N^k kernel on k named half-leg axes (the row axis 2j of leg j,
+three kinds.  A permutation group holds every pure term c P(sigma) of
+the operator: the permutations as the rows of one (G, m) integer array,
+in sigma order, and their (G,) coefficients, so a sum of leg
+permutations is two arrays, whatever G is.  A term group holds the
+terms of one permutation that carry a factor: its T coefficients as a
+(T,) array and, for the L legs on which some term is not the identity,
+the sandwich factors as (T, L, N, N) arrays A and B.  A leg on which
+every term of the group is the identity appears in no array: its
+absence is the identity flag.  A kernel group holds one permutation
+and one N^k x N^k kernel on k named half-leg axes (the row axis 2j of leg j,
 where an A acts, and its column axis 2j + 1, where a B^T acts): the
 matrix-unit sum sum_oi K[o, i] e_oi, so the exact Haar averages, whose
 D^2 terms would sum back to that kernel in every reader, are built as
@@ -40,14 +43,19 @@ Cost model, for groups of T terms with L carried legs:
   whose fixed 1-D projections lie within the merge tolerance of each
   other;
 - compose is one batched matmul per carried leg and pair of term
-  groups of which one carries a leg, O(T_x T_y L N^3); products of pure
-  permutations are index arithmetic over all pairs at once; a pair with
-  a kernel group contracts the two kernels (a term group's summed on
-  its active axes) over their shared axes, one GEMM when they act on
-  the same axes, into a kernel on the union of their axes, capped at
-  DENSE_CAP;
-- sums of pure permutations go through one kernel, _pure_groups: one
-  sort of integer codes and a few numpy calls, O(T log T);
+  groups of which one carries a leg, O(T_x T_y L N^3); the product of
+  two permutation groups of G and G' rows is one gather of G G' m
+  integers; a pair with a kernel group contracts the two kernels (a
+  term group's summed on its active axes) over their shared axes, one
+  GEMM when they act on the same axes, into a kernel on the union of
+  their axes, capped at DENSE_CAP;
+- a permutation group's sums go through one kernel, _pure_groups: one
+  sort of integer codes and a few numpy calls, O(T log T); scale,
+  adjoint and j_conjugate run on its two arrays.  The readers that sum
+  term by term (a product with a term or kernel group, to_dense, apply
+  and the traces) visit its rows one by one, in sigma order among the
+  other groups, so each sum runs in one order however the pure terms
+  are held;
 - apply splits each group's terms into classes by their active
   half-legs, the row and column axes whose factor is not the identity.
   A class of T terms on k axes acts through one N^k x N^k kernel, a
@@ -286,6 +294,17 @@ class OperatorTerm:
 # -- grouped term storage ------------------------------------------------
 
 
+class _PermGroup(NamedTuple):
+    """Pure terms c P(sigma): the permutations as the rows of a (G, m)
+    array, the coefficients as a (G,) array.  A ``merged`` group, the
+    one ``_pure_groups`` makes, has distinct read-only rows in sigma
+    order and no coefficient below MERGE_TOL."""
+
+    sigmas: np.ndarray
+    coeffs: np.ndarray
+    merged: bool = False
+
+
 class _Group(NamedTuple):
     """Terms sharing one permutation; legs absent from ``legs`` are the
     identity in every term.  Merging a canonical group again changes
@@ -316,8 +335,8 @@ class _KernelGroup(NamedTuple):
 
 
 def _size(g) -> int:
-    """Terms of a term group; entries of a kernel group, which bound
-    the count of its matrix-unit terms."""
+    """Terms of a term or permutation group; entries of a kernel group,
+    which bound the count of its matrix-unit terms."""
     return g.kernel.size if isinstance(g, _KernelGroup) else len(g.coeffs)
 
 
@@ -327,9 +346,21 @@ def _half_perm(sigma: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(2 * inv[k] + e for k in range(len(sigma)) for e in (0, 1))
 
 
-def _pure(sigma: tuple[int, ...], coeffs: np.ndarray, N: int) -> _Group:
-    empty = np.empty((len(coeffs), 0, N, N), dtype=np.complex128)
-    return _Group(sigma, coeffs, (), empty, empty)
+def _visit(groups, canonical: bool, N: int):
+    """The groups in the order the readers that sum term by term visit
+    them: each row of a permutation group as a legless term group, in
+    place, and canonical groups in sigma order, the term group of a
+    permutation before its kernel groups."""
+    if not any(isinstance(g, _PermGroup) for g in groups):
+        return groups
+    out, empty = [], np.empty((1, 0, N, N), dtype=np.complex128)
+    for g in groups:
+        if isinstance(g, _PermGroup):
+            rows = zip(g.sigmas.tolist(), g.coeffs.reshape(-1, 1))
+            out += [_Group(tuple(sigma), c, (), empty, empty, g.merged) for sigma, c in rows]
+        else:
+            out.append(g)
+    return sorted(out, key=lambda g: g.sigma) if canonical else out
 
 
 def _groups_from_terms(space: ModelSpace, terms) -> list[_Group]:
@@ -350,7 +381,8 @@ def _groups_from_terms(space: ModelSpace, terms) -> list[_Group]:
         coeffs = np.array([t.coefficient for t in ts], dtype=np.complex128)
         if not np.isfinite(coeffs).all():
             raise NumericError(f"non-finite coefficient among {coeffs.tolist()}")
-        raw.append(_Group(sigma, coeffs, legs, A, B))
+        raw.append(_Group(sigma, coeffs, legs, A, B) if legs else
+                   _PermGroup(np.array([sigma] * len(ts)), coeffs))
     return raw
 
 
@@ -493,12 +525,12 @@ def _merge(g: _Group, N: int) -> _Group | None:
     return _Group(g.sigma, c, legs, x[:, :, 0], x[:, :, 1], merged=True)
 
 
-def _pure_groups(sigmas: np.ndarray, coeffs: np.ndarray, N: int) -> list[_Group]:
-    """Canonical groups of the pure permutations sigmas[t] (a (T, m)
-    array) with coefficients coeffs[t], sharing one read-only empty
-    factor array.  Each permutation's sum runs in the given order, one
-    add at a time as np.add.accumulate does, the runs of one length as
-    one block: O(T) memory, at most sqrt(2 T) blocks."""
+def _pure_groups(sigmas: np.ndarray, coeffs: np.ndarray) -> list[_PermGroup]:
+    """The canonical permutation group of the pure permutations
+    sigmas[t] (a (T, m) array) with coefficients coeffs[t], in a list,
+    empty when every sum drops.  Each permutation's sum runs in the
+    given order, one add at a time as np.add.accumulate does, the runs
+    of one length as one block: O(T) memory, at most sqrt(2 T) blocks."""
     T, m = sigmas.shape
     # digits in base m, or ranks where m^m overflows; uint16 sorts by radix
     if m < 16:
@@ -513,17 +545,11 @@ def _pure_groups(sigmas: np.ndarray, coeffs: np.ndarray, N: int) -> list[_Group]
         at = np.flatnonzero(lengths == n)
         sums[at] = np.add.accumulate(vals[starts[at, None] + np.arange(n)], axis=1)[:, -1]
     keep = np.flatnonzero(np.abs(sums) >= MERGE_TOL)
-    empty = np.empty((1, 0, N, N), dtype=np.complex128)
-    empty.setflags(write=False)
-    rows = zip(sigmas[order[starts[keep]]].tolist(), sums[keep].reshape(-1, 1))
-    return [_Group(tuple(sigma), total, (), empty, empty, merged=True) for sigma, total in rows]
-
-
-def _pure_rows(pure: list[_Group]) -> tuple[np.ndarray, np.ndarray]:
-    """The terms of pure groups as a (T, m) permutation array and their
-    (T,) coefficients, in group order: ``_pure_groups``' input."""
-    sigmas = np.repeat([g.sigma for g in pure], [len(g.coeffs) for g in pure], axis=0)
-    return sigmas, np.concatenate([g.coeffs for g in pure])
+    if not len(keep):
+        return []
+    rows = sigmas[order[starts[keep]]]
+    rows.setflags(write=False)
+    return [_PermGroup(rows, sums[keep], True)]
 
 
 def _kernel_sum(parts: list[_KernelGroup]) -> _KernelGroup | None:
@@ -540,40 +566,38 @@ def _kernel_sum(parts: list[_KernelGroup]) -> _KernelGroup | None:
     return parts[0]._replace(kernel=total, merged=True) if total.any() else None
 
 
-def _canonical(space: ModelSpace, raw: Iterable) -> tuple:
-    """Canonical groups in sigma order: a merged group alone with its
-    permutation passes through, the permutations of pure groups only go
-    to ``_pure_groups``, the others to ``_merge`` in raw order.  Kernel
-    groups go to ``_kernel_sum`` per (permutation, axes) and follow the
-    term group of their permutation, by axes."""
+def _canonical(space: ModelSpace, raw: list | tuple) -> tuple:
+    """Canonical groups: the permutation group, then the term groups in
+    sigma order, each kernel group after the term group of its
+    permutation, by axes.  A merged term group alone with its
+    permutation passes through, the others go to ``_merge`` in raw
+    order, with the pure rows on their permutation (``_visit``); the
+    other pure rows go to ``_pure_groups`` in raw order.  Kernel groups
+    go to ``_kernel_sum`` per (permutation, axes)."""
     N = space.N
+    carried = {g.sigma for g in raw if isinstance(g, _Group)}
     by_sigma: dict[tuple, list[_Group]] = {}
     kernels: dict[tuple, list[_KernelGroup]] = {}
-    carried = set()
-    for g in raw:
+    pure = []  # (rows, coefficients)
+    for g in _visit(raw, False, N) if carried else raw:
         if isinstance(g, _KernelGroup):
             kernels.setdefault((g.sigma, g.axes), []).append(g)
-        elif len(g.coeffs):
+        elif isinstance(g, _PermGroup) or g.sigma not in carried:
+            pure.append((g.sigmas if isinstance(g, _PermGroup) else [g.sigma], g.coeffs))
+        else:
             by_sigma.setdefault(g.sigma, []).append(g)
-            if g.legs:
-                carried.add(g.sigma)
-    out, pure = [], []
+    out = []
     for sigma in sorted(by_sigma):
         parts = by_sigma[sigma]
-        if len(parts) == 1 and parts[0].merged:
-            out.append(parts[0])
-        elif sigma in carried:
-            g = _merge(_concat(parts, N), N)
-            if g is not None:
-                out.append(g)
-        else:
-            pure += parts
+        g = parts[0] if len(parts) == 1 and parts[0].merged else _merge(_concat(parts, N), N)
+        if g is not None and g.legs:
+            out.append(g)
+        elif g is not None:  # no factor left: its term joins the pure rows
+            pure.append(([sigma], g.coeffs))
+    out += [g for key in sorted(kernels) if (g := _kernel_sum(kernels[key])) is not None]
+    out.sort(key=lambda g: g.sigma)  # stable: the term group of a permutation first
     if pure:
-        out += _pure_groups(*_pure_rows(pure), N)
-        out.sort(key=lambda g: g.sigma)
-    if kernels:
-        out += [g for key in sorted(kernels) if (g := _kernel_sum(kernels[key])) is not None]
-        out.sort(key=lambda g: g.sigma)  # stable: the term group of a permutation first
+        out[:0] = _pure_groups(*(np.concatenate(part) for part in zip(*pure)))
     return tuple(out)
 
 
@@ -617,6 +641,8 @@ def _classes(g, N: int, m: int, kernels: bool = True) -> list[tuple]:
     perm = _half_perm(g.sigma)
     if isinstance(g, _KernelGroup):
         return [(g.axes, g.kernel, None, perm)]
+    if not g.legs:
+        return [((), np.array(g.coeffs.sum()), None, perm)]
     T, L, d = len(g.coeffs), len(g.legs), N ** (2 * m)
     mats = _axis_mats(g, N)
     active = (mats != _eye(N)).any(axis=(2, 3))
@@ -880,15 +906,15 @@ class StructuredOperator:
             self._state = (groups, True)
         return groups
 
-    def _operand(self) -> tuple[_Group, ...]:
-        """The groups compose and to_dense read: as built while the
-        operator is not yet canonical and holds at most FEW_TERMS terms
-        (a kernel group counting its entries), since both are linear in
-        the terms; else the canonical groups."""
+    def _operand(self) -> tuple[tuple, bool]:
+        """The groups compose and to_dense read, and if they are canonical:
+        as built while the operator is not yet canonical and holds at most
+        FEW_TERMS terms (a kernel group counting its entries), since both
+        are linear in the terms; else the canonical groups."""
         groups, canonical = self._state
         if canonical or sum(_size(g) for g in groups) > FEW_TERMS:
-            return self._groups
-        return groups
+            return self._groups, True
+        return groups, False
 
     @property
     def terms(self) -> tuple[OperatorTerm, ...]:
@@ -899,7 +925,7 @@ class StructuredOperator:
             N = self.space.N
             ident = identity_factor(N)
             out = []
-            for g in self._groups:
+            for g in _visit(self._groups, True, N):
                 if isinstance(g, _KernelGroup):
                     g = _expand(g, N)
                 for t in range(len(g.coeffs)):
@@ -962,7 +988,7 @@ class StructuredOperator:
             raise NumericError(f"non-finite scale factor {c!r}")
         raw = []
         # a group stays canonical unless a coefficient or a nonzero kernel
-        # entry falls below MERGE_TOL
+        # entry falls below MERGE_TOL; a permutation group keeps its rows
         for g in self._groups:
             if isinstance(g, _KernelGroup):
                 x = c * g.kernel
@@ -986,16 +1012,22 @@ class StructuredOperator:
 
         Term x after term y has permutation sigma_x o sigma_y and, at
         leg k, the sandwich of y at k followed by that of x at
-        sigma_y(k).  Pure products go to ``_pure_groups`` at once, but
-        for those whose permutation a carried product also has: one raw
-        group each, ahead, so they merge with it in pair order.  A pair
+        sigma_y(k).  The pure products are one gather of the rows of the
+        two permutation groups, in pair order: the product's permutation
+        group, canonical at once if no other group is involved, else one
+        raw group ahead of the others, so that its rows on the
+        permutation of a carried product merge with it in pair order.
+        The other pairs run over the visited groups (``_visit``); a pair
         with a kernel group is one kernel group (``_kernel_product``).
         """
         self._check_space(other)
         N, m = self.space.N, self.space.m
-        X, Y = self._operand(), other._operand()
+        (X, x_canonical), (Y, y_canonical) = self._operand(), other._operand()
+        px, py = ([(g.sigmas, g.coeffs) for g in ops if isinstance(g, _PermGroup)] for ops in (X, Y))
+        mixed = len(px) + len(py) < len(X) + len(Y)
+        X, Y = (_visit(X, x_canonical, N), _visit(Y, y_canonical, N)) if mixed else ((), ())
         kernels = []
-        if any(isinstance(g, _KernelGroup) for g in X + Y):
+        if any(isinstance(g, _KernelGroup) for g in (*X, *Y)):
             kernels = [_kernel_product(gx, gy, N) for gx in X for gy in Y
                        if isinstance(gx, _KernelGroup) or isinstance(gy, _KernelGroup)]
             X = [g for g in X if isinstance(g, _Group)]
@@ -1029,19 +1061,13 @@ class StructuredOperator:
                     A.reshape(shape),
                     B.reshape(shape),
                 ))
-        px = [g for g in X if not g.legs]
-        py = [g for g in Y if not g.legs]
         if px and py:
-            (sx, cx), (sy, cy) = _pure_rows(px), _pure_rows(py)
-            sigmas = sx[np.arange(len(sx))[:, None, None], sy].reshape(-1, m)  # sigma_x[sigma_y[k]]
+            (sx, cx), (sy, cy) = ((np.concatenate(part) for part in zip(*p)) for p in (px, py))
+            sigmas = np.take(sx, sy, axis=1).reshape(-1, m)  # sigma_x[sigma_y[k]]
             coeffs = np.multiply.outer(cx, cy).reshape(-1)
             if not raw and not kernels:
-                return StructuredOperator._from_canonical(self.space, tuple(_pure_groups(sigmas, coeffs, N)))
-            carried = {g.sigma for g in raw}
-            shared = np.array([tuple(s) in carried for s in sigmas.tolist()])
-            rows = np.flatnonzero(shared).tolist()
-            head = [_pure(tuple(sigmas[t].tolist()), coeffs[t:t + 1], N) for t in rows]
-            raw = _pure_groups(sigmas[~shared], coeffs[~shared], N) + head + raw
+                return StructuredOperator._from_canonical(self.space, tuple(_pure_groups(sigmas, coeffs)))
+            raw.insert(0, _PermGroup(sigmas, coeffs))
         return StructuredOperator._from_raw(self.space, raw + kernels)
 
     def __matmul__(self, other: "StructuredOperator") -> "StructuredOperator":
@@ -1057,6 +1083,9 @@ class StructuredOperator:
         """
         raw = []
         for g in self._groups:
+            if isinstance(g, _PermGroup):
+                raw.append(_PermGroup(np.argsort(g.sigmas, axis=1), g.coeffs.conj()))
+                continue
             if isinstance(g, _KernelGroup):
                 moved = [2 * g.sigma[a // 2] + a % 2 for a in g.axes]
                 raw.append(_conj_moved(g._replace(sigma=_invert(g.sigma)), moved, True))
@@ -1083,6 +1112,8 @@ class StructuredOperator:
         raw = [
             _conj_moved(g, [a ^ 1 for a in g.axes], False)
             if isinstance(g, _KernelGroup) else
+            g._replace(coeffs=g.coeffs.conj())  # its rows and their order stay
+            if isinstance(g, _PermGroup) else
             g._replace(
                 coeffs=g.coeffs.conj(),
                 A=g.B.conj().swapaxes(2, 3),
@@ -1128,9 +1159,10 @@ class StructuredOperator:
         """
         N, m = self.space.N, self.space.m
         classes = self._split()
-        right = [_class_matrix(c, m, 1) for c in classes]
+        # the pairs with a class on some axis, if any; the others pair below
+        right = [_class_matrix(c, m, 1) for c in classes] if any(c[0] for c in classes) else []
         total = 0.0
-        for i, c in enumerate(classes):
+        for i, c in enumerate(classes[:len(right)]):
             ops, outs, ins = _class_matrix(c, m, 0)
             ops = [(arr.conj(), labels) for arr, labels in ops]
             for j, (ops_h, outs_h, ins_h) in enumerate(right[i:]):
@@ -1165,7 +1197,7 @@ class StructuredOperator:
     def _split(self, kernels: bool = True) -> list[tuple]:
         """The classes of every group, as ``_classes`` builds them."""
         N, m = self.space.N, self.space.m
-        return [c for g in self._groups for c in _classes(g, N, m, kernels)]
+        return [c for g in _visit(self._groups, True, N) for c in _classes(g, N, m, kernels)]
 
     def to_dense(self) -> "DenseOperator":
         """Explicit matrix; guarded by ``DENSE_CAP``."""
@@ -1179,7 +1211,7 @@ class StructuredOperator:
         # add in last
         by_sigma: dict[tuple, list[_Group]] = {}
         kernels = []
-        for g in self._operand():
+        for g in _visit(*self._operand(), N):
             if isinstance(g, _KernelGroup):
                 kernels.append(g)
             else:
@@ -1348,7 +1380,7 @@ def permutation_op(space: ModelSpace, sigma: tuple[int, ...]) -> StructuredOpera
     """
     if sorted(sigma) != list(range(space.m)):
         raise ValueError(f"sigma {sigma} is not a permutation of 0..{space.m - 1}")
-    groups = _pure_groups(np.array([sigma]), np.ones(1, dtype=np.complex128), space.N)
+    groups = _pure_groups(np.array([sigma]), np.ones(1, dtype=np.complex128))
     return StructuredOperator._from_canonical(space, tuple(groups))
 
 

@@ -281,7 +281,7 @@ class TestBuilders:
             for sy, cy in y_terms:
                 sigma = tuple(sx[k] for k in sy)
                 want[sigma] = want.get(sigma, 0) + cx * cy
-        got = (op(x_terms) @ op(y_terms))._groups
+        got = visited(op(x_terms) @ op(y_terms))
         assert len(want) < len(x_terms) * len(y_terms)
         assert [g.sigma for g in got] == sorted(want)
         assert all(not g.legs and len(g.coeffs) == 1 for g in got)
@@ -451,13 +451,28 @@ def reference_gram(g, h, N, paired=False):
     return G
 
 
+def legless(sigma, coeffs, N, merged=False):
+    """Pure terms on one permutation as a term group that carries no
+    leg, the form of a pure term before permutation groups (the former
+    ``legops._pure``)."""
+    empty = np.empty((len(coeffs), 0, N, N), dtype=np.complex128)
+    return _Group(sigma, coeffs, (), empty, empty, merged)
+
+
+def visited(op):
+    """The canonical groups of ``op`` as readers visit them, a pure term
+    its own legless group (``legops._visit``): the groups the former
+    readers below saw."""
+    return legops._visit(op._groups, True, op.space.N)
+
+
 def reference_trace(self):
     """The former ``StructuredOperator.normalized_trace``: the identity's
     row of the Gram matrix, divided by N^(2m)."""
     N = self.space.N
-    one = legops._pure(tuple(range(self.space.m)), np.ones(1, dtype=np.complex128), N)
+    one = legless(tuple(range(self.space.m)), np.ones(1, dtype=np.complex128), N)
     total = 0.0 + 0.0j
-    for g in self._groups:
+    for g in visited(self):
         total += g.coeffs @ reference_gram(one, g, N)[0]
     return complex(total / self.space.dim)
 
@@ -467,8 +482,9 @@ def reference_hs_norm(self):
     Gram matrix of the terms, block by block over pairs of groups."""
     N = self.space.N
     total = 0.0 + 0.0j
-    for g in self._groups:
-        for h in self._groups:
+    groups = visited(self)
+    for g in groups:
+        for h in groups:
             total += g.coeffs.conj() @ reference_gram(g, h, N) @ h.coeffs
     val = total.real / self.space.dim
     return float(np.sqrt(max(val, 0.0)))
@@ -1003,7 +1019,7 @@ class TestOneLeg:
         if want is None:
             assert op._groups == ()
             return
-        (got,) = op._groups
+        (got,) = visited(op)
         assert (got.sigma, got.legs, got.merged) == (want.sigma, want.legs, want.merged)
         for x, y in ((got.coeffs, want.coeffs), (got.A, want.A), (got.B, want.B)):
             assert x.shape == y.shape and x.tobytes() == y.tobytes()
@@ -1189,10 +1205,17 @@ class TestMergePaths:
 def reference_canonical(space, raw):
     """The former ``legops._canonical``: each permutation's raw groups
     concatenated in raw order and merged, a pure permutation's
-    coefficients summed by ``np.add.accumulate``."""
+    coefficients summed by ``np.add.accumulate``; a permutation group
+    enters as one legless group per row, in its place."""
     N = space.N
     by_sigma = {}
+    rows = []
     for g in raw:
+        if isinstance(g, legops._PermGroup):
+            rows += [legless(tuple(s), g.coeffs[t:t + 1], N, g.merged) for t, s in enumerate(g.sigmas.tolist())]
+        else:
+            rows.append(g)
+    for g in rows:
         if len(g.coeffs):
             by_sigma.setdefault(g.sigma, []).append(g)
     out = []
@@ -1206,7 +1229,7 @@ def reference_canonical(space, raw):
             g = _merge(g, N)
         else:
             total = np.add.accumulate(g.coeffs)[-1:]
-            g = None if abs(total[0]) < MERGE_TOL else legops._pure(sigma, total, N)._replace(merged=True)
+            g = None if abs(total[0]) < MERGE_TOL else legless(sigma, total, N, merged=True)
         if g is not None:
             out.append(g)
     return tuple(out)
@@ -1219,8 +1242,9 @@ def reference_compose(x, y):
     canonicalized by ``reference_canonical``."""
     N, m = x.space.N, x.space.m
     raw = []
-    px = [g for g in x._groups if not g.legs]
-    py = [g for g in y._groups if not g.legs]
+    xs, ys = visited(x), visited(y)
+    px = [g for g in xs if not g.legs]
+    py = [g for g in ys if not g.legs]
     if px and py:
         sx, sy = np.array([g.sigma for g in px]), np.array([g.sigma for g in py])
         sigmas = sx[:, sy].reshape(-1, m)
@@ -1230,10 +1254,10 @@ def reference_compose(x, y):
         by_sigma = {}
         for sigma, c in zip(map(tuple, sigmas.tolist()), coeffs):
             by_sigma.setdefault(sigma, []).append(c)
-        raw += [legops._pure(s, np.array(by_sigma[s], dtype=np.complex128), N) for s in sorted(by_sigma)]
-    for gx in x._groups:
+        raw += [legless(s, np.array(by_sigma[s], dtype=np.complex128), N) for s in sorted(by_sigma)]
+    for gx in xs:
         xpos = {k: i for i, k in enumerate(gx.legs)}
-        for gy in y._groups:
+        for gy in ys:
             if not gx.legs and not gy.legs:
                 continue
             ypos = {k: i for i, k in enumerate(gy.legs)}
@@ -1267,6 +1291,11 @@ def assert_same_canonical(got, want):
         assert (g.sigma, g.legs, g.merged) == (h.sigma, h.legs, h.merged)
         for a, b in ((g.coeffs, h.coeffs), (g.A, h.A), (g.B, h.B)):
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def pure_group(sigma, coeffs):
+    """The raw permutation group of len(coeffs) terms on one permutation."""
+    return legops._PermGroup(np.array([sigma] * len(coeffs)), coeffs)
 
 
 PURE_COEFFS = ("random", "cancel", "tiny", "zero", "signed_zero", "signed_part")
@@ -1303,7 +1332,7 @@ def pure_raw_lists(draw, carried=False):
             seen.append(coeffs[-1])
         c = np.array(coeffs, dtype=np.complex128)
         merged = len(c) == 1 and abs(c[0]) >= MERGE_TOL and draw(st.booleans())
-        raw.append(legops._pure(sigma, c, N)._replace(merged=merged))
+        raw.append(pure_group(sigma, c)._replace(merged=merged))
     if carried:
         for _ in range(draw(st.integers(1, 3))):
             T = draw(st.integers(1, 3))
@@ -1315,22 +1344,30 @@ def pure_raw_lists(draw, carried=False):
     return ModelSpace(N, m, 0), raw
 
 
+def canonical_rows(space, raw):
+    """``legops._canonical`` of raw groups as readers visit it: the rows
+    of its permutation group expanded to legless groups, in sigma order
+    among the other groups."""
+    return legops._visit(legops._canonical(space, raw), True, space.N)
+
+
 class TestPureKernel:
-    """Sums of pure leg permutations go through one array kernel,
-    ``_pure_groups``; canonical forms and products must equal the
-    former per-permutation merges byte for byte."""
+    """Sums of pure leg permutations are one permutation group, made by
+    one array kernel, ``_pure_groups``; canonical forms and products,
+    their rows expanded, must equal the former per-permutation merges
+    byte for byte."""
 
     @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(case=pure_raw_lists())
     def test_canonical_matches_reference(self, case):
         space, raw = case
-        assert_same_canonical(legops._canonical(space, raw), reference_canonical(space, raw))
+        assert_same_canonical(canonical_rows(space, raw), reference_canonical(space, raw))
 
     @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(case=pure_raw_lists(carried=True))
     def test_canonical_with_carried_groups_matches_reference(self, case):
         space, raw = case
-        assert_same_canonical(legops._canonical(space, raw), reference_canonical(space, raw))
+        assert_same_canonical(canonical_rows(space, raw), reference_canonical(space, raw))
 
     @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(data=st.data())
@@ -1344,7 +1381,7 @@ class TestPureKernel:
             # canonical first: compose reads a few raw terms as built, the
             # reference the canonical groups
             a._groups, b._groups
-            assert_same_canonical((a @ b)._groups, reference_compose(a, b))
+            assert_same_canonical(visited(a @ b), reference_compose(a, b))
 
     def test_shared_permutation_merges_in_pair_order(self):
         # x = 0.1 S - 0.3 T + (left a + 0.1 I), the last one carried group;
@@ -1357,23 +1394,23 @@ class TestPureKernel:
         ident, S, T = (permutation_op(sp, s) for s in ((0, 1, 2), (1, 0, 2), (0, 2, 1)))
         x = S.scale(0.1) - T.scale(0.3) + left_mult(sp, rand_mat(2), 0) + ident.scale(0.1)
         y = ident + S.scale(3.0) + T
-        got = (x @ y)._groups
+        got = visited(x @ y)
         assert_same_canonical(got, reference_compose(x, y))
         assert got[0].sigma == (0, 1, 2) and (0.1 * 3 - 0.3) + 0.1 in got[0].coeffs.tolist()
         for a, b in ((y, x), (x, x), (y, y)):
-            assert_same_canonical((a @ b)._groups, reference_compose(a, b))
+            assert_same_canonical(visited(a @ b), reference_compose(a, b))
 
     def test_exact_cancellation_drops(self):
         sp = ModelSpace(3, 3, 0)
-        raw = [legops._pure((2, 0, 1), np.array([0.1, 0.2, -0.3 + 0j]), 3)]
+        raw = [pure_group((2, 0, 1), np.array([0.1, 0.2, -0.3 + 0j]))]
         assert legops._canonical(sp, raw) == reference_canonical(sp, raw) == ()
 
     def test_sixteen_legs_rank_the_distinct_rows(self):
         rng = np.random.default_rng(16)
         sp = ModelSpace(2, 16, 0)
         pool = [tuple(rng.permutation(16).tolist()) for _ in range(5)]
-        raw = [legops._pure(pool[i % 5], rng.standard_normal(3) + 0j, 2) for i in range(12)]
-        got = legops._canonical(sp, raw)
+        raw = [pure_group(pool[i % 5], rng.standard_normal(3) + 0j) for i in range(12)]
+        got = canonical_rows(sp, raw)
         assert [g.sigma for g in got] == sorted(pool)
         assert_same_canonical(got, reference_canonical(sp, raw))
 
@@ -1388,8 +1425,9 @@ class TestPureKernel:
 
     def test_permutation_op_is_one_merged_group(self):
         (g,) = permutation_op(ModelSpace(2, 3, 0), (2, 0, 1))._groups
-        assert (g.sigma, g.legs, g.merged, g.coeffs.tolist()) == ((2, 0, 1), (), True, [1.0])
-        assert g.A.shape == (1, 0, 2, 2) and not g.A.flags.writeable
+        assert isinstance(g, legops._PermGroup)
+        assert (g.sigmas.tolist(), g.merged, g.coeffs.tolist()) == ([[2, 0, 1]], True, [1.0])
+        assert not g.sigmas.flags.writeable
 
 
 # -- raw operands of a few terms ---------------------------------------------------
@@ -1422,7 +1460,7 @@ def few_raw_lists(draw):
         if again:
             raw.append(again._replace(coeffs=coeffs, merged=False))
         elif kind != "carried":
-            raw.append(legops._pure(sigma, coeffs, N))
+            raw.append(pure_group(sigma, coeffs))
         else:
             legs = tuple(k for k in range(m) if draw(st.booleans())) or (0,)
             x = np.empty((T, len(legs), 2, N, N), dtype=np.complex128)
@@ -1500,7 +1538,7 @@ class TestRawOperands:
         op = StructuredOperator._from_raw(sp, [group])
         assert_dense_close(op.to_dense().matrix, oracle_dense(op))
         if merges:
-            assert_same_canonical((op @ y)._groups, reference_compose(op, y))
+            assert_same_canonical(visited(op @ y), reference_compose(op, y))
 
 
 # -- apply by classes of active half-legs ------------------------------------------
@@ -1540,7 +1578,7 @@ def reference_apply(self, v):
     N, m = space.N, space.m
     x = np.asarray(v, dtype=np.complex128)
     out = np.zeros((N,) * (2 * m), dtype=np.complex128)
-    for g in self._groups:
+    for g in visited(self):
         w, axes = _sandwiched(x, g, N, m)
         inv = legops._invert(g.sigma)
         # output leg k carries input leg sigma^-1(k)
@@ -1943,3 +1981,59 @@ class TestKernelGroups:
         with mock.patch.object(legops, "_kernel", side_effect=AssertionError("built a kernel")):
             got = op.normalized_trace()
         assert abs(got - np.trace(X) / op.space.dim) <= 1e-12 * max(1.0, np.abs(X).max())
+
+
+PERM_SPACES = MIXED_SPACES + (ModelSpace(2, 3, 0), ModelSpace(2, 3, 1))
+
+
+@st.composite
+def perm_mixed_operators(draw, space):
+    """A ``mixed_operators`` operator with a permutation group of one to
+    eight rows joined before or after it, on permutations its term and
+    kernel groups have or random ones, repeats included; returned with
+    its matrix from the definition."""
+    x, X = draw(mixed_operators(space))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = [g.sigma for g in visited(x)] + [tuple(draw(st.permutations(range(space.m)))) for _ in range(2)]
+    sigmas = [pool[draw(st.integers(0, len(pool) - 1))] for _ in range(draw(st.integers(1, 8)))]
+    coeffs = rng.standard_normal(len(sigmas)) + 1j * rng.standard_normal(len(sigmas))
+    pure = StructuredOperator._from_raw(space, [legops._PermGroup(np.array(sigmas), coeffs)])
+    X = X + sum(c * oracle_dense(permutation_op(space, sigma)) for sigma, c in zip(sigmas, coeffs))
+    return (pure + x if draw(st.booleans()) else x + pure), X
+
+
+class TestPermutationGroups:
+    """Operators that hold a permutation group beside term and kernel
+    groups, against the dense matrix of their definition at d <= 256:
+    every operation, and the term view, by permutation, that builds the
+    operator back."""
+
+    @DIFF_SETTINGS
+    @given(data=st.data())
+    def test_every_operation_against_the_oracle(self, data):
+        space = data.draw(st.sampled_from(PERM_SPACES))
+        (x, X), (y, Y) = (data.draw(perm_mixed_operators(space)) for _ in range(2))
+        d, scale = space.dim, max(1.0, np.abs(X).max())
+        kinds = [type(g) for g in x._groups]
+        assert legops._PermGroup not in kinds[1:]  # at most one, first
+        assert_dense_close(x.to_dense().matrix, X)
+        assert_dense_close(x.adjoint().to_dense().matrix, X.conj().T)
+        idx = leg_transpose_index(space)
+        assert_dense_close(x.j_conjugate().to_dense().matrix, X.conj()[np.ix_(idx, idx)])
+        assert_dense_close(x.scale(-0.5j).to_dense().matrix, -0.5j * X)
+        assert_dense_close((x + y).to_dense().matrix, X + Y)
+        assert_dense_close((x - y).to_dense().matrix, X - Y)
+        assert_dense_close((x @ y).to_dense().matrix, X @ Y)
+        pure = StructuredOperator._from_canonical(space, x._groups[:kinds.count(legops._PermGroup)])
+        assert_dense_close((pure @ y).to_dense().matrix, pure.to_dense().matrix @ Y)
+        assert_dense_close((y @ pure).to_dense().matrix, Y @ pure.to_dense().matrix)
+        v = RNG.standard_normal(d) + 1j * RNG.standard_normal(d)
+        np.testing.assert_allclose(x.apply(v), X @ v, rtol=0, atol=1e-10 * scale * d)
+        assert abs(x.normalized_trace() - np.trace(X) / d) <= 1e-12 * scale
+        assert abs(x.hs_norm() - np.linalg.norm(X) / np.sqrt(d)) <= 1e-10 * scale
+        want = np.linalg.norm(X, 2)
+        assert abs(x.operator_norm() - want) <= 1e-10 * want
+        terms = x.terms
+        assert x.n_terms == len(terms)
+        assert [t.sigma for t in terms] == sorted(t.sigma for t in terms)
+        assert_dense_close(StructuredOperator(space, terms).to_dense().matrix, X)
