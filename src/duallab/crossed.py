@@ -146,25 +146,28 @@ class CrossedOperator:
     Blocks are keyed by :class:`ProductGroupElement`; the decomposition
     is unique, so two operators are equal exactly when all block
     differences vanish.  All-zero blocks are dropped; a non-finite block
-    entry or scale factor raises :class:`NumericError`.
+    entry or scale factor raises :class:`NumericError`, also for an overflowed
+    product.  Blocks are read-only; the ones operations build are not copied.
     """
 
     __slots__ = ("space", "blocks")
 
-    def __init__(self, space: ModelSpace, blocks: dict | None = None):
+    def __init__(self, space: ModelSpace, blocks: dict | None = None, *, _copy: bool = True):
         self.space = space
         self.blocks: dict[ProductGroupElement, np.ndarray] = {}
-        for g, mat in (blocks or {}).items():
-            if len(g.s) != space.p or len(g.t) != space.q:
-                raise ValueError("block group element does not match the space")
-            arr = np.array(mat, dtype=np.complex128)
-            if arr.shape != (space.dim, space.dim):
-                raise ValueError(
-                    f"block must be {space.dim}x{space.dim}, got {arr.shape}"
-                )
+        for g, arr in (blocks or {}).items():
+            if _copy:
+                if len(g.s) != space.p or len(g.t) != space.q:
+                    raise ValueError("block group element does not match the space")
+                arr = np.array(arr, dtype=np.complex128)
+                if arr.shape != (space.dim, space.dim):
+                    raise ValueError(
+                        f"block must be {space.dim}x{space.dim}, got {arr.shape}"
+                    )
             if not np.isfinite(arr).all():
                 raise NumericError(f"non-finite entry in the block of {g}")
             if arr.any():
+                arr.flags.writeable = False
                 self.blocks[g] = arr
 
     # -- constructors ---------------------------------------------------
@@ -195,7 +198,7 @@ class CrossedOperator:
         out = dict(self.blocks)
         for k, v in other.blocks.items():
             out[k] = out[k] + v if k in out else v
-        return CrossedOperator(self.space, out)
+        return CrossedOperator(self.space, out, _copy=False)
 
     def __sub__(self, other: "CrossedOperator") -> "CrossedOperator":
         return self + other.scale(-1.0)
@@ -203,7 +206,7 @@ class CrossedOperator:
     def scale(self, c: complex) -> "CrossedOperator":
         if not cmath.isfinite(c):
             raise NumericError(f"non-finite scale factor {c!r}")
-        return CrossedOperator(self.space, {k: c * v for k, v in self.blocks.items()})
+        return CrossedOperator(self.space, {k: c * v for k, v in self.blocks.items()}, _copy=False)
 
     def __mul__(self, c: complex) -> "CrossedOperator":
         return self.scale(c)
@@ -222,7 +225,7 @@ class CrossedOperator:
                 k = g.compose(h)
                 term = a @ theta_apply(space, g, b)
                 out[k] = out[k] + term if k in out else term
-        return CrossedOperator(space, out)
+        return CrossedOperator(space, out, _copy=False)
 
     def __matmul__(self, other: "CrossedOperator") -> "CrossedOperator":
         return self.multiply(other)
@@ -233,7 +236,7 @@ class CrossedOperator:
         for g, a in self.blocks.items():
             ginv = g.inverse()
             out[ginv] = theta_apply(self.space, ginv, a.conj().T)
-        return CrossedOperator(self.space, out)
+        return CrossedOperator(self.space, out, _copy=False)
 
     # -- functionals ------------------------------------------------------
 

@@ -171,7 +171,8 @@ def haar_unitary(N: int, rng: np.random.Generator) -> np.ndarray:
     back in, which makes the distribution exactly Haar rather than
     merely approximately invariant.
     """
-    z = (rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))) / np.sqrt(2)
+    x = rng.standard_normal((2, N, N))  # the real plane, then the imaginary
+    z = (x[0] + 1j * x[1]) / math.sqrt(2)
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
     return q * (d / np.abs(d))

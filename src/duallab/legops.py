@@ -643,14 +643,17 @@ def _classes(g, N: int, m: int, kernels: bool = True) -> list[tuple]:
         return [(g.axes, g.kernel, None, perm)]
     if not g.legs:
         return [((), np.array(g.coeffs.sum()), None, perm)]
-    T, L, d = len(g.coeffs), len(g.legs), N ** (2 * m)
+    L, d = len(g.legs), N ** (2 * m)
     mats = _axis_mats(g, N)
     active = (mats != _eye(N)).any(axis=(2, 3))
     all_axes = [2 * k + e for k in g.legs for e in (0, 1)]
-    flags, which = np.unique(active, axis=0, return_inverse=True)
+    # flag rows as integers, first axis highest (ranks past 62 bits); a stable sort keeps term order
+    codes = (active @ (1 << np.arange(2 * L - 1, -1, -1)) if 2 * L < 63
+             else np.unique(active, axis=0, return_inverse=True)[1].reshape(-1))
+    order = np.argsort(codes, kind="stable")
     out = []
-    for c, row in enumerate(flags):
-        terms = np.flatnonzero(which.reshape(-1) == c)
+    for terms in np.split(order, np.flatnonzero(np.diff(codes[order])) + 1):
+        row = active[terms[0]]
         axes = tuple(a for a, f in zip(all_axes, row) if f)
         k, n = len(axes), len(terms)
         coeffs, class_mats = g.coeffs[terms], mats[terms][:, row]

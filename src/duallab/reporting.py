@@ -5,7 +5,8 @@ configuration, a list of named checks with measured and predicted
 values, and a wall-clock duration.  The report body (everything except
 the duration) serializes to canonical JSON, so identical configs give
 byte-identical bodies; per-check rows stream to JSON lines and
-validate against :data:`REPORT_RECORD_SCHEMA`.
+validate against :data:`REPORT_RECORD_SCHEMA`; jsonschema is loaded only
+for a record that the package's own reading of the schema cannot certify.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ REPORT_RECORD_SCHEMA = {
 
 @functools.cache
 def _record_validator():
-    # imported here so that importing the package does not load jsonschema
+    # imported here so that only a record the package cannot certify loads jsonschema
     import jsonschema
 
     cls = jsonschema.validators.validator_for(REPORT_RECORD_SCHEMA)
@@ -81,8 +82,45 @@ def _record_validator():
     return cls(REPORT_RECORD_SCHEMA)
 
 
+_JSON_TYPES = {dict: {"object"}, str: {"string"}, bool: {"boolean"}, type(None): {"null"},
+               int: {"integer", "number"}, float: {"number"}}
+_TYPE_NAMES = {"array", "boolean", "integer", "null", "number", "object", "string"}
+
+
+def _certified(schema: dict, value) -> bool:
+    """True only if jsonschema (draft 2020-12) accepts ``value`` under
+    ``schema``.  False on a keyword not known here, and on a value not of
+    an exact JSON type: jsonschema decides a subclass such as np.float64."""
+    types = _JSON_TYPES.get(type(value))
+    if types is None:
+        return False
+    if type(value) is float and value.is_integer():
+        types = {"integer", "number"}
+    for key, arg in schema.items():
+        if key == "type":
+            names = {arg} if isinstance(arg, str) else set(arg)
+            ok = names <= _TYPE_NAMES and bool(names & types)
+        elif key == "properties":
+            ok = "object" not in types or all(_certified(s, value[k]) for k, s in arg.items() if k in value)
+        elif key == "required":
+            ok = "object" not in types or all(k in value for k in arg)
+        elif key == "minimum":
+            ok = "number" not in types or not value < arg
+        elif key == "minLength":
+            ok = "string" not in types or len(value) >= arg
+        else:  # annotations, and additionalProperties that admits anything
+            ok = key == "title" or (key, arg) in (
+                ("$schema", "https://json-schema.org/draft/2020-12/schema"), ("additionalProperties", True))
+        if not ok:
+            return False
+    return True
+
+
 def validate_record(record: dict) -> None:
-    """Raise ``jsonschema.validate``'s error (the best match) for a malformed record."""
+    """Raise ``jsonschema.validate``'s error (the best match) for a malformed
+    record; jsonschema reads only a record :func:`_certified` cannot pass."""
+    if _certified(REPORT_RECORD_SCHEMA, record):
+        return
     from jsonschema.exceptions import best_match
 
     error = best_match(_record_validator().iter_errors(record))

@@ -359,6 +359,23 @@ class TestHaarUnitary:
         mean = sum(haar_unitary(2, rng) for _ in range(4000)) / 4000
         assert np.abs(mean).max() < 0.05
 
+    @staticmethod
+    def reference_haar_unitary(N, rng):
+        """The former draw: one standard_normal call per Gaussian plane."""
+        z = (rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))) / np.sqrt(2)
+        q, r = np.linalg.qr(z)
+        d = np.diagonal(r)
+        return q * (d / np.abs(d))
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 4, 8, 16])
+    def test_matches_the_two_call_draw_byte_for_byte(self, N):
+        got_rng, want_rng = np.random.default_rng(N), np.random.default_rng(N)
+        for _ in range(50):
+            got, want = haar_unitary(N, got_rng), self.reference_haar_unitary(N, want_rng)
+            assert got.tobytes() == want.tobytes()
+        # both streams stand at the same place afterwards
+        assert got_rng.integers(2**63) == want_rng.integers(2**63)
+
 
 def reference_haar_average_mc(f, config):
     """The accumulation haar_average_mc replaced: fresh arrays for the

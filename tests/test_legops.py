@@ -1658,6 +1658,46 @@ def every_route_operator(rng):
     return StructuredOperator(sp, terms)
 
 
+def reference_classes(g, N, m, kernels=True):
+    """The former ``legops._classes``: the flag rows grouped by
+    ``np.unique(axis=0)``, each class's terms by ``np.flatnonzero``."""
+    perm = legops._half_perm(g.sigma)
+    if isinstance(g, legops._KernelGroup):
+        return [(g.axes, g.kernel, None, perm)]
+    if not g.legs:
+        return [((), np.array(g.coeffs.sum()), None, perm)]
+    d = N ** (2 * m)
+    mats = legops._axis_mats(g, N)
+    active = (mats != legops._eye(N)).any(axis=(2, 3))
+    all_axes = [2 * k + e for k in g.legs for e in (0, 1)]
+    flags, which = np.unique(active, axis=0, return_inverse=True)
+    out = []
+    for c, row in enumerate(flags):
+        terms = np.flatnonzero(which.reshape(-1) == c)
+        axes = tuple(a for a, f in zip(all_axes, row) if f)
+        k, n = len(axes), len(terms)
+        coeffs, class_mats = g.coeffs[terms], mats[terms][:, row]
+        if not k:
+            out.append((axes, np.array(coeffs.sum()), None, perm))
+        elif kernels and N ** (k - 1) <= k * n and N ** (2 * k) <= n * d:
+            out.append((axes, legops._kernel(coeffs, class_mats, N), None, perm))
+        else:
+            class_mats[:, 0] *= coeffs[:, None, None]
+            out.append((axes, None, class_mats, perm))
+    return out
+
+
+def assert_same_classes(g, N, m):
+    for kernels in (True, False):
+        got, want = legops._classes(g, N, m, kernels), reference_classes(g, N, m, kernels)
+        assert len(got) == len(want)
+        for (axes, kernel, mats, perm), (axes_w, kernel_w, mats_w, perm_w) in zip(got, want):
+            assert axes == axes_w and perm == perm_w
+            for x, w in ((kernel, kernel_w), (mats, mats_w)):
+                assert (x is None) == (w is None)
+                assert x is None or (x.shape == w.shape and x.tobytes() == w.tobytes())
+
+
 class TestApplyClasses:
     """apply runs each class of a group's terms on its active half-legs,
     through one kernel or term by term; it must agree with the former
@@ -1668,6 +1708,29 @@ class TestApplyClasses:
     def test_matches_reference_and_oracle(self, op, seed):
         assert_apply_agrees(op, np.random.default_rng(seed))
         assert_apply_agrees(op.adjoint(), np.random.default_rng(seed))
+
+    @DIFF_SETTINGS
+    @given(op=class_operators(), order=st.randoms(use_true_random=False))
+    def test_class_split_matches_unique_grouping(self, op, order):
+        # integer flag codes and a stable sort: the same classes, in the
+        # same order, each with its terms in the same order, byte for byte
+        N, m = op.space.N, op.space.m
+        for g in visited(op):
+            if isinstance(g, _Group) and g.legs:  # shuffled, so classes interleave
+                shuffle = list(range(len(g.coeffs)))
+                order.shuffle(shuffle)
+                g = g._replace(coeffs=g.coeffs[shuffle], A=g.A[shuffle], B=g.B[shuffle])
+            assert_same_classes(g, N, m)
+
+    def test_class_split_past_sixty_two_flag_bits(self):
+        # 32 legs give 64 flag bits: the split ranks the rows instead
+        sp, rng = ModelSpace(2, 32, 0), np.random.default_rng(9)
+        kinds = [("identity", "left", "right", "both")[k % 4] for k in range(32)]
+        terms = [half_leg_term(sp, complex(c, 1.0), tuple(range(32)), kinds[::step], rng)
+                 for c, step in ((1.0, 1), (2.0, -1), (3.0, 1))]
+        (g,) = visited(StructuredOperator(sp, terms))
+        assert len(g.legs) == 32 and len(legops._classes(g, 2, 32)) == 2
+        assert_same_classes(g, 2, 32)
 
     def test_routes_cover_every_kind(self):
         rng = np.random.default_rng(7)

@@ -10,6 +10,8 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import duallab
 from duallab import cli
@@ -21,6 +23,7 @@ from duallab.experiments import (
 )
 from duallab.reporting import (
     REPORT_RECORD_SCHEMA,
+    _certified,
     CheckResult,
     ExperimentConfig,
     ExperimentReport,
@@ -136,6 +139,95 @@ class TestRecordSchema:
                 validate_record(bad)
             assert got.value.message == want.value.message
             assert list(got.value.path) == list(want.value.path)
+
+
+JSON_TYPES = (type(None), bool, int, float, str, list, dict)
+EDGE_VALUES = st.sampled_from([
+    None, True, False, -1, 0, 1, 2, 3, 2**70, -1.0, -0.0, 0.0, 2.0, 2.5, float("nan"), float("inf"),
+    float("-inf"), "", "x", [], {}, np.float64(2.0), np.float64(-1.0), np.float64("nan"), np.int64(2),
+    np.int64(-1), np.bool_(True), np.float32(1.0),
+])
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.text(max_size=2), st.lists(st.integers(), max_size=1),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+NUMPY_VALUES = st.one_of(
+    st.floats().map(np.float64), st.floats(width=32).map(np.float32), st.integers(-3, 9).map(np.int64),
+    st.booleans().map(np.bool_),
+)
+
+
+@st.composite
+def schema_records(draw):
+    """A valid record with a few fields changed or removed and some
+    added: bools, numpy scalars, NaN and infinities, integral floats,
+    negative values and empty strings in any field."""
+    rec = dict(TestRecordSchema.BASE)
+    values = st.one_of(EDGE_VALUES, JSON_VALUES, NUMPY_VALUES)
+    for key in draw(st.lists(st.sampled_from(sorted(rec)), unique=True, min_size=1, max_size=3)):
+        if draw(st.integers(0, 5)):
+            rec[key] = draw(values)
+        else:
+            del rec[key]
+    rec.update(draw(st.dictionaries(st.sampled_from(["extra", "", "N "]), values, max_size=2)))
+    return rec
+
+
+class TestRecordCertificate:
+    """validate_record decides a record by reading the schema itself and
+    hands jsonschema only what that reading cannot certify."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(rec=schema_records())
+    def test_certifies_only_what_jsonschema_accepts(self, rec):
+        try:
+            jsonschema.validate(rec, REPORT_RECORD_SCHEMA)
+            accepted = True
+        except jsonschema.ValidationError as exc:
+            accepted, want = False, exc
+        if _certified(REPORT_RECORD_SCHEMA, rec):
+            assert accepted
+        if all(type(v) in JSON_TYPES for v in rec.values()):
+            # on exact JSON types the reading is complete: nothing valid reaches jsonschema
+            assert _certified(REPORT_RECORD_SCHEMA, rec) == accepted
+        if accepted:
+            validate_record(rec)
+        else:
+            with pytest.raises(jsonschema.ValidationError) as got:
+                validate_record(rec)
+            assert got.value.message == want.message
+            assert list(got.value.path) == list(want.path)
+
+    @pytest.mark.parametrize(
+        "schema, value",
+        [
+            ({"maxLength": 3}, "ab"),  # a keyword not known here
+            ({"type": ["integer", "decimal"]}, 1),  # a type name jsonschema does not know
+            ({"minimum": 0}, np.float64(-1.0)),  # a subclass of float, placed by no keyword here
+            ({"additionalProperties": False}, {}),
+            ({"$schema": "http://json-schema.org/draft-04/schema#"}, 1),
+        ],
+    )
+    def test_fails_closed(self, schema, value):
+        assert not _certified(schema, value)
+
+    def test_valid_cli_run_leaves_jsonschema_unloaded(self, tmp_path):
+        src = Path(duallab.__file__).resolve().parents[1]
+        code = (
+            "import sys\n"
+            "from duallab import cli\n"
+            f"code = cli.main(['run', 'sigma-decay', '--out', {str(tmp_path)!r}])\n"
+            "print(code, 'jsonschema' in sys.modules)\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": str(src)},
+        ).stdout
+        assert out.splitlines()[-1] == "0 False"
+        records = (tmp_path / "sigma-decay.checks.jsonl").read_text().splitlines()
+        assert records
+        for line in records:
+            jsonschema.validate(json.loads(line), REPORT_RECORD_SCHEMA)
 
 
 class TestConfigAndReport:
@@ -406,7 +498,7 @@ class TestCli:
 
 
 def test_import_leaves_jsonschema_unloaded():
-    # jsonschema is loaded only when the first record is validated
+    # jsonschema is loaded only for a record the package cannot certify
     src = Path(duallab.__file__).resolve().parents[1]
     code = "import sys, duallab; print('jsonschema' in sys.modules)"
     out = subprocess.run(
