@@ -14,7 +14,8 @@ The one-sided actions enter the dense solvers as acting factors on
 (C^N)^(x m), never as model-space lifts: a lift is a fixed index
 permutation of factor x 1, and X -> X x 1 is an injective unital
 *-homomorphism, so the generated dimensions agree.  The dense cap
-still bounds the model dimension.
+still bounds the model dimension.  Every generator enters at unit
+2-norm, so no rank cut depends on its units (see ``RANK_TOL``).
 """
 
 from __future__ import annotations
@@ -39,9 +40,10 @@ from .legops import (
     _Group,
 )
 
-# Relative cut of every rank decision here: a singular value or residual
-# at most RANK_TOL times its scale is zero.  An SVD's rounding floor, about
-# n * eps * sigma_max, is under 1e-12 for n <= DENSE_CAP columns.
+# Cut of every rank decision here: generators and closure multipliers enter at
+# unit 2-norm (floored at 0, as scaling a generator leaves its algebra as is),
+# so a closure residual or |V* g V| entry at most RANK_TOL is zero.  An SVD's
+# rounding floor, n * eps * sigma_max, is under 1e-12 for n <= DENSE_CAP.
 RANK_TOL = 1e-8
 # Admission cut on Gram eigenvalues.  An eigenvalue of S S^H is a squared
 # singular value of S, so 1e-10 * lambda_max is the sigma cut
@@ -92,7 +94,14 @@ def _as_matrix(op) -> np.ndarray:
     return arr
 
 
+def _unit_norm(mats: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Each matrix over its 2-norm, from one batched norm; a zero one stays zero."""
+    norms = np.linalg.norm(np.array(mats), 2, axis=(1, 2))
+    return [m / n if n else m for m, n in zip(mats, norms)]
+
+
 def _gather(generators) -> tuple[list[np.ndarray], int]:
+    """The generators as finite d x d matrices at unit 2-norm, and d."""
     mats = [_as_matrix(g) for g in generators]
     if not mats:
         raise ValueError("need at least one generator (or pass the identity)")
@@ -102,7 +111,7 @@ def _gather(generators) -> tuple[list[np.ndarray], int]:
     _check_cap(d, "acting dimension")
     for m in mats:
         _check_finite(m)
-    return mats, d
+    return _unit_norm(mats), d
 
 
 def orthonormalize(mats: Sequence[np.ndarray]) -> list[np.ndarray]:
@@ -201,7 +210,7 @@ def commutant_basis(generators: Sequence) -> AlgebraBasis:
     The solutions X of X g = g X and X g* = g* X (the adjoints make it
     a *-algebra) are the null space of the d^2 x d^2 Gram matrix of
     those constraints, by ``eigh`` cut at ``GRAM_EIG_TOL`` times the
-    larger of the top eigenvalue and the squared generator scale.
+    larger of the top eigenvalue and 1, the generators' squared 2-norm.
     """
     mats, d = _gather(generators)
     if d > COMMUTANT_DIM_CAP:
@@ -209,11 +218,9 @@ def commutant_basis(generators: Sequence) -> AlgebraBasis:
             f"commutant solve needs d <= {COMMUTANT_DIM_CAP}, got {d}"
         )
     vals, vecs = np.linalg.eigh(_commutant_gram(mats, d))
-    # floor the cutoff at the generator scale: a constraint matrix that
-    # is numerically zero (generators commuting with everything) must
-    # yield the full null space, not a noise-rank one
-    gscale = max(float(np.abs(m).max()) for m in mats)
-    cut = GRAM_EIG_TOL * max(float(vals[-1]), gscale * gscale)
+    # a constraint matrix that is numerically zero (generators commuting
+    # with everything) must yield the full null space, not a noise-rank one
+    cut = GRAM_EIG_TOL * max(float(vals[-1]), 1.0)
     null = vecs[:, vals <= cut].T
     elements = [row.reshape(d, d) * math.sqrt(d) for row in null]
     space = getattr(generators[0], "space", None)
@@ -248,7 +255,8 @@ def block_structure(
     the algebra; eigenvalue clusters (runs of the sorted spectrum) are
     the isotypic slices, and two clusters sit in the same block exactly
     when some generator word couples their eigenspaces (a block maximum
-    of |V* g V|).  Blocks are listed by first cluster.  A malformed
+    of |V* g V| above ``RANK_TOL``, as the generators enter at unit
+    2-norm).  Blocks are listed by first cluster.  A malformed
     clustering (unequal sizes inside one component) triggers a retry
     with a fresh generic element; a third failure raises
     :class:`NumericError`.
@@ -275,9 +283,8 @@ def block_structure(
         reach = np.eye(nclust, dtype=bool)
         for g in couplers:
             gv = np.abs(vecs.conj().T @ g @ vecs)
-            scale = max(float(gv.max()), 1.0)
             blockmax = np.maximum.reduceat(np.maximum.reduceat(gv, starts, axis=0), starts, axis=1)
-            reach |= blockmax > RANK_TOL * scale
+            reach |= blockmax > RANK_TOL
         reach |= reach.T
         # transitive closure by squaring: reachability within 2^k steps
         while True:
@@ -338,8 +345,8 @@ def _closure(
     as the basis and the round's admitted rows reach ``target`` rows,
     in the round that reaches it, and raises :class:`NumericError` if a
     block would pass it; a closure that ends below it returns as one
-    without a target.  A multiplier equal to the identity or to an
-    earlier one adds nothing to the span and is skipped.
+    without a target.  The multipliers enter at unit 2-norm; one equal to
+    the identity or to an earlier one adds nothing and is skipped.
 
     Each round admits one multiplier's block frontier * g at a time
     against the basis and the rows the round has admitted (block
@@ -347,7 +354,7 @@ def _closure(
     """
     r, d = start.shape
     distinct: list[np.ndarray] = []
-    for g in mults:
+    for g in _unit_norm(mults):
         if not np.array_equal(g, np.eye(d)) and not any(np.array_equal(g, h) for h in distinct):
             distinct.append(g)
     basis = start.reshape(1, -1).astype(np.complex128) / np.linalg.norm(start)
@@ -355,14 +362,12 @@ def _closure(
     for rounds in range(1, max_rounds + 1):
         f = frontier.shape[0]
         flat = frontier.reshape(f * r, d)
-        norms = (float(_row_norms((flat @ g).reshape(f, -1)).max()) for g in distinct)
-        scale = max(norms, default=0.0) or 1.0
         new = np.empty((0, r * d), dtype=np.complex128)
         for g in distinct:
-            # one projection sorts the block: a residual above
-            # RANK_TOL * scale carries a new direction, the rest is residue
+            # one projection sorts the block: a residual above RANK_TOL
+            # carries a new direction, the rest is residue
             cand = _project_out((flat @ g).reshape(f, -1), basis, new)
-            live = _row_norms(cand) > RANK_TOL * scale
+            live = _row_norms(cand) > RANK_TOL
             if not live.any():
                 continue
             # polish only the admitted rows: re-project twice, drop those
@@ -370,7 +375,7 @@ def _closure(
             rows = _orthonormal_rows(cand[live])
             for _ in range(2):
                 _project_out(rows, basis, new)
-            rows = rows[_row_norms(rows) > RANK_TOL * scale]
+            rows = rows[_row_norms(rows) > RANK_TOL]
             if len(rows):
                 new = np.vstack([new, _orthonormal_rows(rows)])
             if target is not None and len(basis) + len(new) > target:
@@ -388,13 +393,10 @@ def span_closure(generators: Sequence) -> tuple[list[np.ndarray], int]:
     """Basis of the unital algebra spanned by words in the generators.
 
     Breadth-first closure: start from the identity, right-multiply the
-    frontier by every distinct generator and adjoint, and admit the
-    directions whose residual after projection on the current basis
-    exceeds ``RANK_TOL`` times the round's largest candidate norm, for
-    at most ``CLOSURE_ROUNDS`` rounds.  Admission runs one multiplier
-    at a time, so memory holds the basis and one multiplier's block of
-    candidates, and a small-scale generator's directions are not cut
-    against a larger generator's.
+    frontier by every distinct generator and adjoint at unit 2-norm, and
+    admit the directions whose residual after projection on the current
+    basis exceeds ``RANK_TOL``, for at most ``CLOSURE_ROUNDS`` rounds,
+    one multiplier's block of candidates at a time.
     Returns (basis, rounds); basis elements are orthonormal under
     :func:`hs_inner`.
     """
@@ -437,8 +439,6 @@ def generated_algebra_dim(
         mats = samples
     else:
         mats = [_as_matrix(g) for g in generators]
-        if not mats:
-            raise ValueError("empty generator list: pass the identity explicitly")
         _, dim_spec, _ = block_structure(mats, rng=rng)
     basis, _ = span_closure(mats[:4])
     if len(basis) != dim_spec:

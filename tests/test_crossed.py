@@ -381,6 +381,27 @@ def averaged_samples(space, samples, rng):
             for a in (rand_mat(space.dim, rng) for _ in range(samples))]
 
 
+def dense_relation_defects(space, samples, seed):
+    """compression_check's relation defects as it took them before block
+    form, from dense products of the l2(G, H) matrices: the reference
+    for the block route."""
+    elems = group_elements(space.p, space.q)
+    n, d = len(elems), space.dim
+    rng = np.random.default_rng(seed)
+    lams = [CrossedOperator.shift(space, g).to_dense_l2() for g in elems]
+    pmat = sum(lams) / n
+    projection_defect = max(float(np.abs(x).max()) for x in (pmat @ pmat - pmat, pmat.conj().T - pmat))
+    shift_defect = max(float(np.abs(pmat @ lam @ pmat - pmat).max()) for lam in lams)
+    average_defect = 0.0
+    for _ in range(samples):
+        a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        abar = sum(theta_apply(space, g, a) for g in elems) / n
+        lhs = pmat @ CrossedOperator.embed(space, a).to_dense_l2() @ pmat
+        rhs = CrossedOperator.embed(space, abar).to_dense_l2() @ pmat
+        average_defect = max(average_defect, float(np.abs(lhs - rhs).max()))
+    return projection_defect, shift_defect, average_defect
+
+
 def burnside_target(N, p, q):
     return algebra_tools.fixed_point_dimension(p, N * N) * algebra_tools.fixed_point_dimension(q, N * N)
 
@@ -401,6 +422,17 @@ class TestCompression:
     def test_cap(self):
         with pytest.raises(CapExceededError):
             compression_check(ModelSpace(3, 2, 2))
+
+    @pytest.mark.parametrize("N,p,q", [(2, 1, 1), (2, 2, 0), (2, 2, 1), (2, 3, 0)])
+    def test_block_relations_match_the_dense_route(self, N, p, q, monkeypatch):
+        # only the relations are under test: the closure is replaced by an empty one
+        monkeypatch.setattr(crossed, "_fixed_closure", lambda space, mats, target: ([], False))
+        space = ModelSpace(N, p, q)
+        rep = compression_check(space, samples=12, seed=0xC0DA)
+        got = (rep.projection_defect, rep.shift_defect, rep.average_defect)
+        want = dense_relation_defects(space, 12, 0xC0DA)
+        assert np.abs(np.subtract(got, want)).max() <= 1e-15
+        assert max(got) <= 1e-10
 
     @pytest.mark.parametrize("N,p,q", [(2, 1, 0), (2, 2, 0), (2, 1, 1), (2, 2, 1), (2, 3, 0)])
     def test_leg_commutant_dim_by_block_structure(self, N, p, q):
