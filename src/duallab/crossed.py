@@ -21,6 +21,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
 from math import factorial
 from typing import Sequence
@@ -34,7 +35,6 @@ from .legops import (
     NumericError,
     _check_cap,
     _invert,
-    _row_gather,
     permuted_product_trace,
 )
 from .symcomb import Partition, cycle_type_of_permutation, dimension, enumerate_partitions
@@ -119,6 +119,16 @@ def group_conjugacy_classes(p: int, q: int) -> list[list[ProductGroupElement]]:
     for g in group_elements(p, q):
         classes.setdefault(g.class_key(), []).append(g)
     return [classes[k] for k in sorted(classes)]
+
+
+@lru_cache(maxsize=256)
+def _row_gather(inv: tuple[int, ...], N: int) -> np.ndarray:
+    """Row index of P(sigma): output leg k reads input leg inv[k]."""
+    m = len(inv)
+    axes = [a for k in range(m) for a in (2 * inv[k], 2 * inv[k] + 1)]
+    idx = np.arange(N ** (2 * m)).reshape((N,) * (2 * m)).transpose(axes).reshape(-1)
+    idx.setflags(write=False)
+    return idx
 
 
 def _leg_gather(space: ModelSpace, g: ProductGroupElement) -> np.ndarray:

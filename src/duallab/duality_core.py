@@ -52,6 +52,7 @@ from .legops import (
     _Group,
     _KernelGroup,
     _check_finite,
+    _one_leg,
     _pure_groups,
     _sanitize,
     _sq_norm,
@@ -90,8 +91,8 @@ def _mult_sum(space: ModelSpace, a: np.ndarray, left: float, right: float) -> St
     legs plus ``right`` times the right ones over the right legs, as one
     raw group of m terms: term t carries ``a`` on its side of leg t, and
     the terms of a zero coefficient drop when it is canonicalized.  One
-    surviving term of an ``a`` neither zero nor the identity is built
-    as its canonical group."""
+    surviving term of an ``a`` neither zero nor the identity is its
+    canonical one-leg group (``_one_leg``), scaled."""
     N, p, m = space.N, space.p, space.m
     a = _sanitize(a, N)
     eye = _eye(N)
@@ -101,9 +102,7 @@ def _mult_sum(space: ModelSpace, a: np.ndarray, left: float, right: float) -> St
     live = np.flatnonzero(coeffs)
     if len(live) == 1 and a.any() and not (a == eye).all():
         k = int(live[0])
-        A, B = (a, eye) if k < p else (eye, a)
-        group = _Group(legs, coeffs[live], (k,), A.reshape(1, 1, N, N), B.reshape(1, 1, N, N), True)
-        return StructuredOperator._from_canonical(space, (group,))
+        return _one_leg(space, k, a, k < p).scale(coeffs[k])
     A = np.empty((m, m, N, N), dtype=np.complex128)
     A[...] = eye
     B = A.copy()

@@ -190,7 +190,7 @@ def _haar_relations(cfg, rng, out_dir) -> list[CheckResult]:
         ]
     # Monte Carlo cross-validation of the closed forms at the top size,
     # the ladder's last step
-    samples = cfg.samples or 2000
+    samples = cfg.samples
     mc_ll = haar_pair_average_mc(
         sp, 0, 1, "ll", HaarConfig(samples, derive_seed(cfg.seed, "haar-relations:ll"), cfg.N)
     )
@@ -256,7 +256,7 @@ def _limit_formula(cfg, rng, out_dir) -> list[CheckResult]:
         scalar_check("residual_op_norm", rep.residual_op_norm, op_norm, IDENTITY_TOL * op_norm),
         scalar_check("cross_leg_hs_norm", rep.sigma_average_hs_norm, hs_norm, IDENTITY_TOL),
     ]
-    samples = cfg.samples or 800
+    samples = cfg.samples
     exact = product_average_exact(space, a).to_dense().matrix
     mc = product_average_mc(
         space, a, HaarConfig(samples, derive_seed(cfg.seed, "limit-formula:mc"), cfg.N)
@@ -286,7 +286,7 @@ def _cond_expectation(cfg, rng, out_dir) -> list[CheckResult]:
     compatibility, nesting, and the scalar collapse at the top level."""
     tower = SubfactorTower.for_leg_size(cfg.N)
     levels = list(range(1, min(2, tower.levels) + 1))
-    samples = cfg.samples or 6
+    samples = cfg.samples
     N = cfg.N
 
     trace_def = module_def = idem_def = adj_def = 0.0
@@ -519,7 +519,7 @@ def _compression_check(cfg, rng, out_dir) -> list[CheckResult]:
     sp = ModelSpace(cfg.N, cfg.p, cfg.q)
     rep = compression_check(
         sp,
-        samples=cfg.samples or 12,
+        samples=cfg.samples,
         seed=derive_seed(cfg.seed, "compression-check:probes"),
     )
     return [
@@ -615,7 +615,7 @@ def _trace_inequality(cfg, rng, out_dir) -> list[CheckResult]:
     for every non-trivial permutation; a transposition with identity
     legs attains the bound, a 3-cycle tops out at 1/N^2."""
     N = cfg.N
-    samples = cfg.samples or 100
+    samples = cfg.samples
     tuples = [[np.eye(N)] * 3]
     for _ in range(samples - 1):
         tuples.append([haar_unitary(N, rng) for _ in range(3)])
@@ -641,7 +641,7 @@ def _spectral_binning(cfg, rng, out_dir) -> list[CheckResult]:
     operator stays strictly within epsilon in operator norm, bin
     projections resolve the identity orthogonally, and a spectrum of
     isolated eigenvalues is reproduced exactly."""
-    count = cfg.samples or 50
+    count = cfg.samples
     eps_grid = (0.3, 0.1, 0.03)
     max_ratio = 0.0
     mesh_ok = True

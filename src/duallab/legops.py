@@ -64,10 +64,12 @@ Cost model, for groups of T terms with L carried legs:
   class adds into the output through one axis permutation, and no
   array holds a term index and a copy of x together.  A kernel group
   is its own one class, at no cost.  operator_norm builds the classes
-  and kernels of X and X* once per call.  to_dense is one batched
-  matmul per term group, O(T N^(4m)), written into the output through
-  a row-permuted view: one d x d allocation for one group, one more per
-  later group; a kernel group adds into a diagonal view of it;
+  and kernels of X and X* once per call.  to_dense adds each visited
+  group's half-leg kernel (a term group's, N^(2k) entries on its k
+  active axes, by one GEMM) into one zeroed d x d matrix, through a view
+  with its rows permuted by sigma and its other axes on the diagonal:
+  N^(2m + k) entries per group, a row of a permutation group a 0-d
+  kernel; no other d x d array unless a term group acts on every axis;
 - normalized_trace and hs_norm contract the classes of apply, read as
   matrices on the 2m half-leg axes: the trace joins a class's outputs
   to its inputs, the 2-norm two classes' outputs and inputs, once per
@@ -606,14 +608,15 @@ def _canonical(space: ModelSpace, raw: list | tuple) -> tuple:
 
 def _kernel(coeffs: np.ndarray, mats: np.ndarray, N: int) -> np.ndarray:
     """sum_t c_t (x)_j mats[t, j], output axes then input axes, for at
-    least one factor.  The term index is contracted by one GEMM on the
-    last factor, so the workspace is T N^(2k-2) + N^(2k) entries."""
+    least one factor, as a transposed view of its GEMM result.  The term
+    index is contracted by one GEMM on the last factor, so the workspace
+    is T N^(2k-2) + N^(2k) entries."""
     T, k = mats.shape[:2]
     P = coeffs.reshape(T, 1)
     for j in range(k - 1):
         P = (P[:, :, None] * mats[:, j].reshape(T, 1, N * N)).reshape(T, -1)
     K = (P.T @ mats[:, -1].reshape(T, N * N)).reshape((N, N) * k)
-    return np.ascontiguousarray(K.transpose([*range(0, 2 * k, 2), *range(1, 2 * k, 2)]))
+    return K.transpose([*range(0, 2 * k, 2), *range(1, 2 * k, 2)])
 
 
 def _axis_mats(g: _Group, N: int) -> np.ndarray:
@@ -660,7 +663,8 @@ def _classes(g, N: int, m: int, kernels: bool = True) -> list[tuple]:
         if not k:
             out.append((axes, np.array(coeffs.sum()), None, perm))
         elif kernels and N ** (k - 1) <= k * n and N ** (2 * k) <= n * d:
-            out.append((axes, _kernel(coeffs, class_mats, N), None, perm))
+            # C-ordered, so that each tensordot of apply reshapes it for free
+            out.append((axes, np.ascontiguousarray(_kernel(coeffs, class_mats, N)), None, perm))
         else:
             class_mats[:, 0] *= coeffs[:, None, None]
             out.append((axes, None, class_mats, perm))
@@ -686,45 +690,26 @@ def _apply_classes(classes: list[tuple], v: np.ndarray, N: int, m: int) -> np.nd
     return out.reshape(-1)
 
 
-@lru_cache(maxsize=256)
-def _row_gather(inv: tuple[int, ...], N: int) -> np.ndarray:
-    """Row index of P(sigma): output leg k reads input leg inv[k]."""
-    m = len(inv)
-    axes = [a for k in range(m) for a in (2 * inv[k], 2 * inv[k] + 1)]
-    idx = np.arange(N ** (2 * m)).reshape((N,) * (2 * m)).transpose(axes).reshape(-1)
-    idx.setflags(write=False)
-    return idx
-
-
-def _kron_legs(g: _Group, legs, N: int, start: np.ndarray) -> np.ndarray:
-    """start_t times the Kronecker product over ``legs`` of kron(A_tk,
-    B_tk^T), the identity on a leg no term carries: (rows, cols, T),
-    rows and columns each flattened over ``legs`` in order."""
-    n2 = N * N
-    pos = {k: i for i, k in enumerate(g.legs)}
-    out = start.reshape(1, 1, -1)
-    for k in legs:
-        # kron(A, B^T)[(a, c), (b, d)] = A[a, b] B[d, c]
-        F = (np.einsum("tab,tdc->acbdt", g.A[:, pos[k]], g.B[:, pos[k]]).reshape(n2, n2, -1)
-             if k in pos else np.eye(n2)[:, :, None])
-        out = (out[:, None, :, None] * F[None, :, None]).reshape(out.shape[0] * n2, -1, len(start))
-    return out
-
-
-def _add_kernel(mat: np.ndarray, g: _KernelGroup, N: int, m: int) -> None:
-    """mat += the d x d matrix of a kernel group, through a view of mat
-    on its rows permuted by sigma and, off the active axes, the diagonal
-    of each row axis with its column axis: one add of N^(2m + k)
-    entries."""
-    axes = g.axes
-    rows = [2 * g.sigma[a // 2] + a % 2 for a in range(2 * m)]  # sandwiched axis a lands on row axis rows[a]
+def _add_kernel(mat: np.ndarray, sigma: tuple[int, ...], axes: tuple[int, ...], kernel: np.ndarray,
+                N: int, m: int, assign: bool = False) -> None:
+    """mat += the d x d matrix of P(sigma) o (kernel on the half-leg
+    ``axes``, the identity elsewhere), through a view of mat on its rows
+    permuted by sigma and, off the axes, the diagonal of each row axis
+    with its column axis: one add of N^(2m + k) entries; a 0-d kernel
+    adds onto the permuted diagonal.  ``assign`` writes instead, into a
+    zeroed mat: numpy's in-place add first copies so strided a view."""
+    rows = [2 * sigma[a // 2] + a % 2 for a in range(2 * m)]  # sandwiched axis a lands on row axis rows[a]
     view = mat.reshape((N,) * (4 * m)).transpose(rows + list(range(2 * m, 4 * m)))
     # labels: row axis a is a, column axis a is 2m + a off the active
     # axes, a on them
     cols = [2 * m + a if a in axes else a for a in range(2 * m)]
     rest = [a for a in range(2 * m) if a not in axes]
     diag = np.einsum(view, list(range(2 * m)) + cols, [*axes, *(2 * m + a for a in axes), *rest])
-    diag += g.kernel.reshape(g.kernel.shape + (1,) * len(rest))
+    kernel = kernel.reshape(kernel.shape + (1,) * len(rest))
+    if assign:
+        diag[...] = kernel
+    else:
+        diag += kernel
 
 
 def _conj_moved(g: _KernelGroup, axes: list[int], swap: bool) -> _KernelGroup:
@@ -1203,46 +1188,15 @@ class StructuredOperator:
         return [c for g in _visit(self._groups, True, N) for c in _classes(g, N, m, kernels)]
 
     def to_dense(self) -> "DenseOperator":
-        """Explicit matrix; guarded by ``DENSE_CAP``."""
+        """Explicit matrix; guarded by ``DENSE_CAP``.  Each visited group
+        adds its half-leg kernel (``_as_kernel``) into one zeroed matrix,
+        through ``_add_kernel``; the first one writes."""
         space = self.space
         _check_cap(space.dim, "dense dimension")
         N, m, d = space.N, space.m, space.dim
-        n2, h = N * N, (m + 1) // 2
-        cols = (n2**h, n2 ** (m - h))
-        # one term group per permutation, so one matmul each: the raw
-        # groups of a permutation joined without a merge; kernel groups
-        # add in last
-        by_sigma: dict[tuple, list[_Group]] = {}
-        kernels = []
-        for g in _visit(*self._operand(), N):
-            if isinstance(g, _KernelGroup):
-                kernels.append(g)
-            else:
-                by_sigma.setdefault(g.sigma, []).append(g)
-        # carried groups first (sorted is stable): the first one writes
-        # every entry, every later group accumulates
-        groups = sorted((_concat(parts, N) for parts in by_sigma.values()), key=lambda g: not g.legs)
-        mat = (np.empty if groups and groups[0].legs else np.zeros)((d, d), dtype=np.complex128)
-        for i, g in enumerate(groups):
-            if not g.legs:
-                rows = _row_gather(_invert(g.sigma), N)
-                for c in g.coeffs.tolist():
-                    mat[np.arange(d), rows] += c
-                continue
-            # one matmul batched over the row of every leg: (cols of the
-            # legs below h, terms) times (terms, cols of the others)
-            x = _kron_legs(g, range(h), N, g.coeffs)
-            x = x.reshape((n2,) * h + (1,) * (m - h) + (cols[0], -1))
-            y = _kron_legs(g, range(h, m), N, np.ones(len(g.coeffs)))
-            y = y.reshape((n2,) * (m - h) + (cols[1], -1)).swapaxes(-1, -2)
-            # row of output leg sigma(k) is the row of input leg k
-            view = mat.reshape((n2,) * m + cols).transpose([*g.sigma, m, m + 1])
-            if i == 0:
-                np.matmul(x, y, out=view)
-            else:
-                view += np.matmul(x, y)
-        for g in kernels:
-            _add_kernel(mat, g, N, m)
+        mat = np.zeros((d, d), dtype=np.complex128)
+        for i, g in enumerate(_visit(*self._operand(), N)):
+            _add_kernel(mat, g.sigma, *_as_kernel(g, N), N, m, assign=not i)
         return DenseOperator(space, mat)
 
     def operator_norm(self) -> float:
